@@ -6,10 +6,30 @@ running-statistic buffers) and expose them through hierarchical dotted names
 such as ``conv1.weight`` or ``layer2.0.bn1.running_mean``; those names are
 the unit of checkpointing and cross-model weight transfer.
 
-Convolution is explicit cross-correlation, evaluated through an
-im2col/matmul rearrangement that stays within 1e-5 of a direct six-loop
-reference.  Reductions inside the norm layers and losses accumulate in
-64-bit and store results in 32-bit.
+Convolution is explicit cross-correlation that stays within 1e-5 of a
+direct six-loop reference.  The input is copied once into a zero-padded,
+batch-innermost (C, Hp, Wp, N) buffer, whose kernel windows give a
+(C·kh·kw, oh·ow·N) column matrix; the output, dW and dX are then one 2-D
+GEMM each.  The output is handed back as an (N, F, oh, ow) view of the
+GEMM's (F, oh, ow, N) result, so the batch stays innermost from layer to
+layer and the next convolution's copy reads contiguous memory.  dX scatters
+the column gradient back with one add per kernel tap, each over rows of
+ow·N contiguous floats.  Slices of one batch share the GEMM, so a slice's
+output can differ by float32 roundoff with its position in the batch.
+
+Max pooling takes the elementwise maximum over the kernel² strided window
+views.  When the input needs a gradient it also records, per tap, a boolean
+mask of the windows whose first maximum in row-major order sits at that tap;
+the backward pass adds the output gradient through those masks into a
+zeroed input-sized buffer.  Its output and padding keep the input's memory
+layout, as numpy's element-wise ops do.
+
+Batch norm takes the batch mean with one float64 sum and the variance with
+one float64 sum of squared deviations of the centred input, which the
+backward pass reuses; 1/std is folded into per-channel factors.  The
+backward pass computes Σdy and Σdy·xhat once each and shares them between
+the γ, β and x gradients.  Reductions inside the norm layers and losses
+accumulate in 64-bit and store results in 32-bit.
 """
 
 from __future__ import annotations
@@ -17,7 +37,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .tensor import Tensor, no_grad
+from .tensor import Tensor, grad_enabled, no_grad
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
@@ -104,25 +124,11 @@ def pad2d(x: Tensor, pad: int | tuple[int, int, int, int]) -> Tensor:
     return x._make(data, (x,), backward_fn)
 
 
-def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow: int) -> np.ndarray:
-    n, c, _, _ = xp.shape
-    s0, s1, s2, s3 = xp.strides
-    view = as_strided(
-        xp,
-        shape=(n, c, kh, kw, oh, ow),
-        strides=(s0, s1, s2, s3, s2 * stride, s3 * stride),
-        writeable=False,
-    )
-    return np.ascontiguousarray(view).reshape(n, c * kh * kw, oh * ow)
-
-
-def _col2im(dcols: np.ndarray, n, c, hp, wp, kh, kw, stride, oh, ow) -> np.ndarray:
-    dx = np.zeros((n, c, hp, wp), dtype=dcols.dtype)
-    d6 = dcols.reshape(n, c, kh, kw, oh, ow)
-    for i in range(kh):
-        for j in range(kw):
-            dx[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += d6[:, :, i, j]
-    return dx
+def _taps(kh: int, kw: int, stride: int, oh: int, ow: int):
+    """Row and column slices of the inputs each kernel tap reads, taps in row-major order."""
+    return [(slice(i, i + stride * (oh - 1) + 1, stride),
+             slice(j, j + stride * (ow - 1) + 1, stride))
+            for i in range(kh) for j in range(kw)]
 
 
 def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
@@ -130,7 +136,8 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
     """2-D cross-correlation of (N, C, H, W) input with an (F, C, kh, kw) kernel.
 
     Output spatial extent is ``floor((H + 2*padding - kh)/stride) + 1`` (same
-    for W).  Internally an im2col/matmul rearrangement of the direct loop.
+    for W).  Internally one GEMM over a batch-innermost column matrix; see the
+    module docstring.
     """
     if x.ndim != 4 or kernel.ndim != 4:
         raise ValueError(f"conv2d expects 4-D input and kernel, got {x.shape} and {kernel.shape}")
@@ -143,32 +150,42 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
     hp, wp = h + 2 * padding, w + 2 * padding
     if kh > hp or kw > wp:
         raise ValueError(f"conv2d kernel {kh}x{kw} exceeds padded input {hp}x{wp}")
+    if bias is not None and bias.shape != (f,):
+        raise ValueError(f"conv2d bias shape {bias.shape} does not match {f} filters")
     oh = (hp - kh) // stride + 1
     ow = (wp - kw) // stride + 1
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding))) if padding else x.data
-    cols = _im2col(xp, kh, kw, stride, oh, ow)          # (N, C*kh*kw, oh*ow)
+    xt = x.data.transpose(1, 2, 3, 0)                    # (C, H, W, N)
+    if padding:
+        xp = np.zeros((c, hp, wp, n), dtype=x.dtype)
+        xp[:, padding:padding + h, padding:padding + w] = xt
+    else:
+        xp = xt
+    sc, sh, sw, sn = xp.strides
+    windows = as_strided(xp, shape=(c, kh, kw, oh, ow, n),
+                         strides=(sc, sh, sw, sh * stride, sw * stride, sn), writeable=False)
+    cols = windows.reshape(c * kh * kw, oh * ow * n)     # copies unless 1x1, stride 1
     wmat = kernel.data.reshape(f, c * kh * kw)
-    out = np.matmul(wmat, cols)                          # (N, F, oh*ow)
+    out = wmat @ cols                                    # (F, oh*ow*N)
     if bias is not None:
-        if bias.shape != (f,):
-            raise ValueError(f"conv2d bias shape {bias.shape} does not match {f} filters")
-        out = out + bias.data[:, None]
-    out = out.reshape(n, f, oh, ow)
+        out += bias.data[:, None]
+    out = out.reshape(f, oh, ow, n).transpose(3, 0, 1, 2)
 
     def backward_fn(o):
-        dout = o.grad.reshape(n, f, oh * ow)
+        dout = o.grad.transpose(1, 2, 3, 0).reshape(f, oh * ow * n)
         if kernel.requires_grad:
-            dw = np.tensordot(dout, cols, axes=((0, 2), (0, 2)))
-            kernel.accumulate_grad(dw.reshape(kernel.shape))
+            # (cols @ dout.T).T, copy included, measured 14-23 % faster than
+            # dout @ cols.T over the cnn5 layers with one OpenBLAS thread.
+            kernel.accumulate_grad((cols @ dout.T).T.reshape(kernel.shape))
         if bias is not None and bias.requires_grad:
-            bias.accumulate_grad(dout.sum(axis=(0, 2), dtype=np.float64).astype(bias.dtype))
+            bias.accumulate_grad(dout.sum(axis=1, dtype=np.float64).astype(bias.dtype))
         if x.requires_grad:
-            dcols = np.matmul(wmat.T, dout)
-            dxp = _col2im(dcols, n, c, hp, wp, kh, kw, stride, oh, ow)
-            if padding:
-                dxp = dxp[:, :, padding:padding + h, padding:padding + w]
-            x.accumulate_grad(dxp)
+            dcols = wmat.T @ dout                        # (C*kh*kw, oh*ow*N)
+            dxp = np.zeros((c, hp, wp, n), dtype=dcols.dtype)
+            per_tap = dcols.reshape(c, kh * kw, oh, ow, n)
+            for m, (rows, columns) in enumerate(_taps(kh, kw, stride, oh, ow)):
+                dxp[:, rows, columns] += per_tap[:, m]
+            x.accumulate_grad(dxp[:, padding:padding + h, padding:padding + w].transpose(3, 0, 1, 2))
 
     parents = (x, kernel) if bias is None else (x, kernel, bias)
     return x._make(out, parents, backward_fn)
@@ -178,44 +195,47 @@ def max_pool2d(x: Tensor, kernel: int = 2, stride: int | None = None, padding: i
     """Max over kernel x kernel windows; zero padding (intended for post-relu maps).
 
     Ties within a window route the gradient to the first maximal element in
-    row-major window order.
+    row-major window order.  A NaN in a window gives a NaN output.
     """
     if stride is None:
         stride = kernel
     n, c, h, w = x.shape
-    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding))) if padding else x.data
     hp, wp = h + 2 * padding, w + 2 * padding
     if kernel > hp or kernel > wp:
         raise ValueError(f"max_pool2d window {kernel} exceeds padded input {hp}x{wp}")
+    if padding:
+        xp = np.zeros_like(x.data, shape=(n, c, hp, wp))    # same memory layout as the input
+        xp[:, :, padding:padding + h, padding:padding + w] = x.data
+    else:
+        xp = x.data
     oh = (hp - kernel) // stride + 1
     ow = (wp - kernel) // stride + 1
-    s0, s1, s2, s3 = xp.strides
-    windows = as_strided(
-        xp,
-        shape=(n, c, oh, ow, kernel, kernel),
-        strides=(s0, s1, s2 * stride, s3 * stride, s2, s3),
-        writeable=False,
-    )
-    flat = windows.reshape(n, c, oh, ow, kernel * kernel)
-    idx = flat.argmax(axis=-1)
-    out = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
+    taps = _taps(kernel, kernel, stride, oh, ow)
+    views = [xp[:, :, rows, cols] for rows, cols in taps]
+    out = views[0].copy(order="K")                          # keeps the input's memory layout
+    for view in views[1:]:
+        np.maximum(out, view, out=out)
+
+    if not (grad_enabled() and x.requires_grad):
+        return x._make(out, (x,), None)
+
+    # First maximum in row-major window order: a tap takes the windows whose
+    # maximum no earlier tap has taken.
+    taken = np.zeros_like(out, dtype=bool)
+    masks = []
+    for view in views:
+        hit = view == out
+        hit &= ~taken
+        taken |= hit
+        masks.append(hit)
 
     def backward_fn(o):
-        dxp = np.zeros((n, c, hp, wp), dtype=x.dtype)
-        for m in range(kernel * kernel):
-            i, j = divmod(m, kernel)
-            sel = idx == m
-            if sel.any():
-                dxp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += o.grad * sel
-        if padding:
-            dxp = dxp[:, :, padding:padding + h, padding:padding + w]
-        x.accumulate_grad(dxp)
+        dxp = np.zeros_like(x.data, shape=(n, c, hp, wp))    # keeps no padded copy alive
+        for (rows, cols), hit in zip(taps, masks):
+            dxp[:, :, rows, cols] += o.grad * hit
+        x.accumulate_grad(dxp[:, :, padding:padding + h, padding:padding + w])
 
-    def backward_guard(o):
-        if x.requires_grad:
-            backward_fn(o)
-
-    return x._make(np.ascontiguousarray(out), (x,), backward_guard)
+    return x._make(out, (x,), backward_fn)
 
 
 def global_avg_pool2d(x: Tensor) -> Tensor:
@@ -241,11 +261,15 @@ def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor,
     mode normalizes by the running buffers.
     """
     n, c, h, w = x.shape
-    axes = (0, 2, 3)
+    count = n * h * w
+
+    def per_channel(a):
+        return a.astype(x.dtype)[None, :, None, None]
+
     if training:
-        mean = x.data.mean(axis=axes, dtype=np.float64)
-        var = x.data.var(axis=axes, dtype=np.float64)
-        count = n * h * w
+        mean = x.data.sum(axis=(0, 2, 3), dtype=np.float64) / count
+        centred = x.data - per_channel(mean)
+        var = np.einsum("nchw,nchw->c", centred, centred, dtype=np.float64) / count
         with np.errstate(invalid="ignore"):
             unbiased = var * count / max(count - 1, 1)
         running_mean *= 1.0 - momentum
@@ -256,26 +280,39 @@ def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor,
         mean = running_mean.astype(np.float64)
         var = running_var.astype(np.float64)
 
-    inv_std = (1.0 / np.sqrt(var + eps)).astype(x.dtype)
-    xhat = (x.data - mean.astype(x.dtype)[None, :, None, None]) * inv_std[None, :, None, None]
-    out = gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]
+    # xhat = centred * inv_std is never stored: inv_std is folded into the
+    # per-channel factors.  Eval mode folds the mean in as well, so it makes
+    # no centred copy of the input.
+    inv_std = 1.0 / np.sqrt(var + eps)
+    scale = gamma.data.astype(np.float64) * inv_std
+    if training:
+        out = centred * per_channel(scale)
+        out += per_channel(beta.data)
+    else:
+        out = x.data * per_channel(scale)
+        out += per_channel(beta.data - mean * scale)
 
     def backward_fn(o):
         dy = o.grad
+        xc = centred if training else x.data - per_channel(mean)
+        sum_dy = dy.sum(axis=(0, 2, 3), dtype=np.float64)
+        sum_dy_xhat = np.einsum("nchw,nchw->c", dy, xc, dtype=np.float64) * inv_std
         if gamma.requires_grad:
-            gamma.accumulate_grad((dy * xhat).sum(axis=axes, dtype=np.float64).astype(gamma.dtype))
+            gamma.accumulate_grad(sum_dy_xhat.astype(gamma.dtype))
         if beta.requires_grad:
-            beta.accumulate_grad(dy.sum(axis=axes, dtype=np.float64).astype(beta.dtype))
+            beta.accumulate_grad(sum_dy.astype(beta.dtype))
         if x.requires_grad:
-            scale = (gamma.data * inv_std)[None, :, None, None]
             if training:
-                m = dy.mean(axis=axes, dtype=np.float64).astype(x.dtype)[None, :, None, None]
-                mx = (dy * xhat).mean(axis=axes, dtype=np.float64).astype(x.dtype)[None, :, None, None]
-                x.accumulate_grad(scale * (dy - m - xhat * mx))
+                # dx = scale * (dy - mean(dy) - xhat * mean(dy * xhat))
+                dx = xc * per_channel(inv_std * sum_dy_xhat / count)
+                np.subtract(dy, dx, out=dx)
+                dx -= per_channel(sum_dy / count)
+                dx *= per_channel(scale)
             else:
-                x.accumulate_grad(scale * dy)
+                dx = dy * per_channel(scale)
+            x.accumulate_grad(dx)
 
-    return x._make(out.astype(x.dtype), (x, gamma, beta), backward_fn)
+    return x._make(out, (x, gamma, beta), backward_fn)
 
 
 def layer_norm(x: Tensor, gain: Tensor, offset: Tensor, eps: float = LN_EPS) -> Tensor:

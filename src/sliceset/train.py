@@ -129,14 +129,29 @@ def he_init(model: nn.Module, seed: int = 0) -> nn.Module:
 # optimizers
 # ---------------------------------------------------------------------------
 
+def _scratch(params, count: int) -> list[np.ndarray]:
+    """``count`` float64 work arrays, each as large as the largest parameter."""
+    size = max((p.size for p in params), default=0)
+    return [np.empty(size, dtype=np.float64) for _ in range(count)]
+
+
+def _view(buffer: np.ndarray, p: Tensor) -> np.ndarray:
+    return buffer[:p.size].reshape(p.shape)
+
+
 class SGD:
-    """Momentum SGD; update math in float64, parameters stored float32."""
+    """Momentum SGD; update math in float64, parameters stored float32.
+
+    The update runs in preallocated float64 buffers and is written back into
+    each parameter array in place, rounded to its dtype.
+    """
 
     def __init__(self, parameters, config: OptimizerConfig):
         self.params = list(parameters)
         self.lr = float(config.learning_rate)
         self.momentum = float(config.momentum)
         self.velocity = [np.zeros(p.shape, dtype=np.float64) for p in self.params]
+        (self._update,) = _scratch(self.params, 1)
 
     def zero_grad(self):
         for p in self.params:
@@ -146,14 +161,20 @@ class SGD:
         for p, v in zip(self.params, self.velocity):
             if p.grad is None:
                 continue
-            g = p.grad.astype(np.float64)
+            update = _view(self._update, p)
             v *= self.momentum
-            v += g
-            p.data = (p.data.astype(np.float64) - self.lr * v).astype(p.data.dtype)
+            v += p.grad
+            np.multiply(v, self.lr, out=update)
+            np.subtract(p.data, update, out=update)
+            p.data[...] = update
 
 
 class Adam:
-    """Adam with bias-corrected first/second moments kept in float64."""
+    """Adam with bias-corrected first/second moments kept in float64.
+
+    Like :class:`SGD`, it updates through preallocated float64 buffers and
+    writes each parameter in place.
+    """
 
     def __init__(self, parameters, config: OptimizerConfig):
         self.params = list(parameters)
@@ -164,6 +185,7 @@ class Adam:
         self.t = 0
         self.m = [np.zeros(p.shape, dtype=np.float64) for p in self.params]
         self.v = [np.zeros(p.shape, dtype=np.float64) for p in self.params]
+        self._step, self._denom = _scratch(self.params, 2)
 
     def zero_grad(self):
         for p in self.params:
@@ -176,15 +198,23 @@ class Adam:
         for p, m, v in zip(self.params, self.m, self.v):
             if p.grad is None:
                 continue
-            g = p.grad.astype(np.float64)
+            g = p.grad
+            step, denom = _view(self._step, p), _view(self._denom, p)
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            np.multiply(g, 1.0 - self.beta1, out=step, dtype=np.float64)
+            m += step
             v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            m_hat = m / bc1
-            v_hat = v / bc2
-            p.data = (p.data.astype(np.float64)
-                      - self.lr * m_hat / (np.sqrt(v_hat) + self.epsilon)).astype(p.data.dtype)
+            np.multiply(g, 1.0 - self.beta2, out=step, dtype=np.float64)
+            step *= g
+            v += step
+            np.divide(m, bc1, out=step)            # m_hat
+            np.divide(v, bc2, out=denom)           # v_hat
+            np.sqrt(denom, out=denom)
+            denom += self.epsilon
+            step *= self.lr
+            step /= denom
+            np.subtract(p.data, step, out=step)
+            p.data[...] = step
 
 
 def build_optimizer(parameters, config: OptimizerConfig):

@@ -16,6 +16,7 @@ keep their fresh initialization.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -32,6 +33,11 @@ FORMAT_VERSION = 1
 
 class WeightArchiveError(ValueError):
     """Raised for malformed archive bytes or import mismatches."""
+
+
+def _is_count(value) -> bool:
+    """A JSON integer >= 0 (JSON true/false decode to bool, which is not one)."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
 @dataclass
@@ -88,15 +94,28 @@ class WeightArchive:
             index = json.loads(raw[16:16 + index_len].decode())
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise WeightArchiveError(f"archive index is not valid JSON: {exc}") from exc
+        if not isinstance(index, dict):
+            raise WeightArchiveError(
+                f"archive index must be a JSON object, got {type(index).__name__}")
         version = index.get("version")
         if version != FORMAT_VERSION:
             raise WeightArchiveError(f"unsupported archive version {version!r}")
+        index_entries = index.get("entries", {})
+        metadata = index.get("metadata", {})
+        if not isinstance(index_entries, dict) or not isinstance(metadata, dict):
+            raise WeightArchiveError("archive index 'entries' and 'metadata' must be JSON objects")
         payload = raw[16 + index_len:]
         entries = {}
-        for name, meta in index.get("entries", {}).items():
-            shape = tuple(int(s) for s in meta["shape"])
-            offset, length = int(meta["offset"]), int(meta["length"])
-            count = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        for name, meta in index_entries.items():
+            if not (isinstance(meta, dict) and isinstance(meta.get("shape"), list)
+                    and all(_is_count(s) for s in meta["shape"])
+                    and _is_count(meta.get("offset")) and _is_count(meta.get("length"))):
+                raise WeightArchiveError(
+                    f"entry {name!r}: index needs a shape list of non-negative integers and "
+                    f"non-negative integer offset and length, got {meta!r}")
+            shape = tuple(meta["shape"])
+            offset, length = meta["offset"], meta["length"]
+            count = math.prod(shape)
             if length != 4 * count:
                 raise WeightArchiveError(
                     f"entry {name!r}: length {length} != 4 x product{shape}")
@@ -104,8 +123,7 @@ class WeightArchive:
                 raise WeightArchiveError(f"entry {name!r}: payload out of bounds")
             arr = np.frombuffer(payload, dtype="<f4", count=count, offset=offset)
             entries[name] = arr.reshape(shape).astype(np.float32)
-        return cls(entries=entries, metadata=dict(index.get("metadata", {})),
-                   version=version)
+        return cls(entries=entries, metadata=dict(metadata), version=version)
 
     def save(self, path):
         from pathlib import Path

@@ -13,6 +13,7 @@ import contextlib
 import io
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ import pytest
 from sliceset.cli import LOCK_NAME, _cap_threads, main
 from sliceset.data import generate_synthetic_images, read_manifest
 from sliceset.encoders import EncoderConfig
-from sliceset.weights import WeightArchive, pretrain_2d
+from sliceset.weights import MAGIC, WeightArchive, pretrain_2d
 
 EXTENTS = "8,10,8"
 
@@ -363,6 +364,20 @@ def test_eval_rejects_non_checkpoint_archive(pretrain_archive, data):
                            "--manifest", data["test"])
     assert code == 2
     assert "not a training checkpoint" in err
+
+
+@pytest.mark.parametrize("index", [
+    [],
+    {"version": 1, "entries": {"w": {"offset": 0, "length": 4}}},
+    {"version": 1, "entries": {"w": {"shape": [1], "offset": 0, "length": 4}}, "metadata": []},
+], ids=["index-is-a-list", "entry-without-shape", "metadata-is-a-list"])
+def test_eval_rejects_malformed_archive_index_without_traceback(tmp_path, data, index):
+    raw_index = json.dumps(index).encode()
+    path = tmp_path / "bad.ssnw"
+    path.write_bytes(MAGIC + struct.pack("<Q", len(raw_index)) + raw_index + b"\0" * 4)
+    code, _, err = run_cli("eval", "--checkpoint", str(path), "--manifest", data["test"])
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_eval_reports_missing_checkpoint_file(tmp_path, data):

@@ -40,6 +40,30 @@ def conv2d_loop_oracle(x, w, b, stride, padding):
     return out
 
 
+def conv2d_grad_loop_oracle(x, w, g, stride, padding):
+    """dX, dW and db of sum(conv2d(x, w, b) * g), by scattering each output term."""
+    n, c, h, ww = x.shape
+    f, _, kh, kw = w.shape
+    xp = np.zeros((n, c, h + 2 * padding, ww + 2 * padding), dtype=x.dtype)
+    xp[:, :, padding:padding + h, padding:padding + ww] = x
+    dxp = np.zeros_like(xp)
+    dw = np.zeros_like(w)
+    db = np.zeros(f, dtype=x.dtype)
+    for ni in range(n):
+        for fi in range(f):
+            for oi in range(g.shape[2]):
+                for oj in range(g.shape[3]):
+                    go = g[ni, fi, oi, oj]
+                    db[fi] += go
+                    for ci in range(c):
+                        for ki in range(kh):
+                            for kj in range(kw):
+                                r, s = oi * stride + ki, oj * stride + kj
+                                dw[fi, ci, ki, kj] += go * xp[ni, ci, r, s]
+                                dxp[ni, ci, r, s] += go * w[fi, ci, ki, kj]
+    return dxp[:, :, padding:padding + h, padding:padding + ww], dw, db
+
+
 def linear_loop_oracle(x, w, b):
     n, d = x.shape
     m = w.shape[0]
@@ -72,6 +96,26 @@ def max_pool_loop_oracle(x, kernel, stride, padding):
     return out
 
 
+def max_pool_grad_loop_oracle(x, g, kernel, stride, padding):
+    """Route each output gradient to its window's first maximum in row-major order."""
+    n, c, h, w = x.shape
+    xp = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
+    xp[:, :, padding:padding + h, padding:padding + w] = x
+    dxp = np.zeros_like(xp)
+    for ni in range(n):
+        for ci in range(c):
+            for oi in range(g.shape[2]):
+                for oj in range(g.shape[3]):
+                    best, at = None, None
+                    for ki in range(kernel):
+                        for kj in range(kernel):
+                            v = xp[ni, ci, oi * stride + ki, oj * stride + kj]
+                            if best is None or v > best:
+                                best, at = v, (oi * stride + ki, oj * stride + kj)
+                    dxp[ni, ci, at[0], at[1]] += g[ni, ci, oi, oj]
+    return dxp[:, :, padding:padding + h, padding:padding + w]
+
+
 @pytest.mark.parametrize("stride,padding,bias", [(1, 0, True), (2, 1, True), (1, 1, False), (3, 2, True)])
 def test_conv2d_matches_loop_oracle(stride, padding, bias):
     rng = np.random.default_rng(42 + stride * 10 + padding)
@@ -91,6 +135,36 @@ def test_conv2d_1x1_kernel_matches_loop_oracle():
     got = nn.conv2d(t64(x), t64(w))
     np.testing.assert_allclose(got.numpy(), conv2d_loop_oracle(x, w, None, 1, 0),
                                rtol=1e-10, atol=1e-12)
+
+
+@pytest.mark.parametrize("n,c,h,w,f,k,stride,padding,bias", [
+    (2, 3, 7, 8, 4, 3, 1, 0, True),
+    (2, 3, 7, 8, 4, 3, 1, 1, False),
+    (2, 3, 7, 8, 4, 3, 2, 1, True),
+    (2, 2, 8, 7, 3, 3, 3, 2, True),
+    (2, 2, 6, 5, 3, 3, 1, 3, True),
+    (2, 2, 7, 7, 3, 2, 2, 0, False),
+    (2, 2, 7, 9, 3, 3, 3, 3, True),
+    (2, 2, 9, 8, 3, 7, 2, 3, False),     # resnet stem: 7x7, stride 2, padding 3
+    (2, 4, 6, 5, 3, 1, 2, 0, False),     # resnet downsample: 1x1, stride 2
+    (3, 4, 2, 2, 5, 3, 1, 1, True),      # 2x2 map
+    (3, 4, 1, 1, 5, 3, 1, 1, True),      # 1x1 map
+    (1, 3, 5, 9, 2, 3, 1, 1, True),      # N=1, non-square
+    (1, 2, 4, 6, 3, 1, 1, 0, True),      # 1x1 kernel, stride 1
+])
+def test_conv2d_gradients_match_loop_oracle(n, c, h, w, f, k, stride, padding, bias):
+    rng = np.random.default_rng(n * 1000 + h * 100 + k * 10 + stride + padding)
+    x = t64(rng.standard_normal((n, c, h, w)), requires_grad=True)
+    kernel = t64(rng.standard_normal((f, c, k, k)), requires_grad=True)
+    b = t64(rng.standard_normal(f), requires_grad=True) if bias else None
+    y = nn.conv2d(x, kernel, b, stride=stride, padding=padding)
+    g = rng.standard_normal(y.shape)
+    (y * t64(g)).sum().backward()
+    dx, dw, db = conv2d_grad_loop_oracle(x.numpy(), kernel.numpy(), g, stride, padding)
+    np.testing.assert_allclose(x.grad, dx, rtol=1e-10, atol=1e-12)
+    np.testing.assert_allclose(kernel.grad, dw, rtol=1e-10, atol=1e-12)
+    if bias:
+        np.testing.assert_allclose(b.grad, db, rtol=1e-10, atol=1e-12)
 
 
 def test_conv2d_rejects_channel_mismatch_and_oversize_kernel():
@@ -124,6 +198,53 @@ def test_max_pool2d_tie_routes_gradient_to_first_maximum():
     y = nn.max_pool2d(x, kernel=2)
     y.sum().backward()
     np.testing.assert_allclose(x.grad, [[[[1.0, 0.0], [0.0, 0.0]]]])
+
+
+def _pool_grad_case(x, kernel, stride, padding, seed=0):
+    xt = t64(x, requires_grad=True)
+    y = nn.max_pool2d(xt, kernel=kernel, stride=stride, padding=padding)
+    g = np.random.default_rng(seed).standard_normal(y.shape)
+    (y * t64(g)).sum().backward()
+    return y.numpy(), xt.grad, max_pool_grad_loop_oracle(x, g, kernel, stride, padding)
+
+
+def test_max_pool2d_gradient_overlapping_windows_with_ties_across_borders():
+    # Values from {0, 1, 2} tie inside windows and on the rows and columns
+    # that neighbouring 3x3 stride-2 windows share; zeros also tie with the
+    # zero padding.
+    x = np.random.default_rng(1).integers(0, 3, (2, 3, 7, 8)).astype(np.float64)
+    y, grad, want = _pool_grad_case(x, 3, 2, 1)
+    np.testing.assert_array_equal(y, max_pool_loop_oracle(x, 3, 2, 1))
+    np.testing.assert_allclose(grad, want, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("kernel,stride,h,w", [(2, 2, 7, 9), (3, 2, 8, 10), (2, 3, 7, 9)])
+def test_max_pool2d_gradient_skips_rows_and_columns_outside_every_window(kernel, stride, h, w):
+    x = np.abs(np.random.default_rng(2).standard_normal((2, 2, h, w))) + 0.1
+    _, grad, want = _pool_grad_case(x, kernel, stride, 0)
+    np.testing.assert_allclose(grad, want, rtol=1e-12, atol=0)
+    assert not grad[:, :, -1, :].any() and not grad[:, :, :, -1].any()
+
+
+def test_max_pool2d_constant_input_routes_every_window_to_its_first_element():
+    x = np.full((1, 2, 4, 6), 0.5)
+    _, grad, want = _pool_grad_case(x, 2, 2, 0)
+    np.testing.assert_allclose(grad, want, rtol=1e-12, atol=0)
+    routed = np.zeros_like(x, dtype=bool)
+    routed[:, :, ::2, ::2] = True
+    assert (grad[routed] != 0).all() and not grad[~routed].any()
+
+
+def test_max_pool2d_nan_input_gives_nan_output():
+    x = np.abs(np.random.default_rng(3).standard_normal((1, 1, 4, 4))) + 0.1
+    x[0, 0, 1, 1] = np.nan      # last tap of the first 2x2 window
+    x[0, 0, 2, 3] = np.nan      # a middle tap of the last window
+    xt = t64(x, requires_grad=True)
+    y = nn.max_pool2d(xt, kernel=2)
+    nan = np.isnan(y.numpy())
+    np.testing.assert_array_equal(nan, [[[[True, False], [False, True]]]])
+    y.sum().backward()
+    assert np.isnan(y.sum().item())
 
 
 def test_global_avg_pool2d_values_and_gradient():

@@ -151,6 +151,59 @@ def test_adam_bias_correction_factor():
         assert step == pytest.approx(expected, abs=1e-6)
 
 
+def _reference_sgd_step(p, v, lr, momentum):
+    """The plain-allocation momentum update the buffered SGD must reproduce bit for bit."""
+    g = p.grad.astype(np.float64)
+    v *= momentum
+    v += g
+    p.data = (p.data.astype(np.float64) - lr * v).astype(p.data.dtype)
+
+
+def _reference_adam_step(p, m, v, t, lr, b1, b2, eps):
+    """The plain-allocation Adam update the buffered Adam must reproduce bit for bit."""
+    g = p.grad.astype(np.float64)
+    m *= b1
+    m += (1.0 - b1) * g
+    v *= b2
+    v += (1.0 - b2) * g * g
+    m_hat = m / (1.0 - b1 ** t)
+    v_hat = v / (1.0 - b2 ** t)
+    p.data = (p.data.astype(np.float64) - lr * m_hat / (np.sqrt(v_hat) + eps)).astype(p.data.dtype)
+
+
+@pytest.mark.parametrize("kind", ["adam", "sgd"])
+def test_buffered_optimizers_match_plain_update_bit_for_bit(kind):
+    rng = np.random.default_rng(23)
+    shapes = [(4, 3, 3, 3), (7,), (5, 6), (1,)]
+    cfg = OptimizerConfig(kind=kind, learning_rate=3e-2, momentum=0.9 if kind == "sgd" else 0.0)
+    params = [Tensor(rng.normal(0, 1, s).astype(np.float32), requires_grad=True) for s in shapes]
+    mirror = [Tensor(p.data.copy(), requires_grad=True) for p in params]
+    opt = train_mod.build_optimizer(params, cfg)
+    m = [np.zeros(s) for s in shapes]      # SGD velocity, or Adam's first moment
+    v = [np.zeros(s) for s in shapes]
+    for t in range(1, 6):
+        for i, (p, q) in enumerate(zip(params, mirror)):
+            p.zero_grad()
+            q.zero_grad()
+            if (i, t) == (2, 3):
+                continue   # a parameter without a gradient keeps its value and moments
+            g = rng.normal(0, 10.0 ** rng.integers(-3, 2), p.shape).astype(np.float32)
+            p.accumulate_grad(g)
+            q.accumulate_grad(g)
+        opt.step()
+        for i, q in enumerate(mirror):
+            if q.grad is None:
+                continue
+            if kind == "sgd":
+                _reference_sgd_step(q, m[i], cfg.learning_rate, cfg.momentum)
+            else:
+                _reference_adam_step(q, m[i], v[i], t, cfg.learning_rate, cfg.beta1, cfg.beta2,
+                                     cfg.epsilon)
+        for p, q in zip(params, mirror):
+            assert p.data.dtype == np.float32
+            np.testing.assert_array_equal(p.data, q.data)
+
+
 def test_optimizers_skip_parameters_without_gradients():
     used = Tensor(np.array([1.0], dtype=np.float32), requires_grad=True)
     unused = Tensor(np.array([2.0], dtype=np.float32), requires_grad=True)

@@ -1,5 +1,8 @@
 """Weight archives, strict and partial imports, and 2D pretraining transfer."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -9,7 +12,7 @@ from sliceset.encoders import EncoderConfig, build_encoder
 from sliceset.model import AggregatorConfig, ModelConfig, build_model, slice_volume
 from sliceset.tensor import Tensor, no_grad
 from sliceset.train import he_init
-from sliceset.weights import (Classifier2D, LoadReport, WeightArchive,
+from sliceset.weights import (MAGIC, Classifier2D, LoadReport, WeightArchive,
                               WeightArchiveError, export_weights, import_encoder,
                               import_strict, pretrain_2d)
 
@@ -84,6 +87,44 @@ def test_archive_rejects_corrupt_bytes():
         WeightArchive.from_bytes(raw[:40])
     with pytest.raises(WeightArchiveError):
         WeightArchive.from_bytes(raw[:-16])  # payload shorter than the index claims
+
+
+def archive_with_index(index, payload=b"\0" * 16) -> bytes:
+    """Archive bytes around an arbitrary JSON index, for schema tests."""
+    raw_index = json.dumps(index).encode()
+    return MAGIC + struct.pack("<Q", len(raw_index)) + raw_index + payload
+
+
+GOOD_ENTRY = {"shape": [2, 2], "offset": 0, "length": 16}
+
+
+@pytest.mark.parametrize("index", [
+    [],
+    "archive",
+    {"version": 1, "entries": []},
+    {"version": 1, "entries": {"w": {"offset": 0, "length": 16}}},
+    {"version": 1, "entries": {"w": {"shape": [2, 2], "length": 16}}},
+    {"version": 1, "entries": {"w": {"shape": [2, 2], "offset": 0}}},
+    {"version": 1, "entries": {"w": {"shape": 4, "offset": 0, "length": 16}}},
+    {"version": 1, "entries": {"w": {"shape": ["2", 2], "offset": 0, "length": 16}}},
+    {"version": 1, "entries": {"w": {"shape": [-2, -2], "offset": 0, "length": 16}}},
+    {"version": 1, "entries": {"w": {"shape": [2, 2], "offset": "0", "length": 16}}},
+    {"version": 1, "entries": {"w": {"shape": [2, 2], "offset": 0, "length": 16.0}}},
+    {"version": 1, "entries": {"w": {"shape": [True, 4], "offset": 0, "length": 16}}},
+    {"version": 1, "entries": {"w": {"shape": [2 ** 70], "offset": 0, "length": 16}}},
+    {"version": 1, "entries": {"w": [2, 2]}},
+    {"version": 1, "entries": {"w": GOOD_ENTRY}, "metadata": [["a", "b"]]},
+    {"version": 1, "entries": {"w": GOOD_ENTRY}, "metadata": {"epoch": 3}},
+])
+def test_archive_rejects_malformed_index_with_typed_error(index):
+    with pytest.raises(WeightArchiveError):
+        WeightArchive.from_bytes(archive_with_index(index))
+
+
+def test_archive_index_schema_accepts_a_well_formed_index():
+    archive = WeightArchive.from_bytes(
+        archive_with_index({"version": 1, "entries": {"w": GOOD_ENTRY}, "metadata": {"a": "b"}}))
+    assert archive["w"].shape == (2, 2) and archive.metadata == {"a": "b"}
 
 
 def test_archive_metadata_must_be_strings():
