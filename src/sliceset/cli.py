@@ -58,6 +58,7 @@ from .nifti import save_nifti  # noqa: E402
 from .train import (  # noqa: E402
     OptimizerConfig,
     TrainConfig,
+    TrainingDivergedError,
     evaluate,
     he_init,
     train,
@@ -189,6 +190,13 @@ def output_lock(directory: Path):
             lock.unlink()
 
 
+def _parse_extents(text: str) -> tuple[int, int, int]:
+    extents = tuple(int(x) for x in text.split(","))
+    if len(extents) != 3:
+        raise ValueError(f"--extents wants three comma-separated integers, got {text!r}")
+    return extents
+
+
 def _common_extents(volumes, context: str) -> tuple[int, int, int]:
     extents = {v.extents for v in volumes}
     if len(extents) != 1:
@@ -215,12 +223,10 @@ def _print_aggregate(agg: dict):
 # ---------------------------------------------------------------------------
 
 def cmd_synth(args) -> int:
-    extents = tuple(int(x) for x in args.extents.split(","))
-    if len(extents) != 3:
-        raise ValueError(f"--extents wants three comma-separated integers, got {args.extents!r}")
-    spec = SyntheticSpec(extents=extents, task=args.task, noise_std=args.noise_std,
-                         count=args.count, seed=args.seed, blob_radius=args.blob_radius,
-                         blob_amplitude=args.blob_amplitude, signal_axis=args.signal_axis)
+    spec = SyntheticSpec(extents=_parse_extents(args.extents), task=args.task,
+                         noise_std=args.noise_std, count=args.count, seed=args.seed,
+                         blob_radius=args.blob_radius, blob_amplitude=args.blob_amplitude,
+                         signal_axis=args.signal_axis)
     volumes = generate_synthetic(spec)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -302,19 +308,9 @@ def cmd_train(args) -> int:
             result = train(model, train_vols, val_vols, train_cfg, config.optimizer,
                            log_path=log_path, progress=show)
             result.best.restore(model)
-            metadata = {
-                "kind": CHECKPOINT_METADATA_KIND,
-                "model_config": json.dumps(model_config_to_dict(model_config), sort_keys=True),
-                "slice_count": str(slice_count),
-                "extents": ",".join(str(e) for e in extents),
-                "normalize": "true" if config.normalize else "false",
-                "task": task,
-                "epoch": str(result.best.epoch),
-                "val_metric": repr(result.best.val_metric),
-                "seed": str(seed),
-            }
             ckpt_path = out / f"checkpoint_seed{seed}.ssnw"
-            export_weights(model, metadata).save(ckpt_path)
+            _save_checkpoint(ckpt_path, model, extents, config.normalize,
+                             result.best.epoch, result.best.val_metric, seed)
             report = evaluate(model, test_vols)
             (out / f"eval_seed{seed}.json").write_text(report.to_json() + "\n")
             print(f"seed {seed}: best epoch {result.best.epoch} "
@@ -327,6 +323,23 @@ def cmd_train(args) -> int:
             (out / "summary.json").write_text(json.dumps(agg, indent=2) + "\n")
             _print_aggregate(agg)
     return 0
+
+
+def _save_checkpoint(path, model: SliceSetModel, extents, normalize: bool, epoch: int,
+                     val_metric: float, seed: int):
+    """Export every tensor with the metadata ``_model_from_checkpoint`` rebuilds from."""
+    metadata = {
+        "kind": CHECKPOINT_METADATA_KIND,
+        "model_config": json.dumps(model_config_to_dict(model.config), sort_keys=True),
+        "slice_count": str(model.slice_count),
+        "extents": ",".join(str(e) for e in extents),
+        "normalize": "true" if normalize else "false",
+        "task": model.config.task,
+        "epoch": str(epoch),
+        "val_metric": repr(val_metric),
+        "seed": str(seed),
+    }
+    export_weights(model, metadata).save(path)
 
 
 def _model_from_checkpoint(archive: WeightArchive) -> tuple[SliceSetModel, dict]:
@@ -383,13 +396,10 @@ def cmd_import_weights(args) -> int:
     config = _apply_overrides(config, args)
     if config.task == "auto":
         raise ValueError("import-weights needs an explicit task (flag --task)")
-    extents = tuple(int(x) for x in args.extents.split(","))
-    if len(extents) != 3:
-        raise ValueError(f"--extents wants three comma-separated integers, got {args.extents!r}")
-    slice_count = slice_count_for(extents, config.axis)
-    model_config = config.model_config(config.task)
-    model = SliceSetModel(model_config, slice_count)
-    he_init(model, seed=args.seed if args.seed is not None else 0)
+    extents = _parse_extents(args.extents)
+    model = SliceSetModel(config.model_config(config.task), slice_count_for(extents, config.axis))
+    seed = args.seed if args.seed is not None else 0
+    he_init(model, seed=seed)
 
     archive = WeightArchive.load(args.archive)
     if args.strict:
@@ -400,18 +410,7 @@ def cmd_import_weights(args) -> int:
                                        freeze_batchnorm_stats=args.freeze_bn_stats)
         print(report.summary())
 
-    metadata = {
-        "kind": CHECKPOINT_METADATA_KIND,
-        "model_config": json.dumps(model_config_to_dict(model_config), sort_keys=True),
-        "slice_count": str(slice_count),
-        "extents": ",".join(str(e) for e in extents),
-        "normalize": "true" if config.normalize else "false",
-        "task": config.task,
-        "epoch": "0",
-        "val_metric": "nan",
-        "seed": str(args.seed if args.seed is not None else 0),
-    }
-    export_weights(model, metadata).save(args.out)
+    _save_checkpoint(args.out, model, extents, config.normalize, 0, float("nan"), seed)
     print(f"wrote initialized model to {args.out}")
     return 0
 
@@ -523,12 +522,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _cap_threads()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError, KeyError, TrainingDivergedError) as exc:
         message = str(exc) if not isinstance(exc, KeyError) else f"missing key {exc}"
         print(f"error: {message}", file=sys.stderr)
         return 2

@@ -82,6 +82,8 @@ def load_nifti(path) -> Volume:
     dtype = np.dtype(_DTYPES[datatype]).newbyteorder(end)
 
     (vox_offset,) = struct.unpack(end + "f", raw[108:112])
+    if not np.isfinite(vox_offset):
+        raise NiftiFormatError(f"{path}: vox_offset {vox_offset} is not finite")
     offset = int(vox_offset)
     if offset < HEADER_SIZE:
         offset = VOX_OFFSET
@@ -97,6 +99,8 @@ def load_nifti(path) -> Volume:
     scl_slope, scl_inter = struct.unpack(end + "2f", raw[112:120])
     if scl_slope not in (0.0, 1.0) or scl_inter != 0.0:
         voxels = voxels * np.float32(scl_slope) + np.float32(scl_inter)
+    if not np.isfinite(voxels).all():
+        raise NiftiFormatError(f"{path}: voxel values are not all finite after scaling")
 
     return Volume(voxels=voxels, subject_id=Path(path).stem.removesuffix(".nii"))
 

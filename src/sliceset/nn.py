@@ -467,9 +467,6 @@ class Module:
     def eval(self):
         return self.train(False)
 
-    def num_parameters(self) -> int:
-        return sum(p.size for p in self.parameters())
-
 
 class ModuleList(Module):
     """Sequence of child modules addressed by integer index (``layer.0`` etc.)."""

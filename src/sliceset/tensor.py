@@ -18,7 +18,7 @@ Conventions used throughout the engine:
 from __future__ import annotations
 
 import contextlib
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -327,8 +327,3 @@ def backward(loss: Tensor):
     for node in reversed(order):
         if node._backward is not None:
             node._backward(node)
-
-
-def parameters_zero_grad(params: Iterable[Tensor]):
-    for p in params:
-        p.zero_grad()

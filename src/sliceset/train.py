@@ -291,6 +291,27 @@ def _validation_metric(model: SliceSetModel, volumes: list[Volume], metric: str)
 # the epoch loop
 # ---------------------------------------------------------------------------
 
+def _run_epoch(model: nn.Module, optimizer, rng: np.random.Generator, n: int,
+              batch_size: int, epoch: int, loss_of) -> float:
+    """One training-mode pass over a fresh permutation of ``n`` samples; returns
+    the mean loss.  ``loss_of(indices)`` builds the scalar loss of one batch."""
+    model.train()
+    order = rng.permutation(n)
+    loss_sum = 0.0
+    for batch_idx, start in enumerate(range(0, n, batch_size)):
+        idx = order[start:start + batch_size]
+        optimizer.zero_grad()
+        loss = loss_of(idx)
+        value = loss.item()
+        if not math.isfinite(value):
+            raise TrainingDivergedError(
+                f"non-finite training loss {value} at epoch {epoch}, batch {batch_idx}")
+        loss.backward()
+        optimizer.step()
+        loss_sum += value * len(idx)
+    return loss_sum / n
+
+
 @dataclass
 class TrainResult:
     best: Checkpoint
@@ -325,27 +346,13 @@ def train(model: SliceSetModel, train_volumes: list[Volume], val_volumes: list[V
     try:
         for epoch in range(1, cfg.epochs + 1):
             started = time.perf_counter()
-            model.train()
-            order = rng.permutation(len(train_volumes))
-            loss_sum = 0.0
-            seen = 0
-            for batch_idx, start in enumerate(range(0, len(order), cfg.batch_size)):
-                batch = [train_volumes[i] for i in order[start:start + cfg.batch_size]]
-                optimizer.zero_grad()
-                loss = batch_loss(model, batch, cfg.loss)
-                value = loss.item()
-                if not math.isfinite(value):
-                    raise TrainingDivergedError(
-                        f"non-finite training loss {value} at epoch {epoch}, batch {batch_idx}")
-                loss.backward()
-                optimizer.step()
-                loss_sum += value * len(batch)
-                seen += len(batch)
-
+            train_loss = _run_epoch(
+                model, optimizer, rng, len(train_volumes), cfg.batch_size, epoch,
+                lambda idx: batch_loss(model, [train_volumes[i] for i in idx], cfg.loss))
             val_metric = _validation_metric(model, val_volumes, cfg.selection_metric)
             record = {
                 "epoch": epoch,
-                "train_loss": loss_sum / seen,
+                "train_loss": train_loss,
                 "val_metric": val_metric,
                 "wall_ms": int(round((time.perf_counter() - started) * 1000.0)),
             }

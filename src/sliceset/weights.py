@@ -11,14 +11,19 @@ slice-set model by name, skipping whatever else the archive holds (e.g. a
 pretraining classification head) and reporting exactly which model tensors
 were matched, which archive entries were skipped, and which model tensors
 keep their fresh initialization.
+
+2D pretraining runs on ``train.py``'s epoch loop, the one that also trains
+slice-set models, and archives the encoder for ``import_encoder``.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -26,6 +31,7 @@ from . import nn
 from .encoders import EncoderConfig, build_encoder
 from .model import SliceSetModel
 from .tensor import Tensor, no_grad
+from .train import Adam, OptimizerConfig, _run_epoch, he_init
 
 MAGIC = b"SSNWGT01"
 FORMAT_VERSION = 1
@@ -126,14 +132,20 @@ class WeightArchive:
         return cls(entries=entries, metadata=dict(metadata), version=version)
 
     def save(self, path):
-        from pathlib import Path
-
-        Path(path).write_bytes(self.to_bytes())
+        """Write a temporary file and rename it over ``path``: no truncated archive."""
+        path = Path(path)
+        tmp = path.with_name(f".{path.name}.tmp")
+        try:
+            with open(tmp, "wb") as f:
+                f.write(self.to_bytes())
+                f.flush()
+                os.fsync(f.fileno())
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
 
     @classmethod
     def load(cls, path) -> "WeightArchive":
-        from pathlib import Path
-
         return cls.from_bytes(Path(path).read_bytes())
 
 
@@ -297,15 +309,13 @@ class Pretrain2DResult:
 
 def pretrain_2d(encoder_config: EncoderConfig, images: np.ndarray, labels: np.ndarray,
                 epochs: int = 30, batch_size: int = 32, learning_rate: float = 1e-3,
-                seed: int = 0, progress=None) -> Pretrain2DResult:
+                seed: int = 0) -> Pretrain2DResult:
     """Train encoder+head on a 2D image classification set; archive the encoder.
 
     The returned archive holds only ``encoder.*`` tensors (weights and
     running statistics), so its names line up one-to-one with a slice-set
     model's encoder. Deterministic for a fixed (config, data, seed).
     """
-    from .train import Adam, OptimizerConfig, he_init
-
     images = np.asarray(images, dtype=np.float32)
     labels = np.asarray(labels, dtype=np.int64)
     if images.ndim != 4:
@@ -319,23 +329,10 @@ def pretrain_2d(encoder_config: EncoderConfig, images: np.ndarray, labels: np.nd
     optimizer = Adam(model.parameters(), OptimizerConfig(kind="adam", learning_rate=learning_rate))
     rng = np.random.default_rng(seed)
 
-    losses = []
     n = images.shape[0]
-    for epoch in range(1, epochs + 1):
-        model.train()
-        order = rng.permutation(n)
-        loss_sum = 0.0
-        for start in range(0, n, batch_size):
-            idx = order[start:start + batch_size]
-            optimizer.zero_grad()
-            logits = model(Tensor(images[idx]))
-            loss = nn.cross_entropy(logits, labels[idx])
-            loss.backward()
-            optimizer.step()
-            loss_sum += loss.item() * len(idx)
-        losses.append(loss_sum / n)
-        if progress is not None:
-            progress({"epoch": epoch, "train_loss": losses[-1]})
+    losses = [_run_epoch(model, optimizer, rng, n, batch_size, epoch,
+                         lambda idx: nn.cross_entropy(model(Tensor(images[idx])), labels[idx]))
+              for epoch in range(1, epochs + 1)]
 
     model.eval()
     correct = 0

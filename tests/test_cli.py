@@ -276,6 +276,32 @@ def test_train_requires_val_manifest(tmp_path, data):
     assert "val" in err
 
 
+def test_train_rejects_non_finite_nifti_header_without_traceback(tmp_path, data):
+    train_dir = synth_dir(tmp_path, "train", count=4, seed=0)
+    bad = train_dir / read_manifest(train_dir / "manifest.json")[0]["path"]
+    raw = bytearray(bad.read_bytes())
+    struct.pack_into("<f", raw, 108, float("inf"))   # vox_offset
+    bad.write_bytes(bytes(raw))
+    code, _, err = run_cli(
+        "train", "--train-manifest", str(train_dir / "manifest.json"),
+        "--val-manifest", data["val"], "--test-manifest", data["test"],
+        "--output-dir", str(tmp_path / "run"), "--epochs", "1", *TRAIN_FLAGS)
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "vox_offset" in err and bad.name in err
+
+
+def test_train_divergence_is_an_error_not_a_traceback(tmp_path, data):
+    code, _, err = run_cli(
+        "train", "--train-manifest", data["train"], "--val-manifest", data["val"],
+        "--test-manifest", data["test"], "--output-dir", str(tmp_path / "run"),
+        "--epochs", "1", *TRAIN_FLAGS, "--batch-size", "2", "--learning-rate", "1e30")
+    assert code == 2
+    assert err.startswith("error: non-finite training loss") and err.count("\n") == 1
+    assert "epoch 1, batch 1" in err
+    assert not (tmp_path / "run" / "checkpoint_seed0.ssnw").exists()
+
+
 @pytest.fixture(scope="module")
 def multi_seed_run(tmp_path_factory, data):
     out = tmp_path_factory.mktemp("cli-seeds") / "run"

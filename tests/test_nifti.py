@@ -138,6 +138,34 @@ def test_bad_sizeof_hdr_is_a_format_error(tmp_path):
         load_nifti(path)
 
 
+def _with_vox_offset(value):
+    raw = bytearray(craft_nifti_bytes(np.zeros((2, 2, 2), dtype=np.float32), 16, np.float32))
+    struct.pack_into("<f", raw, 108, value)
+    return bytes(raw)
+
+
+def _with_nan_voxel():
+    vox = np.zeros((2, 2, 2), dtype=np.float32)
+    vox[1, 0, 1] = np.nan
+    return craft_nifti_bytes(vox, 16, np.float32)
+
+
+@pytest.mark.parametrize("raw", [
+    _with_vox_offset(float("inf")),
+    _with_vox_offset(float("-inf")),
+    _with_vox_offset(float("nan")),
+    _with_nan_voxel(),
+    craft_nifti_bytes(np.ones((2, 2, 2), dtype=np.int16), 4, np.int16, scl_slope=float("nan")),
+    craft_nifti_bytes(np.ones((2, 2, 2), dtype=np.int16), 4, np.int16, scl_inter=float("inf")),
+], ids=["vox_offset-inf", "vox_offset-neg-inf", "vox_offset-nan", "nan-voxel",
+        "scl_slope-nan", "scl_inter-inf"])
+def test_non_finite_header_or_voxels_are_a_format_error(tmp_path, raw):
+    path = tmp_path / "nonfinite.nii"
+    path.write_bytes(raw)
+    with pytest.raises(NiftiFormatError, match="nonfinite.nii"):
+        load_nifti(path)
+
+
 def test_non_3d_is_unsupported(tmp_path):
     vox = np.zeros((2, 2, 2), dtype=np.float32)
     path = tmp_path / "4d.nii"

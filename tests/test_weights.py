@@ -1,6 +1,7 @@
 """Weight archives, strict and partial imports, and 2D pretraining transfer."""
 
 import json
+import os
 import struct
 
 import numpy as np
@@ -11,7 +12,7 @@ from sliceset.data import Volume, generate_synthetic_images
 from sliceset.encoders import EncoderConfig, build_encoder
 from sliceset.model import AggregatorConfig, ModelConfig, build_model, slice_volume
 from sliceset.tensor import Tensor, no_grad
-from sliceset.train import he_init
+from sliceset.train import TrainingDivergedError, he_init
 from sliceset.weights import (MAGIC, Classifier2D, LoadReport, WeightArchive,
                               WeightArchiveError, export_weights, import_encoder,
                               import_strict, pretrain_2d)
@@ -125,6 +126,22 @@ def test_archive_index_schema_accepts_a_well_formed_index():
     archive = WeightArchive.from_bytes(
         archive_with_index({"version": 1, "entries": {"w": GOOD_ENTRY}, "metadata": {"a": "b"}}))
     assert archive["w"].shape == (2, 2) and archive.metadata == {"a": "b"}
+
+
+def test_archive_save_failure_keeps_old_archive_and_leaves_no_temp_file(tmp_path, monkeypatch):
+    path = tmp_path / "ckpt.ssnw"
+    old = export_weights(make_model(seed=1))
+    old.save(path)
+    before = path.read_bytes()
+
+    def crash(fd):
+        raise OSError("simulated crash while writing")
+
+    monkeypatch.setattr(os, "fsync", crash)
+    with pytest.raises(OSError, match="simulated crash"):
+        export_weights(make_model(seed=2)).save(path)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.ssnw"]
 
 
 def test_archive_metadata_must_be_strings():
@@ -313,3 +330,10 @@ def test_pretrain_validates_inputs():
     with pytest.raises(ValueError):
         pretrain_2d(ENC, np.zeros((4, 1, 8, 8), dtype=np.float32),
                     np.zeros(3, dtype=np.int64))
+
+
+def test_pretrain_nan_image_raises_divergence_with_location():
+    imgs, labels = generate_synthetic_images(8, size=(8, 8), seed=20)
+    imgs[3, 0, 4, 4] = np.nan
+    with pytest.raises(TrainingDivergedError, match=r"epoch 1, batch 0"):
+        pretrain_2d(ENC, imgs, labels, epochs=2, batch_size=8, seed=20)
