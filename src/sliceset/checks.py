@@ -27,6 +27,7 @@ from .data import Volume
 from .encoders import EncoderConfig
 from .metrics import average_precision, balanced_accuracy, f1, mae, rmse
 from .model import (
+    AGGREGATOR_KINDS,
     AggregatorConfig,
     AttentionAggregator,
     MeanAggregator,
@@ -390,7 +391,7 @@ def permutation_suite(trials: int = 100, seed: int = 0) -> SuiteReport:
     k = slice_count_for(extents, axis)
     rng = np.random.default_rng(seed)
 
-    for agg_kind in ("mean", "attention"):
+    for agg_kind in AGGREGATOR_KINDS:
         model = _small_model("regression", agg_kind, positional=False, seed=seed,
                              extents=extents, axis=axis)
         model.eval()

@@ -1,9 +1,11 @@
 """Command-line entry points: synth, train, eval, export-weights,
 import-weights, check.
 
-Configs are JSON documents with strict schemas (unknown keys are rejected);
-command-line flags override config-file values and the fully resolved config
-is echoed into the output directory for provenance.  Training writes
+Configs are JSON documents with strict schemas: unknown keys and values of
+the wrong JSON type are rejected by key (``model.build_dataclass``).  Each
+config flag's dest is its config path (``--epochs`` sets ``train.epochs``),
+so flags fold over config-file values generically, and the fully resolved
+config is echoed into the output directory for provenance.  Training writes
 nothing outside its output directory and guards it with a lock file.
 
 Set ``SLICESET_THREADS`` to cap the numeric libraries' worker threads; it is
@@ -29,14 +31,17 @@ import argparse  # noqa: E402
 import contextlib  # noqa: E402
 import json  # noqa: E402
 import sys  # noqa: E402
-from dataclasses import asdict, dataclass, field, replace  # noqa: E402
+from dataclasses import asdict, dataclass, field, fields, replace  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
 
 from .checks import SUITES, run_suite  # noqa: E402
 from .data import (  # noqa: E402
+    AXES,
+    TASKS,
     SyntheticSpec,
+    axis_index,
     generate_synthetic,
     load_manifest_volumes,
     manifest_task,
@@ -45,17 +50,17 @@ from .data import (  # noqa: E402
 )
 from .encoders import ENCODER_KINDS, EncoderConfig  # noqa: E402
 from .model import (  # noqa: E402
-    AXES,
+    AGGREGATOR_KINDS,
     AggregatorConfig,
     ModelConfig,
     SliceSetModel,
     build_dataclass,
-    model_config_from_dict,
-    model_config_to_dict,
     slice_count_for,
 )
 from .nifti import save_nifti  # noqa: E402
 from .train import (  # noqa: E402
+    LOSS_KINDS,
+    OPTIMIZER_KINDS,
     OptimizerConfig,
     TrainConfig,
     TrainingDivergedError,
@@ -101,13 +106,9 @@ class RunConfig:
     output_dir: str = "runs/latest"
 
     def __post_init__(self):
-        if self.task not in ("auto", "regression", "classification"):
-            raise ValueError(f"unknown task {self.task!r}")
-        if self.axis not in AXES:
-            raise ValueError(f"unknown axis {self.axis!r}; choose from {AXES}")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
+        if self.task not in ("auto", *TASKS):
+            raise ValueError(f"unknown task {self.task!r}; choose from {('auto', *TASKS)}")
+        axis_index(self.axis)
 
     def model_config(self, task: str) -> ModelConfig:
         return ModelConfig(task=task, axis=self.axis, encoder=self.encoder,
@@ -115,60 +116,30 @@ class RunConfig:
                            positional_enabled=self.positional_enabled)
 
 
-_NESTED = {"encoder": EncoderConfig, "aggregator": AggregatorConfig,
-           "train": TrainConfig, "optimizer": OptimizerConfig}
-
-
-def run_config_from_dict(data: dict) -> RunConfig:
-    data = dict(data)
-    kwargs = {}
-    for key, cls in _NESTED.items():
-        if key in data:
-            kwargs[key] = build_dataclass(cls, data.pop(key), key)
-    base = build_dataclass(RunConfig, data, "run config")
-    return replace(base, **kwargs) if kwargs else base
-
-
 def load_run_config(path) -> RunConfig:
     try:
         data = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ValueError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ValueError(f"config {path} must be a JSON object")
-    return run_config_from_dict(data)
+    return build_dataclass(RunConfig, data, "run config")
 
 
 def _apply_overrides(config: RunConfig, args) -> RunConfig:
-    """Fold non-None command-line flags over the config file values."""
+    """Fold non-None command-line flags over the config file values.
+
+    A config flag's dest is its config path, ``key`` or ``section.key``;
+    dests that name no ``RunConfig`` field are not config flags.
+    """
+    names = {f.name for f in fields(RunConfig)}
     top = {}
-    for name in ("task", "axis", "normalize", "positional_enabled",
-                 "train_manifest", "val_manifest", "test_manifest", "output_dir"):
-        value = getattr(args, name, None)
-        if value is not None:
-            top[name] = value
-    enc = {k: v for k, v in (("kind", getattr(args, "encoder", None)),
-                             ("width_multiplier", getattr(args, "width_multiplier", None)),
-                             ("min_input", getattr(args, "min_input", None)),
-                             ("input_channels", getattr(args, "input_channels", None)))
-           if v is not None}
-    agg = {k: v for k, v in (("kind", getattr(args, "aggregator", None)),) if v is not None}
-    tr = {k: v for k, v in (("epochs", getattr(args, "epochs", None)),
-                            ("batch_size", getattr(args, "batch_size", None)),
-                            ("loss", getattr(args, "loss", None)),
-                            ("seed", getattr(args, "seed", None))) if v is not None}
-    opt = {k: v for k, v in (("kind", getattr(args, "optimizer", None)),
-                             ("learning_rate", getattr(args, "learning_rate", None)),
-                             ("momentum", getattr(args, "momentum", None))) if v is not None}
-    if enc:
-        top["encoder"] = replace(config.encoder, **enc)
-    if agg:
-        top["aggregator"] = replace(config.aggregator, **agg)
-    if tr:
-        top["train"] = replace(config.train, **tr)
-    if opt:
-        top["optimizer"] = replace(config.optimizer, **opt)
-    return replace(config, **top) if top else config
+    for dest, value in vars(args).items():
+        section, _, key = dest.rpartition(".")
+        if value is None or (section or key) not in names:
+            continue
+        if section:
+            value = replace(top.get(section, getattr(config, section)), **{key: value})
+        top[section or key] = value
+    return replace(config, **top)
 
 
 @contextlib.contextmanager
@@ -191,10 +162,11 @@ def output_lock(directory: Path):
 
 
 def _parse_extents(text: str) -> tuple[int, int, int]:
-    extents = tuple(int(x) for x in text.split(","))
-    if len(extents) != 3:
-        raise ValueError(f"--extents wants three comma-separated integers, got {text!r}")
-    return extents
+    with contextlib.suppress(ValueError):
+        extents = tuple(int(x) for x in text.split(","))
+        if len(extents) == 3:
+            return extents
+    raise ValueError(f"--extents wants three comma-separated integers, got {text!r}")
 
 
 def _common_extents(volumes, context: str) -> tuple[int, int, int]:
@@ -279,7 +251,7 @@ def cmd_train(args) -> int:
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     with output_lock(out):
-        resolved = config.to_dict()
+        resolved = asdict(config)
         (out / "config.json").write_text(json.dumps(resolved, indent=2) + "\n")
         print("resolved config:")
         print(json.dumps(resolved, indent=2))
@@ -330,7 +302,7 @@ def _save_checkpoint(path, model: SliceSetModel, extents, normalize: bool, epoch
     """Export every tensor with the metadata ``_model_from_checkpoint`` rebuilds from."""
     metadata = {
         "kind": CHECKPOINT_METADATA_KIND,
-        "model_config": json.dumps(model_config_to_dict(model.config), sort_keys=True),
+        "model_config": json.dumps(asdict(model.config), sort_keys=True),
         "slice_count": str(model.slice_count),
         "extents": ",".join(str(e) for e in extents),
         "normalize": "true" if normalize else "false",
@@ -347,7 +319,7 @@ def _model_from_checkpoint(archive: WeightArchive) -> tuple[SliceSetModel, dict]
     if meta.get("kind") != CHECKPOINT_METADATA_KIND:
         raise ValueError("archive is not a training checkpoint "
                          f"(metadata kind {meta.get('kind')!r})")
-    model_config = model_config_from_dict(json.loads(meta["model_config"]))
+    model_config = build_dataclass(ModelConfig, json.loads(meta["model_config"]), "model config")
     model = SliceSetModel(model_config, int(meta["slice_count"]))
     import_strict(model, archive)
     return model, meta
@@ -430,13 +402,13 @@ def cmd_check(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _add_model_flags(p: argparse.ArgumentParser):
-    p.add_argument("--task", choices=("regression", "classification"))
+    p.add_argument("--task", choices=TASKS)
     p.add_argument("--axis", choices=AXES)
-    p.add_argument("--encoder", choices=ENCODER_KINDS)
-    p.add_argument("--aggregator", choices=("mean", "attention"))
-    p.add_argument("--width-multiplier", type=float, dest="width_multiplier")
-    p.add_argument("--min-input", type=int, dest="min_input")
-    p.add_argument("--input-channels", type=int, dest="input_channels")
+    p.add_argument("--encoder", choices=ENCODER_KINDS, dest="encoder.kind")
+    p.add_argument("--aggregator", choices=AGGREGATOR_KINDS, dest="aggregator.kind")
+    p.add_argument("--width-multiplier", type=float, dest="encoder.width_multiplier")
+    p.add_argument("--min-input", type=int, dest="encoder.min_input")
+    p.add_argument("--input-channels", type=int, dest="encoder.input_channels")
     pos = p.add_mutually_exclusive_group()
     pos.add_argument("--positional", dest="positional_enabled", action="store_const",
                      const=True, help="enable the trainable positional table")
@@ -457,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic blob dataset")
     p.add_argument("--out", required=True)
     p.add_argument("--count", type=int, default=16)
-    p.add_argument("--task", choices=("regression", "classification"), default="regression")
+    p.add_argument("--task", choices=TASKS, default="regression")
     p.add_argument("--extents", default="16,20,16")
     p.add_argument("--noise-std", type=float, default=0.1, dest="noise_std")
     p.add_argument("--seed", type=int, default=0)
@@ -474,13 +446,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--val-manifest", dest="val_manifest")
     p.add_argument("--test-manifest", dest="test_manifest")
     p.add_argument("--output-dir", dest="output_dir")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.add_argument("--loss", choices=("l1", "mse", "cross_entropy"))
-    p.add_argument("--optimizer", choices=("adam", "sgd"))
-    p.add_argument("--learning-rate", type=float, dest="learning_rate")
-    p.add_argument("--momentum", type=float)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--epochs", type=int, dest="train.epochs")
+    p.add_argument("--batch-size", type=int, dest="train.batch_size")
+    p.add_argument("--loss", choices=LOSS_KINDS, dest="train.loss")
+    p.add_argument("--optimizer", choices=OPTIMIZER_KINDS, dest="optimizer.kind")
+    p.add_argument("--learning-rate", type=float, dest="optimizer.learning_rate")
+    p.add_argument("--momentum", type=float, dest="optimizer.momentum")
+    p.add_argument("--seed", type=int, dest="train.seed")
     p.add_argument("--seeds", type=int,
                    help="run N seeds (base seed, base+1, ...) and report mean ± std")
     p.add_argument("--pretrained", help="weight archive to import into the encoder")

@@ -16,12 +16,19 @@ from pathlib import Path
 
 import numpy as np
 
+AXES = ("sagittal", "coronal", "axial")
 TASKS = ("regression", "classification")
+
+
+def axis_index(axis: str) -> int:
+    if axis not in AXES:
+        raise ValueError(f"unknown axis {axis!r}; choose from {AXES}")
+    return AXES.index(axis)
 
 
 @dataclass
 class Volume:
-    """3D scalar grid with canonical sagittal x coronal x axial extents."""
+    """3D scalar grid with canonical sagittal x coronal x axial extents (``AXES``)."""
 
     voxels: np.ndarray
     subject_id: str = ""
@@ -91,13 +98,11 @@ class SyntheticSpec:
 
     @property
     def axis_id(self) -> int:
-        from .model import axis_index
-
         return axis_index(self.signal_axis)
 
     @property
     def position_range(self) -> tuple[int, int]:
-        extent = self.extents[("sagittal", "coronal", "axial").index(self.signal_axis)]
+        extent = self.extents[self.axis_id]
         return self.blob_radius, extent - 1 - self.blob_radius
 
 

@@ -18,6 +18,7 @@ so externally converted pretrained weights can target them by name.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,7 @@ from .nn import (
 )
 
 ENCODER_KINDS = ("cnn5", "resnet18", "resnet50")
+CNN5_CHANNELS = (32, 64, 128, 256, 32)   # full width; no encoder has a wider base
 
 # full-width embedding sizes, also used to validate default configurations
 DEFAULT_EMBEDDING_DIM = {"cnn5": 32, "resnet18": 512, "resnet50": 2048}
@@ -53,8 +55,10 @@ class EncoderConfig:
             raise ValueError(f"unknown encoder kind {self.kind!r}; choose from {ENCODER_KINDS}")
         if self.input_channels < 1:
             raise ValueError("input_channels must be >= 1")
-        if self.width_multiplier <= 0:
-            raise ValueError("width_multiplier must be positive")
+        widest = max(CNN5_CHANNELS) * self.width_multiplier
+        if not (self.width_multiplier > 0 and math.isfinite(widest)):
+            raise ValueError("width_multiplier must be positive with finite channel counts, "
+                             f"got {self.width_multiplier}")
 
     def scaled(self, base: int) -> int:
         return max(1, int(round(base * self.width_multiplier)))
@@ -111,7 +115,7 @@ class CNN5Encoder(Module):
     def __init__(self, config: EncoderConfig):
         super().__init__()
         self.config = config
-        chans = [config.scaled(c) for c in (32, 64, 128, 256, 32)]
+        chans = [config.scaled(c) for c in CNN5_CHANNELS]
         prev = config.input_channels
         for i, c in enumerate(chans, start=1):
             setattr(self, f"block{i}", _ConvBlock(prev, c))

@@ -14,23 +14,19 @@ under slice permutations.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields, replace
+import json
+import sys
+from dataclasses import dataclass, field, fields, is_dataclass
+from typing import get_args, get_type_hints
 
 import numpy as np
 
-from .data import Volume
+from .data import TASKS, Volume, axis_index
 from .encoders import EncoderConfig, build_encoder
 from .nn import LayerNorm, Linear, Module, relu, softmax
 from .tensor import Tensor
 
-AXES = ("sagittal", "coronal", "axial")
-TASKS = ("regression", "classification")
-
-
-def axis_index(axis: str) -> int:
-    if axis not in AXES:
-        raise ValueError(f"unknown axis {axis!r}; choose from {AXES}")
-    return AXES.index(axis)
+AGGREGATOR_KINDS = ("mean", "attention")
 
 
 @dataclass
@@ -163,8 +159,8 @@ class AggregatorConfig:
     ff_hidden_dim: int | None = None
 
     def __post_init__(self):
-        if self.kind not in ("mean", "attention"):
-            raise ValueError(f"unknown aggregator kind {self.kind!r}; choose 'mean' or 'attention'")
+        if self.kind not in AGGREGATOR_KINDS:
+            raise ValueError(f"unknown aggregator kind {self.kind!r}; choose from {AGGREGATOR_KINDS}")
 
 
 @dataclass(frozen=True)
@@ -245,28 +241,39 @@ def slice_count_for(extents: tuple[int, int, int], axis: str) -> int:
 # config (de)serialization
 # ---------------------------------------------------------------------------
 
-def build_dataclass(cls, mapping: dict, context: str):
-    """Construct a dataclass from a mapping, rejecting unknown keys by name."""
+_JSON_TYPE_NAMES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string",
+                    type(None): "null"}
+
+
+def _fits(value, declared) -> bool:
+    """Whether a parsed JSON value has a declared field type.  Types match
+    exactly, so a bool is no int; an int within float range counts as a float."""
+    if declared is float and type(value) is int:
+        return abs(value) <= sys.float_info.max
+    return type(value) is declared
+
+
+def build_dataclass(cls, mapping, context: str):
+    """Construct a config dataclass from a JSON mapping, checking keys and types.
+
+    Unknown keys are rejected by name.  A field whose type is a dataclass is
+    built recursively from its own object, with the field name as context;
+    every other value must have the field's declared JSON type.
+    """
     if not isinstance(mapping, dict):
         raise ValueError(f"{context} must be a JSON object, got {type(mapping).__name__}")
-    allowed = {f.name for f in fields(cls)}
-    unknown = sorted(set(mapping) - allowed)
+    unknown = sorted(set(mapping) - {f.name for f in fields(cls)})
     if unknown:
         raise ValueError(f"unknown key(s) in {context}: {unknown}")
-    return cls(**mapping)
-
-
-def model_config_to_dict(config: ModelConfig) -> dict:
-    return asdict(config)
-
-
-def model_config_from_dict(data: dict) -> ModelConfig:
-    data = dict(data)
+    hints = get_type_hints(cls)
     kwargs = {}
-    if "encoder" in data:
-        kwargs["encoder"] = build_dataclass(EncoderConfig, data.pop("encoder"), "encoder")
-    if "aggregator" in data:
-        kwargs["aggregator"] = build_dataclass(AggregatorConfig, data.pop("aggregator"),
-                                               "aggregator")
-    base = build_dataclass(ModelConfig, data, "model config")
-    return replace(base, **kwargs) if kwargs else base
+    for key, value in mapping.items():
+        declared = hints[key]
+        options = get_args(declared) or (declared,)   # X | None -> (X, NoneType)
+        if is_dataclass(declared):
+            value = build_dataclass(declared, value, key)
+        elif not any(_fits(value, t) for t in options):
+            want = " or ".join(_JSON_TYPE_NAMES[t] for t in options)
+            raise ValueError(f"{key} in {context} must be {want}, got {json.dumps(value)}")
+        kwargs[key] = value
+    return cls(**kwargs)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import gzip
 import struct
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +41,10 @@ class NiftiUnsupportedError(ValueError):
 def _read_bytes(path) -> bytes:
     raw = Path(path).read_bytes()
     if raw[:2] == _GZIP_MAGIC:
-        raw = gzip.decompress(raw)
+        try:
+            raw = gzip.decompress(raw)
+        except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
+            raise NiftiFormatError(f"{path}: corrupt gzip stream: {exc}") from None
     return raw
 
 

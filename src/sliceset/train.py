@@ -45,6 +45,9 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.kind not in OPTIMIZER_KINDS:
             raise ValueError(f"unknown optimizer {self.kind!r}; choose from {OPTIMIZER_KINDS}")
+        for name in ("learning_rate", "beta1", "beta2", "epsilon"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         if not 0.0 <= self.momentum < 1.0:

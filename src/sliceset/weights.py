@@ -322,7 +322,9 @@ def pretrain_2d(encoder_config: EncoderConfig, images: np.ndarray, labels: np.nd
         raise ValueError(f"images must be (N, C, H, W), got shape {images.shape}")
     if labels.shape != (images.shape[0],):
         raise ValueError("labels must be one integer per image")
-    n_classes = int(labels.max()) + 1 if labels.size else 2
+    if not labels.size:
+        raise ValueError("pretrain_2d needs at least one image")
+    n_classes = int(labels.max()) + 1
 
     model = Classifier2D(encoder_config, n_classes=max(2, n_classes))
     he_init(model, seed=seed)

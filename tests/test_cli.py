@@ -146,10 +146,11 @@ def test_synth_rejects_blob_larger_than_volume(tmp_path):
 
 
 def test_synth_rejects_malformed_extents(tmp_path):
-    code, _, err = run_cli("synth", "--out", str(tmp_path / "bad"),
-                           "--extents", "8,8")
-    assert code == 2
-    assert "three comma-separated" in err
+    for extents in ("8,8", "8,a,8"):
+        code, _, err = run_cli("synth", "--out", str(tmp_path / "bad"),
+                               "--extents", extents)
+        assert code == 2
+        assert "three comma-separated" in err
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +292,50 @@ def test_train_rejects_non_finite_nifti_header_without_traceback(tmp_path, data)
     assert "vox_offset" in err and bad.name in err
 
 
+def test_train_rejects_truncated_gzip_nifti_without_traceback(tmp_path, data):
+    out = tmp_path / "train"
+    code, _, err = run_cli(
+        "synth", "--out", str(out), "--count", "4", "--extents", EXTENTS,
+        "--blob-radius", "2", "--signal-axis", "coronal", "--gzip")
+    assert code == 0, err
+    bad = out / read_manifest(out / "manifest.json")[0]["path"]
+    bad.write_bytes(bad.read_bytes()[:-20])
+    code, _, err = run_cli(
+        "train", "--train-manifest", str(out / "manifest.json"),
+        "--val-manifest", data["val"], "--test-manifest", data["test"],
+        "--output-dir", str(tmp_path / "run"), "--epochs", "1", *TRAIN_FLAGS)
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "gzip" in err and bad.name in err
+
+
+@pytest.mark.parametrize("config, key", [
+    ({"train": {"epochs": "3"}}, "epochs in train"),
+    ({"optimizer": {"learning_rate": None}}, "learning_rate in optimizer"),
+    ({"encoder": {"input_channels": 1.5}}, "input_channels in encoder"),
+    ({"optimizer": {"learning_rate": float("inf")}}, "learning_rate must be finite"),
+])
+def test_train_rejects_wrongly_typed_config_without_traceback(tmp_path, data, config, key):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code, _, err = run_cli(
+        "train", "--config", str(path), "--train-manifest", data["train"],
+        "--val-manifest", data["val"], "--test-manifest", data["test"],
+        "--output-dir", str(tmp_path / "run"), "--epochs", "1")
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1 and key in err
+
+
+@pytest.mark.parametrize("width", ["inf", "nan", "1e308"])
+def test_train_rejects_non_finite_width_multiplier_without_traceback(tmp_path, data, width):
+    code, _, err = run_cli(
+        "train", "--train-manifest", data["train"], "--val-manifest", data["val"],
+        "--test-manifest", data["test"], "--output-dir", str(tmp_path / "run"),
+        "--epochs", "1", *TRAIN_FLAGS, "--width-multiplier", width)
+    assert code == 2
+    assert err.startswith("error: width_multiplier") and err.count("\n") == 1
+
+
 def test_train_divergence_is_an_error_not_a_traceback(tmp_path, data):
     code, _, err = run_cli(
         "train", "--train-manifest", data["train"], "--val-manifest", data["val"],
@@ -404,6 +449,18 @@ def test_eval_rejects_malformed_archive_index_without_traceback(tmp_path, data, 
     code, _, err = run_cli("eval", "--checkpoint", str(path), "--manifest", data["test"])
     assert code == 2
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_eval_rejects_wrongly_typed_checkpoint_model_config(tmp_path, train_run, data):
+    archive = WeightArchive.load(train_run[2] / "checkpoint_seed0.ssnw")
+    model_config = json.loads(archive.metadata["model_config"])
+    model_config["encoder"]["input_channels"] = 1.5
+    path = tmp_path / "bad.ssnw"
+    WeightArchive(entries=archive.entries, metadata={
+        **archive.metadata, "model_config": json.dumps(model_config)}).save(path)
+    code, _, err = run_cli("eval", "--checkpoint", str(path), "--manifest", data["test"])
+    assert code == 2
+    assert err == "error: input_channels in encoder must be an integer, got 1.5\n"
 
 
 def test_eval_reports_missing_checkpoint_file(tmp_path, data):

@@ -1,5 +1,7 @@
 """Slice-set model geometry, positional table, aggregation, and config plumbing."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,6 @@ from sliceset.data import Volume
 from sliceset.encoders import EncoderConfig, build_encoder
 from sliceset.model import (AggregatorConfig, ModelConfig, SliceSetModel,
                             aggregate_mean, build_dataclass, build_model,
-                            model_config_from_dict, model_config_to_dict,
                             permute_volume, restack_volume, slice_count_for,
                             slice_volume)
 from sliceset.tensor import Tensor, no_grad
@@ -256,14 +257,14 @@ def test_model_config_round_trips_through_dict():
         aggregator=AggregatorConfig(kind="attention", model_dim=8, ff_hidden_dim=32),
         positional_enabled=True,
     )
-    assert model_config_from_dict(model_config_to_dict(cfg)) == cfg
+    assert build_dataclass(ModelConfig, asdict(cfg), "model config") == cfg
 
 
 def test_config_dict_rejects_unknown_keys():
-    data = model_config_to_dict(ModelConfig())
+    data = asdict(ModelConfig())
     data["encoder"]["dropout"] = 0.5
     with pytest.raises(ValueError, match="dropout"):
-        model_config_from_dict(data)
+        build_dataclass(ModelConfig, data, "model config")
     with pytest.raises(ValueError, match="banana"):
         build_dataclass(AggregatorConfig, {"banana": 1}, "aggregator")
 

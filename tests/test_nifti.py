@@ -234,3 +234,49 @@ def test_round_trip_property(tmp_path_factory, vox):
     tmp = tmp_path_factory.mktemp("rt")
     save_nifti(tmp / "p.nii", Volume(voxels=vox))
     np.testing.assert_array_equal(load_nifti(tmp / "p.nii").voxels, vox)
+
+
+# ---------------------------------------------------------------------------
+# corrupt gzip and fuzzing
+# ---------------------------------------------------------------------------
+
+PLAIN = craft_nifti_bytes(np.arange(24, dtype=np.float32).reshape(2, 3, 4), 16, np.float32)
+ZIPPED = gzip.compress(PLAIN, mtime=0)
+
+
+def _flip(raw, i, mask=0x01):
+    out = bytearray(raw)
+    out[i] ^= mask
+    return bytes(out)
+
+
+@pytest.mark.parametrize("raw", [
+    ZIPPED[:len(ZIPPED) // 2],
+    _flip(ZIPPED, 10, 0xFF),              # first deflate byte: a zlib error
+    _flip(ZIPPED, len(ZIPPED) - 8),       # CRC32 trailer
+], ids=["truncated", "flipped-body-byte", "bad-crc"])
+def test_corrupt_gzip_is_a_format_error_naming_the_file(tmp_path, raw):
+    path = tmp_path / "corrupt.nii.gz"
+    path.write_bytes(raw)
+    with pytest.raises(NiftiFormatError, match="corrupt.nii.gz"):
+        load_nifti(path)
+
+
+def mutations(raw: bytes):
+    """Every truncation of ``raw`` and every single-byte flip."""
+    return (st.integers(0, len(raw) - 1).map(lambda n: raw[:n])
+            | st.builds(_flip, st.just(raw), st.integers(0, len(raw) - 1), st.integers(1, 255)))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.sampled_from([("m.nii", PLAIN), ("m.nii.gz", ZIPPED)]).flatmap(
+    lambda named: st.tuples(st.just(named[0]), mutations(named[1]))))
+def test_fuzz_load_nifti_loads_or_raises_nifti_error(tmp_path_factory, case):
+    name, raw = case
+    path = tmp_path_factory.getbasetemp() / name
+    path.write_bytes(raw)
+    try:
+        volume = load_nifti(path)
+    except (NiftiFormatError, NiftiUnsupportedError):
+        return
+    assert volume.voxels.ndim == 3 and np.isfinite(volume.voxels).all()

@@ -6,6 +6,7 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sliceset import nn
 from sliceset.data import Volume, generate_synthetic_images
@@ -337,3 +338,38 @@ def test_pretrain_nan_image_raises_divergence_with_location():
     imgs[3, 0, 4, 4] = np.nan
     with pytest.raises(TrainingDivergedError, match=r"epoch 1, batch 0"):
         pretrain_2d(ENC, imgs, labels, epochs=2, batch_size=8, seed=20)
+
+
+def test_pretrain_rejects_zero_images():
+    with pytest.raises(ValueError, match="at least one image"):
+        pretrain_2d(ENC, np.zeros((0, 1, 8, 8), dtype=np.float32), np.zeros(0, dtype=np.int64))
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: truncated or byte-flipped archives load or raise WeightArchiveError
+# ---------------------------------------------------------------------------
+
+SMALL_ARCHIVE = WeightArchive(
+    entries={"encoder.w": np.arange(6, dtype=np.float32).reshape(2, 3),
+             "head.b": np.ones(1, dtype=np.float32)},
+    metadata={"kind": "slice-set-checkpoint", "seed": "0"}).to_bytes()
+
+
+def mutations(raw: bytes):
+    """Every truncation of ``raw`` and every single-byte flip."""
+    def flip(i, mask):
+        out = bytearray(raw)
+        out[i] ^= mask
+        return bytes(out)
+    return (st.integers(0, len(raw) - 1).map(lambda n: raw[:n])
+            | st.builds(flip, st.integers(0, len(raw) - 1), st.integers(1, 255)))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(mutations(SMALL_ARCHIVE))
+def test_fuzz_archive_from_bytes_loads_or_raises_archive_error(raw):
+    try:
+        archive = WeightArchive.from_bytes(raw)
+    except WeightArchiveError:
+        return
+    assert all(arr.dtype == np.float32 for arr in archive.entries.values())
