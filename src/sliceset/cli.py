@@ -73,6 +73,7 @@ from .weights import (  # noqa: E402
     export_weights,
     import_encoder,
     import_strict,
+    write_atomic,
 )
 
 LOCK_NAME = ".sliceset.lock"
@@ -247,12 +248,13 @@ def cmd_train(args) -> int:
     extents = _common_extents(train_vols + val_vols + test_vols, "dataset")
     slice_count = slice_count_for(extents, config.axis)
     model_config = config.model_config(task)
+    model = _new_model(model_config, slice_count)   # fails before anything is written
 
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     with output_lock(out):
         resolved = asdict(config)
-        (out / "config.json").write_text(json.dumps(resolved, indent=2) + "\n")
+        write_atomic(out / "config.json", json.dumps(resolved, indent=2) + "\n")
         print("resolved config:")
         print(json.dumps(resolved, indent=2))
         print(f"volumes: {len(train_vols)} train / {len(val_vols)} val / {len(test_vols)} test; "
@@ -262,7 +264,8 @@ def cmd_train(args) -> int:
         seeds = [base_seed + i for i in range(args.seeds)] if args.seeds else [base_seed]
         reports = []
         for seed in seeds:
-            model = SliceSetModel(model_config, slice_count)
+            if model is None:
+                model = _new_model(model_config, slice_count)
             he_init(model, seed=seed)
             if args.pretrained:
                 archive = WeightArchive.load(args.pretrained)
@@ -284,15 +287,16 @@ def cmd_train(args) -> int:
             _save_checkpoint(ckpt_path, model, extents, config.normalize,
                              result.best.epoch, result.best.val_metric, seed)
             report = evaluate(model, test_vols)
-            (out / f"eval_seed{seed}.json").write_text(report.to_json() + "\n")
+            write_atomic(out / f"eval_seed{seed}.json", report.to_json() + "\n")
             print(f"seed {seed}: best epoch {result.best.epoch} "
                   f"(val {result.best.val_metric:.5f}) -> {ckpt_path.name}")
             print(f"seed {seed} test: {report.summary()}")
             reports.append(report)
+            model = None   # the next seed trains a fresh model
 
         if len(reports) > 1:
             agg = _aggregate(reports)
-            (out / "summary.json").write_text(json.dumps(agg, indent=2) + "\n")
+            write_atomic(out / "summary.json", json.dumps(agg, indent=2) + "\n")
             _print_aggregate(agg)
     return 0
 
@@ -314,13 +318,25 @@ def _save_checkpoint(path, model: SliceSetModel, extents, normalize: bool, epoch
     export_weights(model, metadata).save(path)
 
 
+def _new_model(config: ModelConfig, slice_count: int) -> SliceSetModel:
+    """Build a model; a size numpy cannot allocate is a config error."""
+    try:
+        return SliceSetModel(config, slice_count)
+    except (MemoryError, ValueError) as exc:
+        agg = config.aggregator
+        raise ValueError(
+            f"cannot allocate the model sized by encoder.width_multiplier "
+            f"{config.encoder.width_multiplier}, aggregator.model_dim {agg.model_dim} and "
+            f"aggregator.ff_hidden_dim {agg.ff_hidden_dim}: {exc}") from None
+
+
 def _model_from_checkpoint(archive: WeightArchive) -> tuple[SliceSetModel, dict]:
     meta = archive.metadata
     if meta.get("kind") != CHECKPOINT_METADATA_KIND:
         raise ValueError("archive is not a training checkpoint "
                          f"(metadata kind {meta.get('kind')!r})")
     model_config = build_dataclass(ModelConfig, json.loads(meta["model_config"]), "model config")
-    model = SliceSetModel(model_config, int(meta["slice_count"]))
+    model = _new_model(model_config, int(meta["slice_count"]))
     import_strict(model, archive)
     return model, meta
 
@@ -345,7 +361,7 @@ def cmd_eval(args) -> int:
     if len(reports) > 1:
         _print_aggregate(payload)
     if args.output:
-        Path(args.output).write_text(json.dumps(payload, indent=2) + "\n")
+        write_atomic(args.output, json.dumps(payload, indent=2) + "\n")
     return 0
 
 
@@ -369,7 +385,7 @@ def cmd_import_weights(args) -> int:
     if config.task == "auto":
         raise ValueError("import-weights needs an explicit task (flag --task)")
     extents = _parse_extents(args.extents)
-    model = SliceSetModel(config.model_config(config.task), slice_count_for(extents, config.axis))
+    model = _new_model(config.model_config(config.task), slice_count_for(extents, config.axis))
     seed = args.seed if args.seed is not None else 0
     he_init(model, seed=seed)
 

@@ -3,7 +3,12 @@
 A ``Tensor`` wraps a numpy array and remembers how it was produced; calling
 :func:`backward` on a scalar walks the recorded graph once in reverse
 topological order and accumulates ``d(loss)/d(x)`` into ``x.grad`` for every
-tensor with ``requires_grad=True``.
+leaf with ``requires_grad=True`` (a parameter or any tensor no op produced).
+The walk releases the graph as it goes: once an op's backward rule has run,
+its output drops its gradient, its rule and the arrays the rule saved, so a
+training step holds only what the rest of the walk still needs.  Only leaves
+keep gradients, and a released graph cannot be walked again: a second
+``backward()`` through it raises ``ValueError``.
 
 Conventions used throughout the engine:
 
@@ -52,7 +57,7 @@ class Tensor:
         self.data = np.asarray(data, dtype=dtype)
         self.requires_grad = requires_grad
         self.grad = None
-        self._parents: tuple[Tensor, ...] = ()
+        self._parents: tuple[Tensor, ...] | None = ()   # None once backward released it
         self._backward = None
 
     # -- introspection ---------------------------------------------------
@@ -304,6 +309,8 @@ def _topo_order(root: Tensor) -> list[Tensor]:
             continue
         if id(node) in seen:
             continue
+        if node._parents is None:
+            raise ValueError("backward through a graph that an earlier backward() released")
         seen.add(id(node))
         stack_.append((node, True))
         for parent in node._parents:
@@ -324,6 +331,10 @@ def backward(loss: Tensor):
         raise ValueError("loss does not require grad; nothing to differentiate")
     order = _topo_order(loss)
     loss.accumulate_grad(np.ones_like(loss.data))
-    for node in reversed(order):
+    while order:
+        node = order.pop()
         if node._backward is not None:
             node._backward(node)
+            # Release the op: its gradient and the arrays its closure saved
+            # are freed now, and ``_parents = None`` marks it as walked.
+            node.grad = node._backward = node._parents = None

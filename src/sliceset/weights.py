@@ -35,10 +35,28 @@ from .train import Adam, OptimizerConfig, _run_epoch, he_init
 
 MAGIC = b"SSNWGT01"
 FORMAT_VERSION = 1
+INDEX_KEYS = frozenset({"version", "entries", "metadata"})
 
 
 class WeightArchiveError(ValueError):
     """Raised for malformed archive bytes or import mismatches."""
+
+
+def write_atomic(path, data: bytes | str):
+    """Write a temporary file, fsync it and rename it over ``path``.
+
+    A crash leaves either the old file or the new one, never a truncated one.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(data.encode() if isinstance(data, str) else data)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _is_count(value) -> bool:
@@ -103,11 +121,14 @@ class WeightArchive:
         if not isinstance(index, dict):
             raise WeightArchiveError(
                 f"archive index must be a JSON object, got {type(index).__name__}")
-        version = index.get("version")
+        if set(index) != INDEX_KEYS:
+            raise WeightArchiveError(f"archive index keys must be exactly {sorted(INDEX_KEYS)}, "
+                                     f"got {sorted(index)}")
+        version = index["version"]
         if version != FORMAT_VERSION:
             raise WeightArchiveError(f"unsupported archive version {version!r}")
-        index_entries = index.get("entries", {})
-        metadata = index.get("metadata", {})
+        index_entries = index["entries"]
+        metadata = index["metadata"]
         if not isinstance(index_entries, dict) or not isinstance(metadata, dict):
             raise WeightArchiveError("archive index 'entries' and 'metadata' must be JSON objects")
         payload = raw[16 + index_len:]
@@ -132,17 +153,8 @@ class WeightArchive:
         return cls(entries=entries, metadata=dict(metadata), version=version)
 
     def save(self, path):
-        """Write a temporary file and rename it over ``path``: no truncated archive."""
-        path = Path(path)
-        tmp = path.with_name(f".{path.name}.tmp")
-        try:
-            with open(tmp, "wb") as f:
-                f.write(self.to_bytes())
-                f.flush()
-                os.fsync(f.fileno())
-            os.replace(tmp, path)
-        finally:
-            tmp.unlink(missing_ok=True)
+        """Write the archive to ``path`` atomically (see ``write_atomic``)."""
+        write_atomic(path, self.to_bytes())
 
     @classmethod
     def load(cls, path) -> "WeightArchive":

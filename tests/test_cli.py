@@ -336,6 +336,19 @@ def test_train_rejects_non_finite_width_multiplier_without_traceback(tmp_path, d
     assert err.startswith("error: width_multiplier") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("width", ["1e12", "1e300"])
+def test_train_rejects_unallocatable_model_before_writing(tmp_path, data, width):
+    # 1e12 runs numpy out of memory, 1e300 past its largest dimension.
+    code, _, err = run_cli(
+        "train", "--train-manifest", data["train"], "--val-manifest", data["val"],
+        "--test-manifest", data["test"], "--output-dir", str(tmp_path / "run"),
+        "--epochs", "1", *TRAIN_FLAGS, "--width-multiplier", width)
+    assert code == 2
+    assert err.startswith("error: cannot allocate") and err.count("\n") == 1
+    assert f"encoder.width_multiplier {float(width)}" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_train_divergence_is_an_error_not_a_traceback(tmp_path, data):
     code, _, err = run_cli(
         "train", "--train-manifest", data["train"], "--val-manifest", data["val"],
@@ -407,6 +420,25 @@ def test_eval_reproduces_training_test_report(tmp_path, train_run, data):
     assert "mae=" in stdout
 
 
+def test_eval_output_write_failure_keeps_old_report_and_leaves_no_temp_file(
+        tmp_path, train_run, data, monkeypatch):
+    _, _, out = train_run
+    report_path = tmp_path / "report.json"
+    report_path.write_text('{"old": true}\n')
+
+    def crash(fd):
+        raise OSError("simulated crash while writing")
+
+    monkeypatch.setattr(os, "fsync", crash)
+    code, _, err = run_cli(
+        "eval", "--checkpoint", str(out / "checkpoint_seed0.ssnw"),
+        "--manifest", data["test"], "--output", str(report_path))
+    assert code == 2
+    assert err == "error: simulated crash while writing\n"
+    assert report_path.read_text() == '{"old": true}\n'
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
+
+
 def test_eval_aggregates_across_checkpoints(tmp_path, multi_seed_run, data):
     _, out = multi_seed_run
     report_path = tmp_path / "agg.json"
@@ -441,7 +473,11 @@ def test_eval_rejects_non_checkpoint_archive(pretrain_archive, data):
     [],
     {"version": 1, "entries": {"w": {"offset": 0, "length": 4}}},
     {"version": 1, "entries": {"w": {"shape": [1], "offset": 0, "length": 4}}, "metadata": []},
-], ids=["index-is-a-list", "entry-without-shape", "metadata-is-a-list"])
+    {"version": 1, "dntries": {"w": {"shape": [1], "offset": 0, "length": 4}}, "metadata": {}},
+    {"version": 1, "entries": {"w": {"shape": [1], "offset": 0, "length": 4}}, "metadata": {},
+     "checksum": "0"},
+], ids=["index-is-a-list", "entry-without-shape", "metadata-is-a-list", "entries-key-flipped",
+        "extra-index-key"])
 def test_eval_rejects_malformed_archive_index_without_traceback(tmp_path, data, index):
     raw_index = json.dumps(index).encode()
     path = tmp_path / "bad.ssnw"

@@ -124,6 +124,36 @@ def test_stack_splits_gradient_back():
     assert [float(p.grad) for p in parts] == [1.0, 10.0, 100.0]
 
 
+def test_backward_releases_intermediates_and_keeps_leaf_grads():
+    a = scalar(2.0)
+    b = scalar(3.0)
+    s = a + b
+    f = s * b
+    f.backward()
+    assert a.grad == 3.0 and b.grad == 8.0
+    for node in (s, f):
+        assert node.grad is None
+        assert not node._parents
+
+
+def test_second_backward_on_released_graph_raises():
+    x = scalar(2.0)
+    loss = (x * x) * 3.0
+    loss.backward()
+    with pytest.raises(ValueError, match="released"):
+        loss.backward()
+    assert x.grad == 12.0
+
+
+def test_backward_through_released_tensor_raises():
+    x = scalar(2.0)
+    y = x * x
+    (y * 3.0).backward()
+    with pytest.raises(ValueError, match="released"):
+        (y + 1.0).backward()
+    assert x.grad == 12.0
+
+
 def test_no_grad_blocks_graph_construction():
     x = scalar(2.0)
     with no_grad():

@@ -1,6 +1,7 @@
 """Initialization, optimizers, and the training loop with checkpoint selection."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -261,6 +262,32 @@ def test_batch_loss_l1_matches_manual_forward():
     preds = [float(model.forward_volume(v).item()) for v in vols]
     want = np.mean([abs(p - v.target) for p, v in zip(preds, vols)])
     assert loss.item() == pytest.approx(want, rel=1e-5)
+
+
+def test_backward_frees_the_graph_it_walks():
+    # Memory still held after backward (the loss still referenced) must be at
+    # most half of what the forward pass left allocated: the walk releases
+    # every op's saved arrays and intermediate gradient, and conv saves its
+    # padded input rather than its kh*kw-times-larger column matrix.
+    cfg = ModelConfig(task="regression", axis="sagittal",
+                      encoder=EncoderConfig(kind="cnn5", width_multiplier=0.5),
+                      aggregator=AggregatorConfig(kind="mean"))
+    model = build_model(cfg, slice_count=8)
+    he_init(model, seed=0)
+    volumes = generate_synthetic(SyntheticSpec(extents=(8, 12, 8), task="regression",
+                                               count=4, seed=0))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        loss = batch_loss(model, volumes, "mse")
+        forward = tracemalloc.get_traced_memory()[0] - base
+        loss.backward()
+        after = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert loss.requires_grad
+    assert after <= 0.5 * forward, (after, forward)
+    assert all(p.grad is not None for p in model.encoder.parameters())
 
 
 def test_predict_classification_scores_and_labels():

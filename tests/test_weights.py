@@ -117,10 +117,18 @@ GOOD_ENTRY = {"shape": [2, 2], "offset": 0, "length": 16}
     {"version": 1, "entries": {"w": [2, 2]}},
     {"version": 1, "entries": {"w": GOOD_ENTRY}, "metadata": [["a", "b"]]},
     {"version": 1, "entries": {"w": GOOD_ENTRY}, "metadata": {"epoch": 3}},
+    {"version": 1, "entries": [], "metadata": {}},
+    {"version": 1, "entries": {"w": GOOD_ENTRY}, "metadata": {}, "checksum": "0"},
 ])
 def test_archive_rejects_malformed_index_with_typed_error(index):
     with pytest.raises(WeightArchiveError):
         WeightArchive.from_bytes(archive_with_index(index))
+
+
+def test_archive_index_names_wrong_keys():
+    raw = archive_with_index({"version": 1, "dntries": {"w": GOOD_ENTRY}, "metadata": {}})
+    with pytest.raises(WeightArchiveError, match=r"\['dntries', 'metadata', 'version'\]"):
+        WeightArchive.from_bytes(raw)
 
 
 def test_archive_index_schema_accepts_a_well_formed_index():
