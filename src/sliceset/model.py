@@ -161,6 +161,10 @@ class AggregatorConfig:
     def __post_init__(self):
         if self.kind not in AGGREGATOR_KINDS:
             raise ValueError(f"unknown aggregator kind {self.kind!r}; choose from {AGGREGATOR_KINDS}")
+        for name in ("model_dim", "ff_hidden_dim"):
+            value = getattr(self, name)
+            if value is not None and value <= 0:
+                raise ValueError(f"{name} must be positive (null for the default), got {value}")
 
 
 @dataclass(frozen=True)
@@ -210,12 +214,16 @@ class SliceSetModel(Module):
         return self.encoder(Tensor(stack.data))
 
     def forward_stack(self, stack: SliceStack) -> Tensor:
-        if stack.slice_count != self.slice_count:
+        return self.forward_embeddings(self.embed_stack(stack))
+
+    def forward_embeddings(self, embeddings: Tensor) -> Tensor:
+        """The positional table, aggregator and head over one volume's (K, d)
+        slice embeddings; the output of :meth:`forward_stack`."""
+        if embeddings.shape[0] != self.slice_count:
             raise ValueError(
-                f"model was built for {self.slice_count} slices, volume yields {stack.slice_count}"
+                f"model was built for {self.slice_count} slices, volume yields {embeddings.shape[0]}"
             )
-        emb = self.embed_stack(stack)
-        emb = self.positional(emb)
+        emb = self.positional(embeddings)
         agg = self.aggregator(emb)
         out = self.head(agg.reshape(1, -1))
         if self.config.task == "regression":

@@ -9,15 +9,23 @@ the unit of checkpointing and cross-model weight transfer.
 Convolution is explicit cross-correlation that stays within 1e-5 of a
 direct six-loop reference.  The input is copied once into a zero-padded,
 batch-innermost (C, Hp, Wp, N) buffer, whose kernel windows give a
-(C·kh·kw, oh·ow·N) column matrix; the output, dW and dX are then one 2-D
-GEMM each.  The output is handed back as an (N, F, oh, ow) view of the
-GEMM's (F, oh, ow, N) result, so the batch stays innermost from layer to
-layer and the next convolution's copy reads contiguous memory.  The
-backward pass keeps the padded buffer, not the column matrix (kh·kw times
-larger), and rebuilds the columns for dW.  dX scatters the column gradient
-back with one add per kernel tap, each over rows of ow·N contiguous floats.
-Slices of one batch share the GEMM, so a slice's output can differ by
-float32 roundoff with its position in the batch.
+(C·kh·kw, oh·ow·N) column matrix; dW and dX are then one 2-D GEMM each.
+The forward pass builds that matrix in tiles of whole output rows, each at
+most ``CONV_TILE_BYTES`` (one row when a row alone is larger), and each
+tile's GEMM writes its own columns of the (F, oh·ow·N) output.  A tile that
+fits in the L2 cache is still there when its GEMM reads it, and the
+transient copy stays bounded however many slices one call carries; when the
+whole matrix fits in one tile this is a single GEMM.  The output is handed
+back as an (N, F, oh, ow) view of the (F, oh, ow, N) result, so the batch
+stays innermost from layer to layer and the next convolution's copy reads
+contiguous memory.  The backward pass keeps the padded buffer, not the
+column matrix (kh·kw times larger), and rebuilds the whole matrix for dW.
+dX scatters the column gradient back with one add per kernel tap, each over
+rows of ow·N contiguous floats.  The slices of one batch share the GEMMs;
+so do the slices of the several volumes that ``train.predict`` sends
+through one encoder call.  Each output column is its own dot product, but
+OpenBLAS picks its kernels by matrix width, so a slice's output can differ
+by float32 roundoff with the batch it came in and with the tile widths.
 
 Max pooling takes the elementwise maximum over the kernel² strided window
 views.  When the input needs a gradient it also records, per tap, a boolean
@@ -44,6 +52,10 @@ from .tensor import Tensor, grad_enabled, no_grad
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
 LN_EPS = 1e-5
+
+# conv2d's forward builds its column matrix in tiles of whole output rows of at
+# most this many bytes, at least one row each; see the module docstring.
+CONV_TILE_BYTES = 2 * 1024 * 1024
 
 
 # ---------------------------------------------------------------------------
@@ -164,14 +176,20 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
     else:
         xp = xt
 
-    def im2col():
+    def im2col(rows=slice(None)):
+        """Columns of the output rows ``rows``; copies unless 1x1, stride 1."""
         sc, sh, sw, sn = xp.strides
         windows = as_strided(xp, shape=(c, kh, kw, oh, ow, n),
                              strides=(sc, sh, sw, sh * stride, sw * stride, sn), writeable=False)
-        return windows.reshape(c * kh * kw, oh * ow * n)  # copies unless 1x1, stride 1
+        return windows[:, :, :, rows].reshape(c * kh * kw, -1)
 
     wmat = kernel.data.reshape(f, c * kh * kw)
-    out = wmat @ im2col()                                # (F, oh*ow*N)
+    row_len = ow * n                                     # output columns per output row
+    tile_rows = max(1, CONV_TILE_BYTES // (c * kh * kw * row_len * xp.itemsize))
+    out = np.empty((f, oh * row_len), dtype=np.result_type(wmat, xp))   # (F, oh*ow*N)
+    for r in range(0, oh, tile_rows):
+        np.matmul(wmat, im2col(slice(r, r + tile_rows)),
+                  out=out[:, r * row_len:(r + tile_rows) * row_len])
     if bias is not None:
         out += bias.data[:, None]
     out = out.reshape(f, oh, ow, n).transpose(3, 0, 1, 2)

@@ -21,7 +21,7 @@ import numpy as np
 from . import nn
 from .data import Volume
 from .metrics import EvalReport, classification_report, mae, regression_report
-from .model import SliceSetModel
+from .model import SliceSetModel, slice_volume
 from .tensor import Tensor, no_grad, stack
 
 OPTIMIZER_KINDS = ("adam", "sgd")
@@ -246,31 +246,69 @@ def batch_loss(model: SliceSetModel, batch: list[Volume], loss_kind: str) -> Ten
 # evaluation
 # ---------------------------------------------------------------------------
 
+PREDICT_MAX_SLICES = 128   # slices per encoder call in predict (one volume at least)
+
+
+def _slice_groups(model: SliceSetModel, volumes: list[Volume]):
+    """Consecutive volumes' slice stacks, grouped for one encoder call each."""
+    group = []
+    for v in volumes:
+        stack = slice_volume(v, model.config.axis, model.config.encoder.input_channels)
+        full = sum(s.slice_count for s in group) + stack.slice_count > PREDICT_MAX_SLICES
+        if group and (full or stack.data.shape[1:] != group[0].data.shape[1:]):
+            yield group
+            group = []
+        group.append(stack)
+    if group:
+        yield group
+
+
+def _eval_outputs(model: SliceSetModel, volumes: list[Volume]):
+    """Each volume's eval-mode model output as a numpy array, in order."""
+    for group in _slice_groups(model, volumes):
+        embeddings = model.encoder(Tensor(np.concatenate([s.data for s in group]))).data
+        start = 0
+        for s in group:
+            rows = Tensor(embeddings[start:start + s.slice_count])
+            yield model.forward_embeddings(rows).numpy()
+            start += s.slice_count
+
+
 def predict(model: SliceSetModel, volumes: list[Volume]):
     """Eval-mode forward over a dataset.
 
     Regression → (predictions, targets) float arrays.  Classification →
     (class-1 probabilities, predicted labels, true labels).
+
+    Consecutive volumes share one encoder call: a group holds at most
+    ``PREDICT_MAX_SLICES`` slices but at least one volume, and a new group
+    starts whenever the slice shape changes.  The encoder's (slices, d)
+    output is split back per volume before the positional table, aggregator
+    and head.  In eval mode batch norm normalizes by its running statistics,
+    a fixed per-channel map, and every other encoder op acts on each slice
+    alone, so a slice's embedding does not depend on the other slices of its
+    call; only the GEMM roundoff may move with the batch width (see
+    :mod:`sliceset.nn`).
     """
     was_training = model.training
     model.eval()
     try:
         with no_grad():
-            if model.config.task == "regression":
-                preds = np.array([model.forward_volume(v).item() for v in volumes])
-                targets = np.array([float(v.target) for v in volumes])
-                return preds, targets
-            scores, labels, truths = [], [], []
-            for v in volumes:
-                logits = model.forward_volume(v).numpy().astype(np.float64)
-                shifted = np.exp(logits - logits.max())
-                scores.append(float(shifted[1] / shifted.sum()))
-                labels.append(int(np.argmax(logits)))
-                truths.append(int(v.target))
-            return np.array(scores), np.array(labels), np.array(truths)
+            outputs = list(_eval_outputs(model, volumes))
     finally:
         if was_training:
             model.train()
+    if model.config.task == "regression":
+        preds = np.array([out.item() for out in outputs])
+        targets = np.array([float(v.target) for v in volumes])
+        return preds, targets
+    scores, labels = [], []
+    for out in outputs:
+        logits = out.astype(np.float64)
+        shifted = np.exp(logits - logits.max())
+        scores.append(float(shifted[1] / shifted.sum()))
+        labels.append(int(np.argmax(logits)))
+    return np.array(scores), np.array(labels), np.array([int(v.target) for v in volumes])
 
 
 def evaluate(model: SliceSetModel, volumes: list[Volume]) -> EvalReport:

@@ -326,6 +326,19 @@ def test_train_rejects_wrongly_typed_config_without_traceback(tmp_path, data, co
     assert err.startswith("error:") and err.count("\n") == 1 and key in err
 
 
+def test_train_rejects_non_positive_aggregator_size_before_writing(tmp_path, data):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"aggregator": {"kind": "attention", "model_dim": -4}}))
+    out = tmp_path / "run"
+    code, _, err = run_cli(
+        "train", "--config", str(path), "--train-manifest", data["train"],
+        "--val-manifest", data["val"], "--test-manifest", data["test"],
+        "--output-dir", str(out), "--epochs", "1", *TRAIN_FLAGS)
+    assert code == 2
+    assert err.startswith("error: model_dim must be positive") and err.count("\n") == 1
+    assert not (out / "config.json").exists()
+
+
 @pytest.mark.parametrize("width", ["inf", "nan", "1e308"])
 def test_train_rejects_non_finite_width_multiplier_without_traceback(tmp_path, data, width):
     code, _, err = run_cli(

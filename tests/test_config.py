@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from sliceset.cli import RunConfig
 from sliceset.data import AXES, TASKS
 from sliceset.encoders import ENCODER_KINDS, EncoderConfig
-from sliceset.model import AGGREGATOR_KINDS, build_dataclass
+from sliceset.model import AGGREGATOR_KINDS, AggregatorConfig, build_dataclass
 from sliceset.train import LOSS_KINDS, OPTIMIZER_KINDS, OptimizerConfig
 
 
@@ -51,6 +51,14 @@ def test_encoder_config_rejects_non_finite_or_overflowing_width(value):
 def test_optimizer_config_rejects_non_finite_values(name, value):
     with pytest.raises(ValueError, match=f"{name} must be finite"):
         OptimizerConfig(**{name: value})
+
+
+@pytest.mark.parametrize("name", ["model_dim", "ff_hidden_dim"])
+@pytest.mark.parametrize("value", [0, -4])
+def test_aggregator_config_rejects_non_positive_sizes_by_name(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be positive"):
+        AggregatorConfig(kind="attention", **{name: value})
+    assert getattr(AggregatorConfig(kind="attention", **{name: None}), name) is None
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from sliceset import nn
+from sliceset.encoders import CNN5_CHANNELS
 from sliceset.tensor import Tensor, no_grad
 
 
@@ -165,6 +166,90 @@ def test_conv2d_gradients_match_loop_oracle(n, c, h, w, f, k, stride, padding, b
     np.testing.assert_allclose(kernel.grad, dw, rtol=1e-10, atol=1e-12)
     if bias:
         np.testing.assert_allclose(b.grad, db, rtol=1e-10, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# conv2d's forward builds and multiplies its columns in row tiles
+# ---------------------------------------------------------------------------
+
+def conv_gemms(monkeypatch, x, kernel, bias=None, stride=1, padding=0, tile_bytes=None):
+    """conv2d's forward output and the column count of each GEMM it makes,
+    under a column budget of ``tile_bytes`` (the default when None)."""
+    widths = []
+    matmul = np.matmul
+
+    def counted(*args, **kwargs):
+        widths.append(args[1].shape[1])
+        return matmul(*args, **kwargs)
+
+    with monkeypatch.context() as m:
+        if tile_bytes is not None:
+            m.setattr(nn, "CONV_TILE_BYTES", tile_bytes)
+        m.setattr(nn.np, "matmul", counted)
+        out = nn.conv2d(x, kernel, bias, stride=stride, padding=padding)
+    return out.numpy(), widths
+
+
+TILE_CASES = [   # n, c, h, w, f, k, stride, padding
+    (16, 3, 7, 8, 4, 3, 1, 0),
+    (16, 3, 7, 8, 4, 3, 1, 1),
+    (16, 3, 9, 8, 4, 3, 2, 1),
+    (16, 2, 8, 7, 3, 3, 3, 2),
+    (16, 2, 6, 5, 3, 3, 1, 3),
+    (16, 2, 7, 9, 3, 3, 3, 3),
+    (16, 2, 9, 8, 3, 7, 2, 3),     # resnet stem: 7x7, stride 2, padding 3
+    (16, 4, 9, 5, 3, 1, 2, 0),     # resnet downsample: 1x1, stride 2
+    (1, 3, 5, 9, 2, 3, 1, 1),      # N=1
+    (1, 2, 11, 8, 3, 7, 2, 3),     # N=1 stem
+]
+
+
+@pytest.mark.parametrize("rows_per_tile", [1, 2, 3])
+@pytest.mark.parametrize("n,c,h,w,f,k,stride,padding", TILE_CASES)
+def test_conv2d_row_tiles_match_one_tile_and_loop_oracle(monkeypatch, rows_per_tile,
+                                                         n, c, h, w, f, k, stride, padding):
+    rng = np.random.default_rng(n + h * 10 + k * 100 + stride + padding)
+    x = rng.standard_normal((n, c, h, w))
+    kernel = rng.standard_normal((f, c, k, k))
+    b = rng.standard_normal(f)
+    args = (t64(x), t64(kernel), t64(b), stride, padding)
+    oh = (h + 2 * padding - k) // stride + 1
+    ow = (w + 2 * padding - k) // stride + 1
+    row_bytes = c * k * k * ow * n * 8
+    one, widths = conv_gemms(monkeypatch, *args, tile_bytes=oh * row_bytes)
+    assert widths == [oh * ow * n]
+    # A budget below one row still gives one-row tiles; the last tile is short
+    # when rows_per_tile does not divide oh.
+    budget = rows_per_tile * row_bytes + row_bytes // 2 if rows_per_tile > 1 else 1
+    tiled, widths = conv_gemms(monkeypatch, *args, tile_bytes=budget)
+    assert widths == [min(rows_per_tile, oh - r) * ow * n for r in range(0, oh, rows_per_tile)]
+    assert len(widths) > 1
+    np.testing.assert_allclose(tiled[:2], conv2d_loop_oracle(x[:2], kernel, b, stride, padding),
+                               rtol=1e-10, atol=1e-12)
+    if n % 8 == 0:
+        # Every tile is then a multiple of 8 columns wide, and OpenBLAS rounds
+        # each output column alike at any GEMM width: tiling changes no bit.
+        assert tiled.tobytes() == one.tobytes()
+    else:
+        # Narrower GEMMs take other OpenBLAS kernels, which may round differently.
+        np.testing.assert_allclose(tiled, one, rtol=1e-12, atol=1e-12)
+
+
+def test_conv2d_tiles_the_cnn5_per_volume_layers_whose_columns_exceed_the_budget(monkeypatch):
+    """cnn5 at width 1 on one volume's 16 slices of 32x32: blocks 1, 4 and 5
+    make a single GEMM; blocks 2 and 3, with 4.5 and 2.25 MiB of columns,
+    make 3 and 2 row tiles, with the bits of a single GEMM."""
+    rng = np.random.default_rng(0)
+    chans = (1, *CNN5_CHANNELS)
+    tiles = []
+    for i, size in enumerate((32, 16, 8, 4, 2)):
+        x = Tensor(rng.standard_normal((16, chans[i], size, size)))
+        kernel = Tensor(rng.standard_normal((chans[i + 1], chans[i], 3, 3)))
+        out, widths = conv_gemms(monkeypatch, x, kernel, padding=1)
+        one, _ = conv_gemms(monkeypatch, x, kernel, padding=1, tile_bytes=2 ** 40)
+        assert out.tobytes() == one.tobytes()
+        tiles.append(len(widths))
+    assert tiles == [1, 3, 2, 1, 1]
 
 
 def test_conv2d_rejects_channel_mismatch_and_oversize_kernel():

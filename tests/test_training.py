@@ -11,7 +11,7 @@ from sliceset import train as train_mod
 from sliceset.data import SyntheticSpec, Volume, generate_synthetic, normalize
 from sliceset.encoders import EncoderConfig
 from sliceset.model import AggregatorConfig, ModelConfig, build_model
-from sliceset.tensor import Tensor
+from sliceset.tensor import Tensor, no_grad
 from sliceset.train import (Adam, Checkpoint, OptimizerConfig, SGD, TrainConfig,
                             TrainingDivergedError, batch_loss, evaluate, he_init,
                             predict, read_epoch_log, snapshot_state, train)
@@ -305,6 +305,117 @@ def test_predict_restores_training_flag():
     model.train()
     predict(model, tiny_dataset(count=2))
     assert model.training
+
+
+# ---------------------------------------------------------------------------
+# batched predict: slices of several volumes share one encoder call
+# ---------------------------------------------------------------------------
+
+def cohort_model(task, slice_count):
+    """cnn5 regression with attention and the positional table, or classification
+    with the mean aggregator; coronal slices, so K is the middle extent."""
+    cfg = ModelConfig(
+        task=task, axis="coronal",
+        encoder=EncoderConfig(kind="cnn5", width_multiplier=0.25, min_input=8),
+        aggregator=AggregatorConfig(kind="attention" if task == "regression" else "mean"),
+        positional_enabled=task == "regression",
+    )
+    model = build_model(cfg, slice_count=slice_count)
+    he_init(model, seed=1)
+    rng = np.random.default_rng(2)
+    for name, buffer in model.named_buffers():   # non-trivial eval-mode batch norm
+        buffer[...] = (rng.uniform(0.5, 2.0, buffer.shape) if name.endswith("running_var")
+                       else rng.normal(0.0, 0.2, buffer.shape))
+    if task == "regression":
+        model.positional.table.data[...] = rng.normal(0.0, 0.1, model.positional.table.shape)
+    return model
+
+
+def cohort(task, slice_count, count, in_plane=(8, 8), seed=0):
+    h, w = in_plane
+    return generate_synthetic(SyntheticSpec(extents=(h, slice_count, w), task=task, count=count,
+                                            seed=seed, blob_radius=2, signal_axis="coronal"))
+
+
+def per_volume_predict(model, volumes):
+    """predict's outputs from one forward_volume call per volume."""
+    model.eval()
+    with no_grad():
+        outputs = [model.forward_volume(v).numpy().astype(np.float64) for v in volumes]
+    model.train()
+    if model.config.task == "regression":
+        return np.array([float(out) for out in outputs]), np.array([v.target for v in volumes])
+    scores = [float(np.exp(o - o.max())[1] / np.exp(o - o.max()).sum()) for o in outputs]
+    return (np.array(scores), np.array([int(np.argmax(o)) for o in outputs]),
+            np.array([v.target for v in volumes]))
+
+
+def count_encoder_calls(monkeypatch, model):
+    calls = []
+    encoder_call = type(model.encoder).__call__
+
+    def counted(module, x):
+        calls.append(x.shape[0])
+        return encoder_call(module, x)
+    monkeypatch.setattr(type(model.encoder), "__call__", counted)
+    return calls
+
+
+# (slice count, volumes): one volume, exactly one full group of
+# PREDICT_MAX_SLICES slices, and one full group plus a remainder group.
+COHORTS = [(32, 1), (32, 4), (32, 5), (20, 1), (20, 6), (20, 7)]
+
+
+@pytest.mark.parametrize("task", ["regression", "classification"])
+@pytest.mark.parametrize("slice_count, count", COHORTS)
+def test_batched_predict_matches_per_volume_forward(monkeypatch, task, slice_count, count):
+    model = cohort_model(task, slice_count)
+    volumes = cohort(task, slice_count, count)
+    want = per_volume_predict(model, volumes)
+    calls = count_encoder_calls(monkeypatch, model)
+    got = predict(model, volumes)
+
+    per_group = train_mod.PREDICT_MAX_SLICES // slice_count
+    assert calls == [slice_count * min(per_group, count - start)
+                     for start in range(0, count, per_group)]
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape == (count,)
+    np.testing.assert_array_equal(got[-1], want[-1])             # targets / true labels
+    if task == "classification":
+        np.testing.assert_array_equal(got[1], want[1])
+    gap = np.abs(got[0] - want[0]) / np.maximum(1.0, np.abs(want[0]))
+    assert gap.max() <= 1e-6, gap.max()
+    if count == 1 or slice_count % 8 == 0:
+        # One volume is the per-volume computation itself.  With K a multiple
+        # of 8 every GEMM width is one too, and OpenBLAS then rounds each
+        # output column alike at any width, so the outputs are byte-equal.
+        assert got[0].tobytes() == want[0].tobytes()
+
+
+def test_batched_predict_starts_a_group_when_the_slice_shape_changes(monkeypatch):
+    model = cohort_model("regression", 32)
+    a, b = cohort("regression", 32, 2), cohort("regression", 32, 3, in_plane=(10, 6), seed=1)
+    volumes = [a[0], b[0], b[1], a[1], b[2]]
+    want = per_volume_predict(model, volumes)
+    calls = count_encoder_calls(monkeypatch, model)
+    got = predict(model, volumes)
+    assert calls == [32, 64, 32, 32]
+    assert got[0].tobytes() == want[0].tobytes()
+
+
+def test_predict_of_no_volumes_is_empty():
+    for task, arrays in (("regression", 2), ("classification", 3)):
+        out = predict(cohort_model(task, 20), [])
+        assert len(out) == arrays and all(a.shape == (0,) for a in out)
+
+
+def test_predict_rejects_a_volume_with_the_wrong_slice_count():
+    model = cohort_model("regression", 20)
+    volumes = cohort("regression", 20, 2) + cohort("regression", 16, 1)
+    with pytest.raises(ValueError, match="model was built for 20 slices, volume yields 16"):
+        predict(model, volumes)
+    with pytest.raises(ValueError, match="model was built for 20 slices, volume yields 16"):
+        model.forward_volume(volumes[-1])
 
 
 def test_evaluate_produces_report():
