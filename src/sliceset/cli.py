@@ -29,6 +29,7 @@ _cap_threads()
 
 import argparse  # noqa: E402
 import contextlib  # noqa: E402
+import fcntl  # noqa: E402
 import json  # noqa: E402
 import sys  # noqa: E402
 from dataclasses import asdict, dataclass, field, fields, replace  # noqa: E402
@@ -143,19 +144,55 @@ def _apply_overrides(config: RunConfig, args) -> RunConfig:
     return replace(config, **top)
 
 
+def _lock_owner(lock: Path) -> int | None:
+    """The pid a lock file records, None without a lock file; ValueError when
+    the file records no pid."""
+    try:
+        pid = int(lock.read_text())
+    except FileNotFoundError:
+        return None
+    except (OSError, ValueError):            # a UnicodeDecodeError is a ValueError
+        pid = 0
+    if pid < 1:
+        raise ValueError(f"output directory {lock.parent} has an unreadable lock file {lock} "
+                         f"(delete it if no run is using the directory)")
+    return pid
+
+
+def _pid_alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except (ProcessLookupError, OverflowError):   # no such process, or no such pid
+        return False
+    except PermissionError:   # alive, but another user's
+        return True
+    return True
+
+
 @contextlib.contextmanager
 def output_lock(directory: Path):
-    """Exclusive claim on an output directory via an O_EXCL lock file."""
+    """Exclusive claim on an output directory via an O_EXCL lock file that
+    records the owner's pid.
+
+    A lock whose pid is no longer running was left by a killed run; it is
+    stale and is taken over.  A claim holds an exclusive ``flock`` on the
+    directory while it checks, removes and creates the lock file, so of two
+    runs that race for a stale lock only one wins.
+    """
     lock = directory / LOCK_NAME
+    guard = os.open(directory, os.O_RDONLY)
     try:
+        fcntl.flock(guard, fcntl.LOCK_EX)
+        owner = _lock_owner(lock)
+        if owner is not None and _pid_alive(owner):
+            raise ValueError(f"output directory {directory} is locked by another run (pid {owner})")
+        lock.unlink(missing_ok=True)         # a stale lock, if any
         fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        raise ValueError(
-            f"output directory {directory} is locked by another run "
-            f"(delete {lock} if that run is no longer alive)") from None
-    try:
         os.write(fd, f"{os.getpid()}\n".encode())
         os.close(fd)
+    finally:
+        os.close(guard)                      # releases the flock
+    try:
         yield
     finally:
         with contextlib.suppress(FileNotFoundError):

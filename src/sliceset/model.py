@@ -23,7 +23,7 @@ import numpy as np
 
 from .data import TASKS, Volume, axis_index
 from .encoders import EncoderConfig, build_encoder
-from .nn import LayerNorm, Linear, Module, relu, softmax
+from .nn import LayerNorm, Linear, Module, batch_norm_groups, relu, softmax
 from .tensor import Tensor
 
 AGGREGATOR_KINDS = ("mean", "attention")
@@ -211,18 +211,41 @@ class SliceSetModel(Module):
 
     def embed_stack(self, stack: SliceStack) -> Tensor:
         """Per-slice embeddings r(x_k) as a (K, d) tensor."""
-        return self.encoder(Tensor(stack.data))
+        return self.embed_stacks([stack])
 
-    def forward_stack(self, stack: SliceStack) -> Tensor:
-        return self.forward_embeddings(self.embed_stack(stack))
+    def embed_stacks(self, stacks: list[SliceStack]) -> Tensor:
+        """The (ΣK, d) embeddings of same-shape slice stacks from one encoder call.
+
+        In training mode batch norm normalizes each stack's slices by their
+        own moments (:func:`~sliceset.nn.batch_norm_groups`), so each stack's
+        rows are what :meth:`embed_stack` gives it alone, up to GEMM roundoff.
+        """
+        with batch_norm_groups(len(stacks)):
+            return self.encoder(Tensor(np.concatenate([s.data for s in stacks])))
+
+    def forward_stacks(self, stacks: list[SliceStack]) -> list[Tensor]:
+        """Each same-shape slice stack's output, from one encoder call.
+
+        The (ΣK, d) embeddings are cut back into each stack's rows
+        (:meth:`~sliceset.tensor.Tensor.rows`), which go through
+        :meth:`forward_embeddings`.
+        """
+        embeddings = self.embed_stacks(stacks)
+        outputs, start = [], 0
+        for s in stacks:
+            outputs.append(self.forward_embeddings(embeddings.rows(start, start + s.slice_count)))
+            start += s.slice_count
+        return outputs
+
+    def _check_slice_count(self, count: int):
+        if count != self.slice_count:
+            raise ValueError(
+                f"model was built for {self.slice_count} slices, volume yields {count}")
 
     def forward_embeddings(self, embeddings: Tensor) -> Tensor:
         """The positional table, aggregator and head over one volume's (K, d)
-        slice embeddings; the output of :meth:`forward_stack`."""
-        if embeddings.shape[0] != self.slice_count:
-            raise ValueError(
-                f"model was built for {self.slice_count} slices, volume yields {embeddings.shape[0]}"
-            )
+        slice embeddings."""
+        self._check_slice_count(embeddings.shape[0])
         emb = self.positional(embeddings)
         agg = self.aggregator(emb)
         out = self.head(agg.reshape(1, -1))
@@ -230,9 +253,29 @@ class SliceSetModel(Module):
             return out.reshape(())
         return out.reshape(-1)
 
+    def slice_stack(self, volume: Volume) -> SliceStack:
+        """The volume's slice stack along the model's axis."""
+        return slice_volume(volume, self.config.axis, self.config.encoder.input_channels)
+
     def forward_volume(self, volume: Volume) -> Tensor:
-        stack = slice_volume(volume, self.config.axis, self.config.encoder.input_channels)
-        return self.forward_stack(stack)
+        return self.forward_stacks([self.slice_stack(volume)])[0]
+
+    def forward_volumes(self, volumes: list[Volume]) -> list[Tensor]:
+        """Each volume's :meth:`forward_volume` output, from one encoder call
+        per distinct slice shape, in the order each shape first appears (the
+        order in which training-mode batch norm updates its running
+        statistics); every slice count is checked before any encoder call."""
+        stacks = [self.slice_stack(v) for v in volumes]
+        for s in stacks:
+            self._check_slice_count(s.slice_count)
+        by_shape: dict[tuple[int, ...], list[int]] = {}
+        for i, s in enumerate(stacks):
+            by_shape.setdefault(s.data.shape[1:], []).append(i)
+        outputs: list[Tensor | None] = [None] * len(stacks)
+        for members in by_shape.values():
+            for i, out in zip(members, self.forward_stacks([stacks[i] for i in members])):
+                outputs[i] = out
+        return outputs
 
     __call__ = forward_volume
 

@@ -92,9 +92,16 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
-    def accumulate_grad(self, g: np.ndarray):
+    def accumulate_grad(self, g: np.ndarray, owned: bool = False):
+        """Add ``g`` into this tensor's gradient.  The first gradient is a copy
+        of ``g``, unless ``owned`` says that nothing else holds or will write
+        ``g`` (an array, or a view of one, that the caller allocated, or its
+        output's gradient), which is then kept as it is."""
         if self.grad is None:
-            self.grad = np.array(g, dtype=self.data.dtype, copy=True)
+            if owned and g.dtype == self.data.dtype:
+                self.grad = g
+            else:
+                self.grad = np.array(g, dtype=self.data.dtype, copy=True)
         else:
             self.grad += g
 
@@ -214,6 +221,19 @@ class Tensor:
         def backward_fn(out):
             if self.requires_grad:
                 self.accumulate_grad(out.grad.transpose(inverse))
+
+        return self._make(data, (self,), backward_fn)
+
+    def rows(self, start: int, stop: int):
+        """Rows ``start:stop`` of the first axis, as a view; backward adds the
+        gradient into those rows of this tensor's gradient only."""
+        data = self.data[start:stop]
+
+        def backward_fn(out):
+            if self.requires_grad:
+                if self.grad is None:
+                    self.grad = np.zeros_like(self.data)
+                self.grad[start:stop] += out.grad
 
         return self._make(data, (self,), backward_fn)
 

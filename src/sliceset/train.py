@@ -1,11 +1,15 @@
 """Initialization, optimizers, and the epoch loop with best-model selection.
 
-The loop trains on stacked per-volume forward passes, validates after every
-epoch, and keeps the checkpoint that optimizes the selection metric (lowest
-mean absolute error for regression, highest balanced accuracy for
-classification), breaking ties toward the earliest epoch.  Runs are fully
-deterministic given (seed, data, config); the per-epoch wall-clock entry is
-the only field allowed to differ between identical runs.
+Each training batch sends the slices of all its volumes through one encoder
+call per distinct slice shape; batch norm normalizes each volume's slices by
+that volume's own moments and updates its running statistics once per
+volume, in batch order, so a batch trains as per-volume forward passes
+would.  The loop validates after every epoch and keeps the checkpoint that
+optimizes the selection metric (lowest mean absolute error for regression,
+highest balanced accuracy for classification), breaking ties toward the
+earliest epoch.  Runs are fully deterministic given (seed, data, config);
+the per-epoch wall-clock entry is the only field allowed to differ between
+identical runs.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import numpy as np
 from . import nn
 from .data import Volume
 from .metrics import EvalReport, classification_report, mae, regression_report
-from .model import SliceSetModel, slice_volume
+from .model import SliceSetModel
 from .tensor import Tensor, no_grad, stack
 
 OPTIMIZER_KINDS = ("adam", "sgd")
@@ -30,7 +34,8 @@ SELECTION_METRICS = ("mae", "balanced_accuracy")
 
 
 class TrainingDivergedError(RuntimeError):
-    """Raised when a training loss goes non-finite; names the epoch and batch."""
+    """Raised when a training loss goes non-finite, naming the epoch and batch,
+    or a gradient does, naming the parameter."""
 
 
 @dataclass(frozen=True)
@@ -142,15 +147,33 @@ def _view(buffer: np.ndarray, p: Tensor) -> np.ndarray:
     return buffer[:p.size].reshape(p.shape)
 
 
+def _named(parameters) -> tuple[list[str], list[Tensor]]:
+    """Names and tensors of ``parameters``: (name, Tensor) pairs, as from
+    ``named_parameters()``, or bare Tensors, which are named by position."""
+    pairs = [p if isinstance(p, tuple) else (f"#{i}", p) for i, p in enumerate(parameters)]
+    return [name for name, _ in pairs], [p for _, p in pairs]
+
+
+def _check_gradients(names: list[str], params: list[Tensor]):
+    """Raise :class:`TrainingDivergedError` naming the first parameter whose
+    gradient holds a NaN or an infinity; an optimizer calls this before it
+    writes any parameter."""
+    for name, p in zip(names, params):
+        if p.grad is not None and not np.isfinite(p.grad).all():
+            raise TrainingDivergedError(f"non-finite gradient in parameter {name}")
+
+
 class SGD:
     """Momentum SGD; update math in float64, parameters stored float32.
 
     The update runs in preallocated float64 buffers and is written back into
-    each parameter array in place, rounded to its dtype.
+    each parameter array in place, rounded to its dtype.  ``parameters`` are
+    tensors or (name, tensor) pairs; a non-finite gradient stops the step
+    before any parameter is written, with an error that names it.
     """
 
     def __init__(self, parameters, config: OptimizerConfig):
-        self.params = list(parameters)
+        self.names, self.params = _named(parameters)
         self.lr = float(config.learning_rate)
         self.momentum = float(config.momentum)
         self.velocity = [np.zeros(p.shape, dtype=np.float64) for p in self.params]
@@ -161,6 +184,7 @@ class SGD:
             p.zero_grad()
 
     def step(self):
+        _check_gradients(self.names, self.params)
         for p, v in zip(self.params, self.velocity):
             if p.grad is None:
                 continue
@@ -175,12 +199,13 @@ class SGD:
 class Adam:
     """Adam with bias-corrected first/second moments kept in float64.
 
-    Like :class:`SGD`, it updates through preallocated float64 buffers and
-    writes each parameter in place.
+    Like :class:`SGD`, it takes tensors or (name, tensor) pairs, checks every
+    gradient first, updates through preallocated float64 buffers and writes
+    each parameter in place.
     """
 
     def __init__(self, parameters, config: OptimizerConfig):
-        self.params = list(parameters)
+        self.names, self.params = _named(parameters)
         self.lr = float(config.learning_rate)
         self.beta1 = float(config.beta1)
         self.beta2 = float(config.beta2)
@@ -195,6 +220,7 @@ class Adam:
             p.zero_grad()
 
     def step(self):
+        _check_gradients(self.names, self.params)
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
@@ -229,8 +255,9 @@ def build_optimizer(parameters, config: OptimizerConfig):
 # ---------------------------------------------------------------------------
 
 def batch_loss(model: SliceSetModel, batch: list[Volume], loss_kind: str) -> Tensor:
-    """Forward every volume in the batch and reduce to one scalar loss."""
-    outputs = [model.forward_volume(v) for v in batch]
+    """Forward the batch, one encoder call per distinct slice shape
+    (:meth:`SliceSetModel.forward_volumes`), and reduce to one scalar loss."""
+    outputs = model.forward_volumes(batch)
     if model.config.task == "classification":
         logits = stack(outputs, axis=0)
         labels = np.array([int(v.target) for v in batch], dtype=np.int64)
@@ -253,7 +280,7 @@ def _slice_groups(model: SliceSetModel, volumes: list[Volume]):
     """Consecutive volumes' slice stacks, grouped for one encoder call each."""
     group = []
     for v in volumes:
-        stack = slice_volume(v, model.config.axis, model.config.encoder.input_channels)
+        stack = model.slice_stack(v)
         full = sum(s.slice_count for s in group) + stack.slice_count > PREDICT_MAX_SLICES
         if group and (full or stack.data.shape[1:] != group[0].data.shape[1:]):
             yield group
@@ -261,17 +288,6 @@ def _slice_groups(model: SliceSetModel, volumes: list[Volume]):
         group.append(stack)
     if group:
         yield group
-
-
-def _eval_outputs(model: SliceSetModel, volumes: list[Volume]):
-    """Each volume's eval-mode model output as a numpy array, in order."""
-    for group in _slice_groups(model, volumes):
-        embeddings = model.encoder(Tensor(np.concatenate([s.data for s in group]))).data
-        start = 0
-        for s in group:
-            rows = Tensor(embeddings[start:start + s.slice_count])
-            yield model.forward_embeddings(rows).numpy()
-            start += s.slice_count
 
 
 def predict(model: SliceSetModel, volumes: list[Volume]):
@@ -284,7 +300,7 @@ def predict(model: SliceSetModel, volumes: list[Volume]):
     ``PREDICT_MAX_SLICES`` slices but at least one volume, and a new group
     starts whenever the slice shape changes.  The encoder's (slices, d)
     output is split back per volume before the positional table, aggregator
-    and head.  In eval mode batch norm normalizes by its running statistics,
+    and head (:meth:`SliceSetModel.forward_stacks`).  In eval mode batch norm normalizes by its running statistics,
     a fixed per-channel map, and every other encoder op acts on each slice
     alone, so a slice's embedding does not depend on the other slices of its
     call; only the GEMM roundoff may move with the batch width (see
@@ -294,7 +310,8 @@ def predict(model: SliceSetModel, volumes: list[Volume]):
     model.eval()
     try:
         with no_grad():
-            outputs = list(_eval_outputs(model, volumes))
+            outputs = [out.numpy() for group in _slice_groups(model, volumes)
+                       for out in model.forward_stacks(group)]
     finally:
         if was_training:
             model.train()
@@ -378,7 +395,7 @@ def train(model: SliceSetModel, train_volumes: list[Volume], val_volumes: list[V
         raise ValueError("validation split is empty")
     cfg = train_config.resolved(model.config.task)
     rng = np.random.default_rng(cfg.seed)
-    optimizer = build_optimizer(model.parameters(), optimizer_config)
+    optimizer = build_optimizer(model.named_parameters(), optimizer_config)
     lower_is_better = cfg.selection_metric == "mae"
 
     log_file = open(log_path, "w") if log_path is not None else None

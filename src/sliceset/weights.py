@@ -340,7 +340,8 @@ def pretrain_2d(encoder_config: EncoderConfig, images: np.ndarray, labels: np.nd
 
     model = Classifier2D(encoder_config, n_classes=max(2, n_classes))
     he_init(model, seed=seed)
-    optimizer = Adam(model.parameters(), OptimizerConfig(kind="adam", learning_rate=learning_rate))
+    optimizer = Adam(model.named_parameters(),
+                     OptimizerConfig(kind="adam", learning_rate=learning_rate))
     rng = np.random.default_rng(seed)
 
     n = images.shape[0]

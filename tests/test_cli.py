@@ -1,8 +1,9 @@
 """End-to-end exercises of the command-line interface.
 
-Every test drives ``sliceset.cli.main`` in process with an argv list — the
-same entry point the console script uses — and asserts on exit codes,
-printed output, and the files each command leaves behind.  Training tests
+Every test but the lock race, which needs two processes, drives
+``sliceset.cli.main`` in process with an argv list — the same entry point
+the console script uses — and asserts on exit codes, printed output, and
+the files each command leaves behind.  Training tests
 share one completed run over a tiny synthetic dataset (8x10x8 volumes,
 quarter-width encoder) so the module stays quick.
 """
@@ -14,11 +15,17 @@ import io
 import json
 import os
 import struct
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sliceset.cli import LOCK_NAME, _cap_threads, main
+import sliceset
+from sliceset import train as train_mod
+from sliceset.cli import LOCK_NAME, _cap_threads, main, output_lock
 from sliceset.data import generate_synthetic_images, read_manifest
 from sliceset.encoders import EncoderConfig
 from sliceset.weights import MAGIC, WeightArchive, pretrain_2d
@@ -222,17 +229,83 @@ def test_train_releases_output_lock(train_run):
     assert not (out / LOCK_NAME).exists()
 
 
+def train_into(out, data, *flags):
+    return run_cli(
+        "train", "--train-manifest", data["train"], "--val-manifest", data["val"],
+        "--test-manifest", data["test"], "--output-dir", str(out),
+        "--epochs", "1", *TRAIN_FLAGS, *flags)
+
+
 def test_train_refuses_locked_output_dir(tmp_path, data):
     out = tmp_path / "locked"
     out.mkdir()
-    (out / LOCK_NAME).write_text("12345\n")
-    code, _, err = run_cli(
-        "train", "--train-manifest", data["train"], "--val-manifest", data["val"],
-        "--test-manifest", data["test"], "--output-dir", str(out),
-        "--epochs", "1", *TRAIN_FLAGS)
+    (out / LOCK_NAME).write_text(f"{os.getpid()}\n")   # a live run's lock
+    code, _, err = train_into(out, data)
     assert code == 2
-    assert "locked by another run" in err
+    assert f"locked by another run (pid {os.getpid()})" in err
     assert (out / LOCK_NAME).exists()  # the foreign lock is left alone
+
+
+def test_train_takes_over_the_lock_of_a_run_that_has_exited(tmp_path, data):
+    exited = subprocess.Popen([sys.executable, "-c", "pass"])
+    exited.wait()
+    out = tmp_path / "stale"
+    out.mkdir()
+    (out / LOCK_NAME).write_text(f"{exited.pid}\n")
+    code, _, err = train_into(out, data)
+    assert code == 0, err
+    assert (out / "checkpoint_seed0.ssnw").exists()
+    assert not (out / LOCK_NAME).exists()
+
+
+@pytest.mark.parametrize("content", [b"", b"not a pid\n", b"-3\n", b"0\n", b"\xff\xfe"])
+def test_train_refuses_an_unreadable_lock(tmp_path, data, content):
+    out = tmp_path / "garbled"
+    out.mkdir()
+    (out / LOCK_NAME).write_bytes(content)
+    code, _, err = train_into(out, data)
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "unreadable lock file" in err
+    assert (out / LOCK_NAME).read_bytes() == content
+
+
+RACER = """
+import sys, time
+from pathlib import Path
+sys.path.insert(0, sys.argv[3])
+from sliceset.cli import output_lock
+time.sleep(max(0.0, float(sys.argv[2]) - time.time()))
+try:
+    with output_lock(Path(sys.argv[1])):
+        time.sleep(1.0)
+    print("won")
+except ValueError:
+    print("lost")
+"""
+
+
+def test_two_runs_racing_for_a_stale_lock_cannot_both_win(tmp_path):
+    exited = subprocess.Popen([sys.executable, "-c", "pass"])
+    exited.wait()
+    (tmp_path / LOCK_NAME).write_text(f"{exited.pid}\n")
+    src = str(Path(sliceset.__file__).resolve().parents[1])
+    start = str(time.time() + 1.0)
+    racers = [subprocess.Popen([sys.executable, "-c", RACER, str(tmp_path), start, src],
+                               stdout=subprocess.PIPE, text=True) for _ in range(2)]
+    results = sorted(r.communicate(timeout=60)[0].strip() for r in racers)
+    assert results == ["lost", "won"]
+    assert not (tmp_path / LOCK_NAME).exists()
+
+
+def test_output_lock_refuses_a_second_claim_while_held(tmp_path):
+    with output_lock(tmp_path):
+        assert (tmp_path / LOCK_NAME).read_text() == f"{os.getpid()}\n"
+        with pytest.raises(ValueError, match="locked by another run"):
+            with output_lock(tmp_path):
+                pass
+        assert (tmp_path / LOCK_NAME).exists()
+    assert not (tmp_path / LOCK_NAME).exists()
 
 
 def test_train_rejects_task_mismatch(tmp_path, data):
@@ -370,6 +443,24 @@ def test_train_divergence_is_an_error_not_a_traceback(tmp_path, data):
     assert code == 2
     assert err.startswith("error: non-finite training loss") and err.count("\n") == 1
     assert "epoch 1, batch 1" in err
+    assert not (tmp_path / "run" / "checkpoint_seed0.ssnw").exists()
+
+
+def test_train_names_the_parameter_whose_gradient_is_non_finite(tmp_path, data, monkeypatch):
+    real_loss = train_mod.batch_loss
+
+    def poisoned_loss(model, batch, loss_kind):
+        """The real loss, plus a zero whose backward gives head.bias an infinite gradient."""
+        loss, bias = real_loss(model, batch, loss_kind), model.head.bias
+
+        def backward_fn(out):
+            bias.accumulate_grad(np.full(bias.shape, np.inf, dtype=bias.dtype))
+        return loss + loss._make(np.zeros((), dtype=loss.dtype), (bias,), backward_fn)
+
+    monkeypatch.setattr(train_mod, "batch_loss", poisoned_loss)
+    code, _, err = train_into(tmp_path / "run", data)
+    assert code == 2
+    assert err == "error: non-finite gradient in parameter head.bias\n"
     assert not (tmp_path / "run" / "checkpoint_seed0.ssnw").exists()
 
 

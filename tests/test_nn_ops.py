@@ -235,6 +235,45 @@ def test_conv2d_row_tiles_match_one_tile_and_loop_oracle(monkeypatch, rows_per_t
         np.testing.assert_allclose(tiled, one, rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.parametrize("rows_per_tile", [1, 2, 3])
+@pytest.mark.parametrize("n,c,h,w,f,k,stride,padding", TILE_CASES)
+def test_conv2d_backward_row_tiles_match_loop_oracle(monkeypatch, rows_per_tile,
+                                                     n, c, h, w, f, k, stride, padding):
+    """Backward walks the forward's row tiles: one dW and one dX GEMM per tile,
+    with taps of kernels taller than the stride straddling tile boundaries."""
+    rng = np.random.default_rng(n + h * 10 + k * 100 + stride + padding)
+    x = t64(rng.standard_normal((n, c, h, w)), requires_grad=True)
+    kernel = t64(rng.standard_normal((f, c, k, k)), requires_grad=True)
+    b = t64(rng.standard_normal(f), requires_grad=True)
+    oh = (h + 2 * padding - k) // stride + 1
+    ow = (w + 2 * padding - k) // stride + 1
+    row_bytes = c * k * k * ow * n * 8
+    budget = rows_per_tile * row_bytes + row_bytes // 2 if rows_per_tile > 1 else 1
+    gemms = []
+    matmul = np.matmul
+
+    def counted(*args, **kwargs):
+        gemms.append(args[0].shape)
+        return matmul(*args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(nn, "CONV_TILE_BYTES", budget)
+        m.setattr(nn.np, "matmul", counted)
+        y = nn.conv2d(x, kernel, b, stride=stride, padding=padding)
+        g = rng.standard_normal(y.shape)
+        forward = len(gemms)
+        (y * t64(g)).sum().backward()
+    heights = [min(rows_per_tile, oh - r) for r in range(0, oh, rows_per_tile)]
+    assert forward == len(heights) > 1
+    # Per tile: the dW GEMM (the tile's columns times its dout.T), then dX's W.T @ dout.
+    assert gemms[forward:] == [shape for t in heights
+                               for shape in ((c * k * k, t * ow * n), (c * k * k, f))]
+    dx, dw, db = conv2d_grad_loop_oracle(x.numpy(), kernel.numpy(), g, stride, padding)
+    np.testing.assert_allclose(x.grad, dx, rtol=1e-10, atol=1e-12)
+    np.testing.assert_allclose(kernel.grad, dw, rtol=1e-10, atol=1e-12)
+    np.testing.assert_allclose(b.grad, db, rtol=1e-10, atol=1e-12)
+
+
 def test_conv2d_tiles_the_cnn5_per_volume_layers_whose_columns_exceed_the_budget(monkeypatch):
     """cnn5 at width 1 on one volume's 16 slices of 32x32: blocks 1, 4 and 5
     make a single GEMM; blocks 2 and 3, with 4.5 and 2.25 MiB of columns,
@@ -475,6 +514,65 @@ def test_batch_norm_eval_uses_running_buffers_only():
     # buffers untouched in eval mode
     np.testing.assert_allclose(rm, 0.5)
     np.testing.assert_allclose(rv, 2.0)
+
+
+def batch_innermost(x):
+    """``x`` with the (C, H, W, N) memory layout conv2d gives its output."""
+    return np.ascontiguousarray(x.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
+
+
+@pytest.mark.parametrize("layout", [np.ascontiguousarray, batch_innermost])
+@pytest.mark.parametrize("groups", [1, 3])
+def test_grouped_batch_norm_matches_one_call_per_group(layout, groups):
+    """Each group of consecutive samples is normalized by its own moments, and
+    the running buffers see one update per group, in order."""
+    k, c, h, w = 4, 3, 5, 6
+    rng = np.random.default_rng(groups)
+    x = layout(rng.standard_normal((groups * k, c, h, w)) * 2.0
+               + rng.standard_normal((groups * k, 1, 1, 1)))
+    gamma, beta = rng.standard_normal(c), rng.standard_normal(c)
+    g = rng.standard_normal(x.shape)
+    start_mean, start_var = rng.standard_normal(c), rng.uniform(0.5, 2.0, c)
+
+    def run(lo, hi, rm, rv):
+        xt, gt, bt = t64(x[lo:hi], True), t64(gamma, True), t64(beta, True)
+        y = nn.batch_norm2d(xt, gt, bt, rm, rv, training=True)
+        (y * t64(g[lo:hi])).sum().backward()
+        return y.numpy(), xt.grad, gt.grad, bt.grad
+
+    rm, rv = start_mean.copy(), start_var.copy()
+    with nn.batch_norm_groups(groups):
+        y, dx, dgamma, dbeta = run(0, groups * k, rm, rv)
+    want_mean, want_var = start_mean.copy(), start_var.copy()
+    dgamma_want, dbeta_want = np.zeros(c), np.zeros(c)
+    for lo in range(0, groups * k, k):
+        yi, dxi, dgi, dbi = run(lo, lo + k, want_mean, want_var)
+        np.testing.assert_allclose(y[lo:lo + k], yi, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(dx[lo:lo + k], dxi, rtol=1e-10, atol=1e-12)
+        dgamma_want += dgi
+        dbeta_want += dbi
+    np.testing.assert_allclose(dgamma, dgamma_want, rtol=1e-10, atol=1e-12)
+    np.testing.assert_allclose(dbeta, dbeta_want, rtol=1e-10, atol=1e-12)
+    np.testing.assert_allclose(rm, want_mean, rtol=1e-12, atol=1e-14)
+    np.testing.assert_allclose(rv, want_var, rtol=1e-12, atol=1e-14)
+    if groups > 1:
+        # Another update order leaves other buffers, so the order is pinned.
+        rev_mean, rev_var = start_mean.copy(), start_var.copy()
+        for lo in reversed(range(0, groups * k, k)):
+            run(lo, lo + k, rev_mean, rev_var)
+        assert np.abs(rev_mean - rm).max() > 1e-6
+
+
+def test_grouped_batch_norm_rejects_unequal_groups_and_leaves_eval_alone():
+    x, gamma, beta = bn_case(n=4)
+    with nn.batch_norm_groups(3):
+        with pytest.raises(ValueError, match="cannot split 4 samples into 3 equal groups"):
+            nn.batch_norm2d(t64(x), t64(gamma), t64(beta), np.zeros(3), np.ones(3), training=True)
+        grouped = nn.batch_norm2d(t64(x), t64(gamma), t64(beta), np.zeros(3), np.ones(3),
+                                  training=False).numpy()
+    plain = nn.batch_norm2d(t64(x), t64(gamma), t64(beta), np.zeros(3), np.ones(3),
+                            training=False).numpy()
+    assert grouped.tobytes() == plain.tobytes()
 
 
 def test_batch_norm_module_freeze_stats_pins_buffers():

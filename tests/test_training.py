@@ -11,7 +11,7 @@ from sliceset import train as train_mod
 from sliceset.data import SyntheticSpec, Volume, generate_synthetic, normalize
 from sliceset.encoders import EncoderConfig
 from sliceset.model import AggregatorConfig, ModelConfig, build_model
-from sliceset.tensor import Tensor, no_grad
+from sliceset.tensor import Tensor, no_grad, stack
 from sliceset.train import (Adam, Checkpoint, OptimizerConfig, SGD, TrainConfig,
                             TrainingDivergedError, batch_loss, evaluate, he_init,
                             predict, read_epoch_log, snapshot_state, train)
@@ -216,6 +216,24 @@ def test_optimizers_skip_parameters_without_gradients():
         np.testing.assert_array_equal(unused.numpy(), before)
 
 
+@pytest.mark.parametrize("kind", ["sgd", "adam"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_optimizer_step_names_a_non_finite_gradient_and_writes_nothing(kind, bad):
+    params = [Tensor(np.array([1.0, 2.0], dtype=np.float32), requires_grad=True) for _ in range(3)]
+    for p, g in zip(params, ([0.5, 0.5], [1.0, bad], [bad, 0.0])):
+        p.accumulate_grad(np.array(g, dtype=np.float32))
+    names = ["layer.a", "layer.b", "layer.c"]
+    opt = train_mod.build_optimizer(list(zip(names, params)), OptimizerConfig(kind=kind))
+    with pytest.raises(TrainingDivergedError, match=r"non-finite gradient in parameter layer\.b$"):
+        opt.step()
+    for p in params:
+        np.testing.assert_array_equal(p.numpy(), [1.0, 2.0])
+    # Bare tensors are named by their position.
+    opt = train_mod.build_optimizer(params, OptimizerConfig(kind=kind))
+    with pytest.raises(TrainingDivergedError, match=r"parameter #1$"):
+        opt.step()
+
+
 def test_optimizer_config_validation():
     with pytest.raises(ValueError):
         OptimizerConfig(kind="rmsprop")
@@ -288,6 +306,113 @@ def test_backward_frees_the_graph_it_walks():
     assert loss.requires_grad
     assert after <= 0.5 * forward, (after, forward)
     assert all(p.grad is not None for p in model.encoder.parameters())
+
+
+# ---------------------------------------------------------------------------
+# batched training forward: one encoder call per batch, moments per volume
+# ---------------------------------------------------------------------------
+
+def per_volume_loss(model, batch, loss_kind):
+    """batch_loss computed with one encoder call per volume."""
+    outputs = stack([model.forward_volume(v) for v in batch])
+    if model.config.task == "classification":
+        return nn.cross_entropy(outputs, np.array([int(v.target) for v in batch]))
+    targets = Tensor(np.array([float(v.target) for v in batch], dtype=np.float32))
+    return nn.l1_loss(outputs, targets) if loss_kind == "l1" else nn.mse_loss(outputs, targets)
+
+
+def loss_grads_buffers(model, loss_fn, batch, loss_kind):
+    """Loss, parameter gradients and running buffers after one forward and
+    backward from the model's current state, which is then restored."""
+    state = snapshot_state(model)
+    model.train()
+    model.zero_grad()
+    loss = loss_fn(model, batch, loss_kind)
+    loss.backward()
+    out = ({"loss": loss.numpy().copy()},
+           {name: p.grad.copy() for name, p in model.named_parameters() if p.grad is not None},
+           {name: b.copy() for name, b in model.named_buffers()})
+    nn.load_state(model, state)
+    model.zero_grad()
+    return out
+
+
+def worst_gap(got: dict, want: dict) -> float:
+    """Largest |got - want| / max(1, |largest entry of want|) over arrays of the same name."""
+    assert got.keys() == want.keys()
+    return max(float(np.abs(got[k] - want[k]).max()) / max(1.0, float(np.abs(want[k]).max()))
+               for k in want)
+
+
+EQUIVALENCE_CASES = [   # encoder, aggregator, positional, task, loss
+    ("cnn5", "attention", True, "regression", "mse"),
+    ("resnet18", "mean", False, "classification", "cross_entropy"),
+    ("resnet50", "attention", False, "regression", "l1"),
+]
+
+
+def equivalence_setup(kind, aggregator, positional, task, float64):
+    cfg = ModelConfig(task=task, axis="coronal",
+                      encoder=EncoderConfig(kind=kind, width_multiplier=0.125),
+                      aggregator=AggregatorConfig(kind=aggregator),
+                      positional_enabled=positional)
+    model = build_model(cfg, slice_count=20)
+    he_init(model, seed=3)
+    rng = np.random.default_rng(4)
+    for name, buffer in model.named_buffers():   # start the buffers away from 0 and 1
+        buffer[...] = (rng.uniform(0.5, 2.0, buffer.shape) if name.endswith("running_var")
+                       else rng.normal(0.0, 0.2, buffer.shape))
+    if positional:
+        model.positional.table.data[...] = rng.normal(0.0, 0.1, model.positional.table.shape)
+    if float64:
+        for _, module in model.named_modules():
+            for name, p in module._params.items():
+                p.data = p.data.astype(np.float64)
+            for name, b in module._buffers.items():
+                module._buffers[name] = b.astype(np.float64)
+    volumes = generate_synthetic(SyntheticSpec(extents=(16, 20, 16), task=task, count=8, seed=5,
+                                               signal_axis="coronal"))
+    return model, volumes
+
+
+@pytest.mark.parametrize("kind, aggregator, positional, task, loss_kind", EQUIVALENCE_CASES)
+def test_batched_batch_loss_equals_one_encoder_call_per_volume(kind, aggregator, positional,
+                                                              task, loss_kind):
+    """Loss, every gradient and every running buffer agree with per-volume
+    forwards: 1e-9 in float64, and loss and buffers 1e-6 in float32."""
+    model, volumes = equivalence_setup(kind, aggregator, positional, task, float64=True)
+    got = loss_grads_buffers(model, batch_loss, volumes, loss_kind)
+    want = loss_grads_buffers(model, per_volume_loss, volumes, loss_kind)
+    for g, w in zip(got, want):
+        assert worst_gap(g, w) <= 1e-9
+
+    model, volumes = equivalence_setup(kind, aggregator, positional, task, float64=False)
+    got = loss_grads_buffers(model, batch_loss, volumes, loss_kind)
+    want = loss_grads_buffers(model, per_volume_loss, volumes, loss_kind)
+    assert worst_gap(got[0], want[0]) <= 1e-6
+    assert worst_gap(got[2], want[2]) <= 1e-6
+
+
+def test_batch_loss_makes_one_encoder_call_per_slice_shape(monkeypatch):
+    model = cohort_model("regression", 10)
+    a = cohort("regression", 10, 3)
+    b = cohort("regression", 10, 2, in_plane=(10, 6), seed=1)
+    batch = [a[0], b[0], a[1], b[1], a[2]]
+    want = loss_grads_buffers(model, per_volume_loss, batch, "mse")
+    calls = count_encoder_calls(monkeypatch, model)
+    got = loss_grads_buffers(model, batch_loss, batch, "mse")
+    assert calls == [30, 20]
+    assert worst_gap(got[0], want[0]) <= 1e-6
+    assert worst_gap(got[1], want[1]) <= 1e-5
+
+
+def test_batch_loss_rejects_a_volume_with_the_wrong_slice_count_before_encoding(monkeypatch):
+    model = cohort_model("regression", 20)
+    batch = cohort("regression", 20, 2) + cohort("regression", 16, 1)
+    calls = count_encoder_calls(monkeypatch, model)
+    with pytest.raises(ValueError, match="model was built for 20 slices, volume yields 16"):
+        batch_loss(model, batch, "mse")
+    assert calls == []
 
 
 def test_predict_classification_scores_and_labels():
