@@ -47,6 +47,7 @@ from .data import (  # noqa: E402
     load_manifest_volumes,
     manifest_task,
     read_manifest,
+    write_atomic,
     write_manifest,
 )
 from .encoders import ENCODER_KINDS, EncoderConfig  # noqa: E402
@@ -74,7 +75,6 @@ from .weights import (  # noqa: E402
     export_weights,
     import_encoder,
     import_strict,
-    write_atomic,
 )
 
 LOCK_NAME = ".sliceset.lock"

@@ -1,4 +1,5 @@
-"""Volumes, intensity normalization, synthetic datasets, and splits.
+"""Volumes, intensity normalization, synthetic datasets, splits, manifests
+and the package's one atomic file writer.
 
 Synthetic volumes carry a smooth spherical blob whose slice position along a
 chosen axis is the regression target (or whose presence is the
@@ -11,6 +12,7 @@ apart.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -220,6 +222,27 @@ def make_splits(volumes: list[Volume], fractions=(0.8, 0.1, 0.1),
 
 
 # ---------------------------------------------------------------------------
+# atomic writes: manifests, and the CLI's and archives' files
+# ---------------------------------------------------------------------------
+
+def write_atomic(path, data: bytes | str):
+    """Write a temporary file, fsync it and rename it over ``path``.
+
+    A crash leaves either the old file or the new one, never a truncated one.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(data.encode() if isinstance(data, str) else data)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+# ---------------------------------------------------------------------------
 # manifests
 # ---------------------------------------------------------------------------
 
@@ -228,7 +251,7 @@ def write_manifest(path, entries: list[dict]):
     for e in entries:
         if set(e) != {"path", "subject_id", "target"}:
             raise ValueError(f"manifest entry must have exactly path/subject_id/target, got {sorted(e)}")
-    Path(path).write_text(json.dumps(entries, indent=1) + "\n")
+    write_atomic(path, json.dumps(entries, indent=1) + "\n")
 
 
 def read_manifest(path) -> list[dict]:

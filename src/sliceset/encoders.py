@@ -94,7 +94,8 @@ def prepare_slices(x: Tensor, min_input: int, pad_to_min: bool) -> Tensor:
 
 
 class _ConvBlock(Module):
-    """conv 3x3 -> batch norm (relu applied by the caller)."""
+    """conv 3x3 -> batch norm, which centres the conv output in place (relu
+    applied by the caller)."""
 
     def __init__(self, in_ch: int, out_ch: int):
         super().__init__()
@@ -102,7 +103,7 @@ class _ConvBlock(Module):
         self.bn = BatchNorm2d(out_ch)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return self.bn(self.conv(x))
+        return self.bn(self.conv(x), overwrite_input=True)
 
 
 class CNN5Encoder(Module):
@@ -126,9 +127,10 @@ class CNN5Encoder(Module):
         x = prepare_slices(x, self.config.min_input, self.config.pad_to_min)
         for i in range(1, 6):
             block = self._children[f"block{i}"]
-            x = relu(block(x))
-            x = _pad_to_even(x)
-            x = max_pool2d(x, 2, 2)
+            # relu after the pool: relu and max commute, and the zero padding
+            # is relu's fixed point, so values match relu-then-pool exactly
+            # while relu works on a quarter of the map.
+            x = relu(max_pool2d(_pad_to_even(block(x)), 2, 2))
         return global_avg_pool2d(x)
 
 
@@ -150,10 +152,10 @@ class BasicBlock(Module):
             self.downsample = None
 
     def __call__(self, x: Tensor) -> Tensor:
-        out = relu(self.bn1(self.conv1(x)))
-        out = self.bn2(self.conv2(out))
+        out = relu(self.bn1(self.conv1(x), overwrite_input=True))
+        out = self.bn2(self.conv2(out), overwrite_input=True)
         if self.downsample is not None:
-            x = self.downsample[1](self.downsample[0](x))
+            x = self.downsample[1](self.downsample[0](x), overwrite_input=True)
         return relu(out + x)
 
 
@@ -178,11 +180,11 @@ class Bottleneck(Module):
             self.downsample = None
 
     def __call__(self, x: Tensor) -> Tensor:
-        out = relu(self.bn1(self.conv1(x)))
-        out = relu(self.bn2(self.conv2(out)))
-        out = self.bn3(self.conv3(out))
+        out = relu(self.bn1(self.conv1(x), overwrite_input=True))
+        out = relu(self.bn2(self.conv2(out), overwrite_input=True))
+        out = self.bn3(self.conv3(out), overwrite_input=True)
         if self.downsample is not None:
-            x = self.downsample[1](self.downsample[0](x))
+            x = self.downsample[1](self.downsample[0](x), overwrite_input=True)
         return relu(out + x)
 
 
@@ -218,7 +220,7 @@ class ResNetEncoder(Module):
 
     def __call__(self, x: Tensor) -> Tensor:
         x = prepare_slices(x, self.config.min_input, self.config.pad_to_min)
-        x = relu(self.bn1(self.conv1(x)))
+        x = relu(self.bn1(self.conv1(x), overwrite_input=True))
         x = max_pool2d(x, 3, 2, padding=1)
         for stage in range(1, 5):
             for blk in self._children[f"layer{stage}"]:

@@ -7,23 +7,27 @@ such as ``conv1.weight`` or ``layer2.0.bn1.running_mean``; those names are
 the unit of checkpointing and cross-model weight transfer.
 
 Convolution is explicit cross-correlation that stays within 1e-5 of a
-direct six-loop reference.  The input is copied once into a zero-padded,
-batch-innermost (C, Hp, Wp, N) buffer, whose kernel windows give a
-(C·kh·kw, oh·ow·N) column matrix.  Both passes walk that matrix in tiles of
-whole output rows, each at most ``CONV_TILE_BYTES`` (one row when a row
-alone is larger).  Forward, each tile's GEMM writes its own columns of the
-(F, oh·ow·N) output.  Backward, each tile's columns are rebuilt and
-multiplied by that tile's output gradient, and the products are summed into
-dW; each tile's column gradient, ``W.T @ dout``, is scattered back into the
-padded input gradient with one add per kernel tap, over rows of ow·N
-contiguous floats.  A tile that fits in the L2 cache is still there when
-its GEMM reads it, and the transient columns and column gradients stay
-bounded however many slices one call carries; when the whole matrix fits in
-one tile each pass makes a single GEMM per product.  The output is handed
-back as an (N, F, oh, ow) view of the (F, oh, ow, N) result, so the batch
-stays innermost from layer to layer and the next convolution's copy reads
-contiguous memory.  The backward pass keeps the padded buffer, not the
-column matrix (kh·kw times larger).  The slices of one call share the
+direct six-loop reference.  The kernel windows of the zero-padded,
+batch-innermost (C, Hp, Wp, N) input give a (C·kh·kw, oh·ow·N) column
+matrix.  Both passes walk that matrix in tiles of whole output rows, each
+at most ``CONV_TILE_BYTES`` (one row when a row alone is larger).  Forward
+copies the input once into a zero-padded buffer, which it drops on return,
+and each tile's GEMM writes its own columns of the (F, oh·ow·N) output;
+when one tile covers every row, one plain GEMM makes the output.  Backward
+pads again, each tile's input rows (the whole buffer for a single tile),
+rebuilds the tile's columns and multiplies them by the tile's output
+gradient, and the products are summed into dW; each tile's column gradient,
+``W.T @ dout``, is scattered back into the padded input gradient with one
+add per kernel tap, over rows of ow·N contiguous floats.  A tile that fits
+in the L2 cache is still there when its GEMM reads it, and the transient
+columns, and backward's padded rows and column gradients, stay bounded
+however many slices one call carries; when the whole matrix fits in one
+tile each pass makes a single GEMM per product.  The output is handed back
+as an (N, F, oh, ow) view of the (F, oh, ow, N) result, so the batch stays
+innermost from layer to layer and the next convolution's copy reads
+contiguous memory.  The backward pass keeps only the input, which its
+parent tensor holds anyway: no padded copy and no column matrix (kh·kw
+times larger).  The slices of one call share the
 GEMMs: ``train.batch_loss`` and ``train.predict`` send the slices of several
 volumes through one encoder call.  Each output column is its own dot
 product, but OpenBLAS picks its kernels by matrix width, so a slice's output
@@ -41,16 +45,29 @@ Batch norm in training mode works on the (C, H·W, N) view of the conv
 output's batch-innermost memory.  It takes the mean with one float64 sum
 and the variance with one float64 sum of squared deviations of the centred
 input, which the backward pass reuses; each sum runs over the spatial axis
-first and then over the samples of a group.  By default the whole batch is
-one group.  Inside :func:`batch_norm_groups` the batch is split into equal
-runs of consecutive samples, one volume's slices each, and every run is
-normalized by its own moments and updates the running statistics once, in
-order, exactly as if it had been a call of its own.  1/std is folded into
-per-group factors.  The backward pass computes Σdy and Σdy·xhat once each
-and shares them between the γ, β and x gradients.  Eval mode folds the
-running statistics into one per-channel scale and shift.  Reductions inside
-the norm layers and losses accumulate in 64-bit and store results in
-32-bit.
+first and then over the samples of a group.  The encoders let it centre the
+conv output in that output's own buffer (``overwrite_input``), since no
+backward rule reads a conv output, so a training step holds one array per
+conv, where it held the output and its centred copy.  By default the whole
+batch is one group.  Inside :func:`batch_norm_groups` the batch is split
+into equal runs of consecutive samples, one volume's slices each, and every
+run is normalized by its own moments and updates the running statistics
+once, in order, exactly as if it had been a call of its own.  1/std is
+folded into per-group factors.  The backward pass computes Σdy and Σdy·xhat
+once each and shares them between the γ, β and x gradients.  Eval mode
+folds the running statistics into one per-channel scale and shift.
+Reductions inside the norm layers and losses accumulate in 64-bit and store
+results in 32-bit.
+
+What a training step holds until backward reaches it, per conv-output
+element of a ``cnn5`` block: the conv output, centred in place (4 bytes),
+the batch-norm output that the max pool reads (4), the pool's tap masks (1
+in all), and the pooled map and its relu (1 each, ``cnn5`` pooling before
+its relu).  Each conv input is the previous block's relu map, which the
+graph holds anyway.  ``perfbench`` peak RSS (30 s runs, 2-core Xeon, one
+OpenBLAS thread), medians against the design that also kept a centred
+copy, a padded conv input and a full-size relu map: ``transfer-cnn5`` 232
+→ 191 MB (seed 0; 185 MB on seed 1), ``train-resnet18`` 110 → 93 MB.
 """
 
 from __future__ import annotations
@@ -190,26 +207,38 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
     ow = (wp - kw) // stride + 1
 
     xt = x.data.transpose(1, 2, 3, 0)                    # (C, H, W, N)
-    if padding:
-        xp = np.zeros((c, hp, wp, n), dtype=x.dtype)
-        xp[:, padding:padding + h, padding:padding + w] = xt
-    else:
-        xp = xt
 
-    def im2col(rows=slice(None)):
-        """Columns of the output rows ``rows``; copies unless 1x1, stride 1."""
+    def padded(top, bottom):
+        """Rows ``top:bottom`` of the zero-padded (C, Hp, Wp, N) input; a view
+        of the input when nothing is padded."""
+        if not padding:
+            return xt[:, top:bottom]
+        xp = np.zeros((c, bottom - top, wp, n), dtype=x.dtype)
+        lo, hi = max(top, padding), min(bottom, padding + h)
+        if lo < hi:
+            xp[:, lo - top:hi - top, padding:padding + w] = xt[:, lo - padding:hi - padding]
+        return xp
+
+    def im2col(xp, t):
+        """Columns of ``t`` output rows from ``xp``, the padded input from the
+        first row they read; copies unless 1x1, stride 1 and unpadded."""
         sc, sh, sw, sn = xp.strides
-        windows = as_strided(xp, shape=(c, kh, kw, oh, ow, n),
+        windows = as_strided(xp, shape=(c, kh, kw, t, ow, n),
                              strides=(sc, sh, sw, sh * stride, sw * stride, sn), writeable=False)
-        return windows[:, :, :, rows].reshape(c * kh * kw, -1)
+        return windows.reshape(c * kh * kw, t * row_len)
 
     wmat = kernel.data.reshape(f, c * kh * kw)
     row_len = ow * n                                     # output columns per output row
-    tile_rows = max(1, CONV_TILE_BYTES // (c * kh * kw * row_len * xp.itemsize))
-    out = np.empty((f, oh * row_len), dtype=np.result_type(wmat, xp))   # (F, oh*ow*N)
-    for r in range(0, oh, tile_rows):
-        np.matmul(wmat, im2col(slice(r, r + tile_rows)),
-                  out=out[:, r * row_len:(r + tile_rows) * row_len])
+    tile_rows = max(1, CONV_TILE_BYTES // (c * kh * kw * row_len * xt.itemsize))
+    xp = padded(0, hp)                                   # not kept for backward
+    if tile_rows >= oh:
+        out = np.matmul(wmat, im2col(xp, oh))            # (F, oh*ow*N)
+    else:
+        out = np.empty((f, oh * row_len), dtype=np.result_type(wmat, xt))
+        for r in range(0, oh, tile_rows):
+            t = min(tile_rows, oh - r)
+            np.matmul(wmat, im2col(xp[:, stride * r:], t),
+                      out=out[:, r * row_len:(r + t) * row_len])
     if bias is not None:
         out += bias.data[:, None]
     out = out.reshape(f, oh, ow, n).transpose(3, 0, 1, 2)
@@ -226,7 +255,8 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
             if kernel.requires_grad:
                 # cols @ dout.T, transposed once at the end, measured 14-23 %
                 # faster than dout @ cols.T over the cnn5 layers.
-                part = np.matmul(im2col(slice(r, r + t)), dout_t.T)
+                xp = padded(stride * r, stride * (r + t - 1) + kh)   # this tile's rows
+                part = np.matmul(im2col(xp, t), dout_t.T)
                 if dw_t is None:
                     dw_t = part
                 else:
@@ -320,7 +350,8 @@ def batch_norm_groups(groups: int):
 
 def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor,
                  running_mean: np.ndarray, running_var: np.ndarray,
-                 training: bool, momentum: float = BN_MOMENTUM, eps: float = BN_EPS) -> Tensor:
+                 training: bool, momentum: float = BN_MOMENTUM, eps: float = BN_EPS,
+                 overwrite_input: bool = False) -> Tensor:
     """Per-channel batch normalization with running statistics.
 
     In training mode normalizes by batch moments and updates the running
@@ -329,6 +360,10 @@ def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor,
     training mode normalizes each group of consecutive samples by that
     group's own moments and updates the running buffers once per group, in
     order, as one call per group would.
+
+    ``overwrite_input`` is for the encoders' conv outputs, which nothing but
+    this op reads: training mode then centres ``x`` in its own buffer instead
+    of a copy.  Without it ``x`` is never written.
     """
     n, c, h, w = x.shape
     if not training:
@@ -353,7 +388,7 @@ def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor,
     # (C, H*W, G, K) view in one call measured 2.5x slower (C=32, 32x32, N=128).
     xt = x.data.transpose(1, 2, 3, 0).reshape(c, h * w, n)
     mean = per_group(xt.sum(axis=1, dtype=np.float64)) / count
-    centred = xt - per_sample(mean)
+    centred = np.subtract(xt, per_sample(mean), out=xt if overwrite_input else None)
     var = per_group(np.einsum("cpn,cpn->cn", centred, centred, dtype=np.float64)) / count
     with np.errstate(invalid="ignore"):
         unbiased = var * count / max(count - 1, 1)
@@ -652,12 +687,13 @@ class BatchNorm2d(Module):
         self.register_buffer("running_mean", np.zeros(num_features, dtype=np.float32))
         self.register_buffer("running_var", np.ones(num_features, dtype=np.float32))
 
-    def __call__(self, x: Tensor) -> Tensor:
+    def __call__(self, x: Tensor, overwrite_input: bool = False) -> Tensor:
+        """``overwrite_input``: see :func:`batch_norm2d`."""
         return batch_norm2d(
             x, self.weight, self.bias,
             self._buffers["running_mean"], self._buffers["running_var"],
             training=self.training and not self.freeze_stats,
-            momentum=self.momentum, eps=self.eps,
+            momentum=self.momentum, eps=self.eps, overwrite_input=overwrite_input,
         )
 
 

@@ -35,7 +35,7 @@ SELECTION_METRICS = ("mae", "balanced_accuracy")
 
 class TrainingDivergedError(RuntimeError):
     """Raised when a training loss goes non-finite, naming the epoch and batch,
-    or a gradient does, naming the parameter."""
+    or a gradient or a parameter's new value does, naming the parameter."""
 
 
 @dataclass(frozen=True)
@@ -163,13 +163,26 @@ def _check_gradients(names: list[str], params: list[Tensor]):
             raise TrainingDivergedError(f"non-finite gradient in parameter {name}")
 
 
+def _write_parameter(name: str, p: Tensor, value: np.ndarray):
+    """Round ``value`` to ``p``'s dtype and write it into ``p``, or raise
+    :class:`TrainingDivergedError` naming the parameter, without writing it,
+    when the rounded value holds a NaN or an infinity."""
+    with np.errstate(over="ignore"):
+        rounded = value.astype(p.dtype, copy=False)
+    if not np.isfinite(rounded).all():
+        raise TrainingDivergedError(f"non-finite value for parameter {name}")
+    p.data[...] = rounded
+
+
 class SGD:
     """Momentum SGD; update math in float64, parameters stored float32.
 
     The update runs in preallocated float64 buffers and is written back into
     each parameter array in place, rounded to its dtype.  ``parameters`` are
     tensors or (name, tensor) pairs; a non-finite gradient stops the step
-    before any parameter is written, with an error that names it.
+    before any parameter is written, and a new value that is non-finite in the
+    parameter's dtype stops it before that parameter is written, each with an
+    error that names the parameter.
     """
 
     def __init__(self, parameters, config: OptimizerConfig):
@@ -185,7 +198,7 @@ class SGD:
 
     def step(self):
         _check_gradients(self.names, self.params)
-        for p, v in zip(self.params, self.velocity):
+        for name, p, v in zip(self.names, self.params, self.velocity):
             if p.grad is None:
                 continue
             update = _view(self._update, p)
@@ -193,7 +206,7 @@ class SGD:
             v += p.grad
             np.multiply(v, self.lr, out=update)
             np.subtract(p.data, update, out=update)
-            p.data[...] = update
+            _write_parameter(name, p, update)
 
 
 class Adam:
@@ -201,7 +214,7 @@ class Adam:
 
     Like :class:`SGD`, it takes tensors or (name, tensor) pairs, checks every
     gradient first, updates through preallocated float64 buffers and writes
-    each parameter in place.
+    each parameter in place once its new value is known to be finite.
     """
 
     def __init__(self, parameters, config: OptimizerConfig):
@@ -224,7 +237,7 @@ class Adam:
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
-        for p, m, v in zip(self.params, self.m, self.v):
+        for name, p, m, v in zip(self.names, self.params, self.m, self.v):
             if p.grad is None:
                 continue
             g = p.grad
@@ -243,7 +256,7 @@ class Adam:
             step *= self.lr
             step /= denom
             np.subtract(p.data, step, out=step)
-            p.data[...] = step
+            _write_parameter(name, p, step)
 
 
 def build_optimizer(parameters, config: OptimizerConfig):
@@ -434,9 +447,19 @@ def train(model: SliceSetModel, train_volumes: list[Volume], val_volumes: list[V
 
 
 def read_epoch_log(path) -> list[dict]:
+    """The records of an epoch log.  An unterminated last line, which a kill
+    mid-append leaves, is skipped; any other line that is not a JSON object
+    raises ``ValueError`` naming the file and the line number."""
     records = []
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if line:
-            records.append(json.loads(line))
+    lines = Path(path).read_text().split("\n")[:-1]   # what follows the last newline is unterminated
+    for number, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: line {number} is not a JSON record: {exc.msg}") from None
+        if not isinstance(record, dict):
+            raise ValueError(f"{path}: line {number} is not a JSON object")
+        records.append(record)
     return records

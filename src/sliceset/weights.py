@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -28,6 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import nn
+from .data import write_atomic
 from .encoders import EncoderConfig, build_encoder
 from .model import SliceSetModel
 from .tensor import Tensor, no_grad
@@ -40,23 +40,6 @@ INDEX_KEYS = frozenset({"version", "entries", "metadata"})
 
 class WeightArchiveError(ValueError):
     """Raised for malformed archive bytes or import mismatches."""
-
-
-def write_atomic(path, data: bytes | str):
-    """Write a temporary file, fsync it and rename it over ``path``.
-
-    A crash leaves either the old file or the new one, never a truncated one.
-    """
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.tmp")
-    try:
-        with open(tmp, "wb") as f:
-            f.write(data.encode() if isinstance(data, str) else data)
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
 
 
 def _is_count(value) -> bool:

@@ -1,6 +1,7 @@
 """Synthetic data generation, normalization, splits, and manifests."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -203,6 +204,21 @@ def test_manifest_round_trip(tmp_path):
     path = tmp_path / "manifest.json"
     write_manifest(path, entries)
     assert read_manifest(path) == entries
+
+
+def test_manifest_write_failure_keeps_old_manifest_and_leaves_no_temp_file(tmp_path, monkeypatch):
+    path = tmp_path / "manifest.json"
+    write_manifest(path, [{"path": "a.nii", "subject_id": "s1", "target": 0.5}])
+    before = path.read_bytes()
+
+    def crash(fd):
+        raise OSError("simulated crash while writing")
+
+    monkeypatch.setattr(os, "fsync", crash)
+    with pytest.raises(OSError, match="simulated crash"):
+        write_manifest(path, [{"path": "b.nii", "subject_id": "s2", "target": 1.5}])
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json"]
 
 
 def test_manifest_rejects_missing_or_extra_keys(tmp_path):

@@ -13,7 +13,7 @@ from sliceset.model import (AggregatorConfig, ModelConfig, SliceSetModel,
                             permute_volume, restack_volume, slice_count_for,
                             slice_volume)
 from sliceset.tensor import Tensor, no_grad
-from sliceset.train import he_init
+from sliceset.train import he_init, snapshot_state
 
 
 def small_config(task="regression", axis="coronal", aggregator="mean",
@@ -235,6 +235,37 @@ def test_every_encoder_kind_forwards(kind):
         out = enc(x)
     assert out.shape == (3, cfg.embedding_dim)
     assert np.isfinite(out.numpy()).all()
+
+
+def test_cnn5_pooling_before_relu_matches_relu_before_pooling_bit_for_bit():
+    """CNN5Encoder runs relu(max_pool(pad(bn(conv(x))))) with batch norm
+    centring the conv output in place.  Output, every gradient and every
+    buffer equal the relu -> pad -> pool order with a copying batch norm, bit
+    for bit; 20x18 slices take the even padding at blocks 2, 3 and 4."""
+    enc = build_encoder(EncoderConfig(kind="cnn5", width_multiplier=0.25, min_input=8))
+    he_init(enc, seed=1)
+    rng = np.random.default_rng(14)
+    x = rng.normal(0, 1, (6, 1, 20, 18)).astype(np.float32)
+    g = rng.normal(0, 1, (6, enc.embedding_dim)).astype(np.float32)
+
+    def relu_first(x):
+        for i in range(1, 6):
+            block = enc._children[f"block{i}"]
+            y = nn.relu(block.bn(block.conv(x)))
+            x = nn.max_pool2d(nn.pad2d(y, (0, y.shape[2] % 2, 0, y.shape[3] % 2)), 2, 2)
+        return nn.global_avg_pool2d(x)
+
+    def step(forward):
+        state = snapshot_state(enc)
+        enc.zero_grad()
+        y = forward(Tensor(x))
+        (y * Tensor(g)).sum().backward()
+        got = ([y.numpy().tobytes()] + [p.grad.tobytes() for p in enc.parameters()]
+               + [b.tobytes() for _, b in enc.named_buffers()])
+        nn.load_state(enc, state)
+        return got
+
+    assert step(enc) == step(relu_first)
 
 
 def test_encoder_pads_small_slices_to_min_input():

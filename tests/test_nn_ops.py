@@ -1,6 +1,7 @@
 """Neural-net ops against independent loop oracles and frozen hand values."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -291,6 +292,25 @@ def test_conv2d_tiles_the_cnn5_per_volume_layers_whose_columns_exceed_the_budget
     assert tiles == [1, 3, 2, 1, 1]
 
 
+def test_conv2d_keeps_no_padded_copy_of_its_input(monkeypatch):
+    """A padded conv holds its output and no padded copy of its input, which
+    backward rebuilds per tile or whole (the tile tests check its gradients)."""
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.standard_normal((16, 8, 12, 12)), requires_grad=True)
+    kernel = Tensor(rng.standard_normal((4, 8, 3, 3)), requires_grad=True)
+    for tile_bytes in (1, nn.CONV_TILE_BYTES):
+        monkeypatch.setattr(nn, "CONV_TILE_BYTES", tile_bytes)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            y = nn.conv2d(x, kernel, padding=1)
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        padded_input = 16 * 8 * 14 * 14 * 4
+        assert held < y.data.nbytes + padded_input // 2, (held, y.data.nbytes)
+
+
 def test_conv2d_rejects_channel_mismatch_and_oversize_kernel():
     x = t64(np.zeros((1, 2, 4, 4)))
     with pytest.raises(ValueError):
@@ -468,6 +488,36 @@ def test_relu_clamps_and_masks_gradient():
     np.testing.assert_allclose(x.grad, [0.0, 0.0, 1.0])
 
 
+def test_relu_after_max_pool_matches_relu_before_it():
+    """cnn5 pools before its relu.  Max and relu commute and zero padding is
+    relu's fixed point, so the output keeps every bit and the input gradient
+    every value, with ties, exact zeros, -0.0 and windows with no positive
+    entry (a zero gradient may change its sign)."""
+    rng = np.random.default_rng(0)
+    values = np.array([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0], dtype=np.float32)
+    x = rng.choice(values, size=(3, 2, 7, 9))
+    x[0, 0, :2, :2] = -1.0                         # all negative
+    x[0, 1, :2, :2] = -0.0
+    x[1, 0, :2, :2] = [[-1.0, 0.0], [-2.0, 0.0]]   # maximum 0, not at the first tap
+    x[1, 1, :2, :2] = [[-0.0, 0.0], [0.0, -0.0]]
+    x[2, 0, :2, :2] = 2.0                          # tie at a positive maximum
+    g = rng.standard_normal((3, 2, 4, 5)).astype(np.float32)
+
+    def run(pool_first):
+        xt = Tensor(x, requires_grad=True)
+        if pool_first:
+            y = nn.relu(nn.max_pool2d(nn.pad2d(xt, (0, 1, 0, 1)), 2, 2))
+        else:
+            y = nn.max_pool2d(nn.pad2d(nn.relu(xt), (0, 1, 0, 1)), 2, 2)
+        (y * Tensor(g)).sum().backward()
+        return y.numpy(), xt.grad
+
+    y, dx = run(pool_first=True)
+    y_want, dx_want = run(pool_first=False)
+    assert y.tobytes() == y_want.tobytes()
+    np.testing.assert_array_equal(dx, dx_want)
+
+
 # ---------------------------------------------------------------------------
 # batch norm semantics
 # ---------------------------------------------------------------------------
@@ -573,6 +623,42 @@ def test_grouped_batch_norm_rejects_unequal_groups_and_leaves_eval_alone():
     plain = nn.batch_norm2d(t64(x), t64(gamma), t64(beta), np.zeros(3), np.ones(3),
                             training=False).numpy()
     assert grouped.tobytes() == plain.tobytes()
+
+
+@pytest.mark.parametrize("layout", [np.ascontiguousarray, batch_innermost])
+@pytest.mark.parametrize("groups", [1, 3])
+def test_batch_norm_overwriting_its_input_matches_the_copying_path_bit_for_bit(layout, groups):
+    """``overwrite_input`` only moves the centred input into the input's own
+    buffer: output, gradients and running buffers keep every bit.  Without it
+    the input is never written, in training or eval mode; checks.py's
+    gradient suite reuses one input leaf across calls."""
+    k, c, h, w = 4, 3, 5, 6
+    rng = np.random.default_rng(10 + groups)
+    x = layout((rng.standard_normal((groups * k, c, h, w)) * 2.0 + 1.0).astype(np.float32))
+    gamma, beta = rng.standard_normal((2, c)).astype(np.float32)
+    g = rng.standard_normal(x.shape).astype(np.float32)
+    start_mean, start_var = rng.standard_normal(c), rng.uniform(0.5, 2.0, c)
+
+    def run(overwrite, training=True):
+        xt = Tensor(x.copy(order="K"), requires_grad=True)
+        gt, bt = Tensor(gamma, requires_grad=True), Tensor(beta, requires_grad=True)
+        rm, rv = start_mean.astype(np.float32), start_var.astype(np.float32)
+        with nn.batch_norm_groups(groups):
+            y = nn.batch_norm2d(xt, gt, bt, rm, rv, training=training, overwrite_input=overwrite)
+        (y * Tensor(g)).sum().backward()
+        return xt.data, [a.tobytes() for a in (y.numpy(), xt.grad, gt.grad, bt.grad, rm, rv)]
+
+    untouched, copying = run(False)
+    assert untouched.tobytes() == x.tobytes()
+    overwritten, in_place = run(True)
+    assert in_place == copying
+    if layout is batch_innermost:                 # a conv output's memory: centred in place
+        mean = x.reshape(groups, k, c, h * w).mean(axis=(1, 3), dtype=np.float64)
+        want = x - np.repeat(mean, k, axis=0).astype(np.float32)[:, :, None, None]
+        np.testing.assert_allclose(overwritten, want, rtol=1e-6, atol=1e-6)
+    for overwrite in (False, True):               # eval mode's backward reads its input
+        untouched, _ = run(overwrite, training=False)
+        assert untouched.tobytes() == x.tobytes()
 
 
 def test_batch_norm_module_freeze_stats_pins_buffers():

@@ -1,6 +1,7 @@
 """Initialization, optimizers, and the training loop with checkpoint selection."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from sliceset import nn
 from sliceset import train as train_mod
 from sliceset.data import SyntheticSpec, Volume, generate_synthetic, normalize
-from sliceset.encoders import EncoderConfig
+from sliceset.encoders import CNN5_CHANNELS, EncoderConfig
 from sliceset.model import AggregatorConfig, ModelConfig, build_model
 from sliceset.tensor import Tensor, no_grad, stack
 from sliceset.train import (Adam, Checkpoint, OptimizerConfig, SGD, TrainConfig,
@@ -234,6 +235,23 @@ def test_optimizer_step_names_a_non_finite_gradient_and_writes_nothing(kind, bad
         opt.step()
 
 
+@pytest.mark.parametrize("kind", ["sgd", "adam"])
+def test_optimizer_step_names_a_parameter_whose_new_value_overflows_and_keeps_it(kind):
+    """A finite gradient at lr=1e38 moves a parameter past the float32 range:
+    the step stops before writing it, naming it."""
+    near_max = np.array([3e38, 1.0], dtype=np.float32)
+    params = [Tensor(np.array([1.0, 2.0], dtype=np.float32), requires_grad=True),
+              Tensor(near_max.copy(), requires_grad=True)]
+    for p, g in zip(params, (-1e-37, -10.0)):
+        p.accumulate_grad(np.full(2, g, dtype=np.float32))
+    opt = train_mod.build_optimizer(list(zip(["layer.a", "layer.b"], params)),
+                                    OptimizerConfig(kind=kind, learning_rate=1e38))
+    with pytest.raises(TrainingDivergedError, match=r"non-finite value for parameter layer\.b$"):
+        opt.step()
+    assert params[1].numpy().tobytes() == near_max.tobytes()
+    assert np.isfinite(params[0].numpy()).all()
+
+
 def test_optimizer_config_validation():
     with pytest.raises(ValueError):
         OptimizerConfig(kind="rmsprop")
@@ -286,7 +304,7 @@ def test_backward_frees_the_graph_it_walks():
     # Memory still held after backward (the loss still referenced) must be at
     # most half of what the forward pass left allocated: the walk releases
     # every op's saved arrays and intermediate gradient, and conv saves its
-    # padded input rather than its kh*kw-times-larger column matrix.
+    # input rather than its kh*kw-times-larger column matrix.
     cfg = ModelConfig(task="regression", axis="sagittal",
                       encoder=EncoderConfig(kind="cnn5", width_multiplier=0.5),
                       aggregator=AggregatorConfig(kind="mean"))
@@ -306,6 +324,34 @@ def test_backward_frees_the_graph_it_walks():
     assert loss.requires_grad
     assert after <= 0.5 * forward, (after, forward)
     assert all(p.grad is not None for p in model.encoder.parameters())
+
+
+def test_cnn5_training_forward_holds_each_activation_once():
+    """Heap held after a 4-volume cnn5 forward (width 1, 64 slices of 32x32).
+    Per conv-output element a block holds its conv output, which batch norm
+    centres in place (4 bytes), the batch-norm output the pool reads (4), the
+    pool's four tap masks (1 in all), and the pooled and relu maps at a
+    quarter size (1 each): 11 bytes, of which the bound allows 11.5.  A
+    separate centred copy, a padded conv input or a full-size relu map each
+    break it."""
+    cfg = ModelConfig(task="regression", axis="sagittal",
+                      encoder=EncoderConfig(kind="cnn5", width_multiplier=1.0),
+                      aggregator=AggregatorConfig(kind="attention"), positional_enabled=True)
+    model = build_model(cfg, slice_count=16)
+    he_init(model, seed=0)
+    volumes = generate_synthetic(SyntheticSpec(extents=(16, 20, 16), task="regression",
+                                               count=4, seed=0))
+    slices = 4 * 16
+    conv_outputs = sum(c * (32 >> i) ** 2 * slices for i, c in enumerate(CNN5_CHANNELS))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        loss = batch_loss(model, volumes, "mse")
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert loss.requires_grad
+    assert held <= 11.5 * conv_outputs, (held, conv_outputs)
 
 
 # ---------------------------------------------------------------------------
@@ -574,6 +620,23 @@ def test_train_runs_exactly_configured_epochs(tmp_path):
     assert [r["epoch"] for r in on_disk] == [1, 2, 3, 4]
     for mem, disk in zip(result.log, on_disk):
         assert mem == disk
+
+
+def test_read_epoch_log_skips_an_unterminated_last_line(tmp_path):
+    """A kill mid-append leaves a partial last line; the records before it load."""
+    _, result, log_path = run_tiny_training(tmp_path, epochs=2)
+    text = log_path.read_text()
+    for partial in ('{"epoch": 3, "train_lo', '{"epoch": 3}'):
+        log_path.write_text(text + partial)
+        assert read_epoch_log(log_path) == result.log
+
+
+@pytest.mark.parametrize("bad", ['{"epoch": 1, "train_lo', "[1, 2]"])
+def test_read_epoch_log_names_the_file_and_line_of_a_bad_record(tmp_path, bad):
+    path = tmp_path / "log.jsonl"
+    path.write_text('{"epoch": 1}\n' + bad + '\n{"epoch": 3}\n')
+    with pytest.raises(ValueError, match=rf"{re.escape(str(path))}: line 2 "):
+        read_epoch_log(path)
 
 
 def test_train_best_checkpoint_tracks_minimum_validation(tmp_path):
