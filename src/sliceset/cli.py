@@ -266,6 +266,8 @@ def _load_split(path, normalize, context):
 
 
 def cmd_train(args) -> int:
+    if args.seeds is not None and args.seeds < 1:
+        raise ValueError(f"--seeds must be at least 1, got {args.seeds}")
     config = load_run_config(args.config) if args.config else RunConfig()
     config = _apply_overrides(config, args)
 
@@ -298,7 +300,7 @@ def cmd_train(args) -> int:
               f"extents {extents}; K={slice_count} along {config.axis}")
 
         base_seed = config.train.seed
-        seeds = [base_seed + i for i in range(args.seeds)] if args.seeds else [base_seed]
+        seeds = [base_seed + i for i in range(args.seeds or 1)]
         reports = []
         for seed in seeds:
             if model is None:
@@ -550,7 +552,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # A diverging run overflows in the conv GEMMs and the batch-norm
+        # moments before its loss is checked; the typed loss, gradient and
+        # parameter checks report it, so numpy's warnings would only repeat
+        # it as source lines on stderr.
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except (ValueError, OSError, KeyError, TrainingDivergedError) as exc:
         message = str(exc) if not isinstance(exc, KeyError) else f"missing key {exc}"
         print(f"error: {message}", file=sys.stderr)

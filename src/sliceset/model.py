@@ -101,10 +101,10 @@ def aggregate_mean(embeddings: Tensor) -> Tensor:
     k = embeddings.shape[0]
     order = np.lexsort(embeddings.data.T[::-1])
     data = (embeddings.data[order].sum(axis=0, dtype=np.float64) / k).astype(embeddings.dtype)
+    node = embeddings.node
 
     def backward_fn(out):
-        if embeddings.requires_grad:
-            embeddings.accumulate_grad(np.broadcast_to(out.grad / k, embeddings.shape))
+        node.accumulate_grad(np.broadcast_to(out.grad / k, node.shape))
 
     return embeddings._make(data, (embeddings,), backward_fn)
 

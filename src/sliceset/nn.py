@@ -25,9 +25,10 @@ however many slices one call carries; when the whole matrix fits in one
 tile each pass makes a single GEMM per product.  The output is handed back
 as an (N, F, oh, ow) view of the (F, oh, ow, N) result, so the batch stays
 innermost from layer to layer and the next convolution's copy reads
-contiguous memory.  The backward pass keeps only the input, which its
-parent tensor holds anyway: no padded copy and no column matrix (kh·kw
-times larger).  The slices of one call share the
+contiguous memory.  The backward pass keeps only the input, which in the
+encoders is a relu map that relu's own backward reads anyway: no padded
+copy and no column matrix (kh·kw times larger).  The slices of one call
+share the
 GEMMs: ``train.batch_loss`` and ``train.predict`` send the slices of several
 volumes through one encoder call.  Each output column is its own dot
 product, but OpenBLAS picks its kernels by matrix width, so a slice's output
@@ -38,17 +39,19 @@ Max pooling takes the elementwise maximum over the kernel² strided window
 views.  When the input needs a gradient it also records, per tap, a boolean
 mask of the windows whose first maximum in row-major order sits at that tap;
 the backward pass adds the output gradient through those masks into a
-zeroed input-sized buffer.  Its output and padding keep the input's memory
-layout, as numpy's element-wise ops do.
+zeroed input-sized buffer.  Its output, padding and input gradient keep the
+input's memory layout, as numpy's element-wise ops do; backward lays out the
+gradient from the input's recorded axis order, not from the input, which it
+does not keep.
 
 Batch norm in training mode works on the (C, H·W, N) view of the conv
 output's batch-innermost memory.  It takes the mean with one float64 sum
 and the variance with one float64 sum of squared deviations of the centred
 input, which the backward pass reuses; each sum runs over the spatial axis
 first and then over the samples of a group.  The encoders let it centre the
-conv output in that output's own buffer (``overwrite_input``), since no
-backward rule reads a conv output, so a training step holds one array per
-conv, where it held the output and its centred copy.  By default the whole
+conv output in that output's own buffer (``overwrite_input``), since nothing
+else reads a conv output; that spares allocating a fresh conv-output-sized
+array per batch norm.  By default the whole
 batch is one group.  Inside :func:`batch_norm_groups` the batch is split
 into equal runs of consecutive samples, one volume's slices each, and every
 run is normalized by its own moments and updates the running statistics
@@ -60,14 +63,14 @@ Reductions inside the norm layers and losses accumulate in 64-bit and store
 results in 32-bit.
 
 What a training step holds until backward reaches it, per conv-output
-element of a ``cnn5`` block: the conv output, centred in place (4 bytes),
-the batch-norm output that the max pool reads (4), the pool's tap masks (1
-in all), and the pooled map and its relu (1 each, ``cnn5`` pooling before
-its relu).  Each conv input is the previous block's relu map, which the
-graph holds anyway.  ``perfbench`` peak RSS (30 s runs, 2-core Xeon, one
-OpenBLAS thread), medians against the design that also kept a centred
-copy, a padded conv input and a full-size relu map: ``transfer-cnn5`` 232
-→ 191 MB (seed 0; 185 MB on seed 1), ``train-resnet18`` 110 → 93 MB.
+element of a ``cnn5`` block: the conv output, centred in place, which batch
+norm's backward reads (4 bytes), the pool's tap masks (1 in all) and the
+quarter-size relu map (1, ``cnn5`` pooling before its relu), which relu's
+backward and the next conv read: 6 bytes.  The batch-norm output and the
+pooled map are freed once the next op has run, since no backward rule
+reads them (see :mod:`sliceset.tensor`); in the resnets so are the
+batch-norm outputs and the residual sums.  ``CHANGES.md`` and README
+"Memory" have the ``perfbench`` peak RSS.
 """
 
 from __future__ import annotations
@@ -77,7 +80,7 @@ import contextlib
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .tensor import Tensor, grad_enabled, no_grad
+from .tensor import Tensor, grad_enabled, memory_order, no_grad, zeros_in
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
@@ -96,13 +99,16 @@ _bn_groups = 1   # set by batch_norm_groups
 # ---------------------------------------------------------------------------
 
 def relu(x: Tensor) -> Tensor:
+    """max(x, 0).  Backward masks by the sign of the output, not the input:
+    ``out > 0`` holds exactly where ``x > 0`` (NaN, ±inf and -0.0 included),
+    and the output is the array the next op reads anyway."""
     data = np.maximum(x.data, 0)
+    a = x.node
 
     def backward_fn(out):
-        if x.requires_grad:
-            g = out.grad                       # released once this rule has run
-            g *= x.data > 0
-            x.accumulate_grad(g, owned=True)
+        g = out.grad                           # released once this rule has run
+        g *= data > 0
+        a.accumulate_grad(g, owned=True)
 
     return x._make(data, (x,), backward_fn)
 
@@ -115,11 +121,11 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     e = np.exp(shifted)
     denom = e.sum(axis=axis, keepdims=True, dtype=np.float64)
     s = (e / denom).astype(x.dtype)
+    a = x.node
 
     def backward_fn(out):
-        if x.requires_grad:
-            inner = (out.grad * s).sum(axis=axis, keepdims=True, dtype=np.float64)
-            x.accumulate_grad(s * (out.grad - inner.astype(x.dtype)))
+        inner = (out.grad * s).sum(axis=axis, keepdims=True, dtype=np.float64)
+        a.accumulate_grad(s * (out.grad - inner.astype(s.dtype)))
 
     return x._make(s, (x,), backward_fn)
 
@@ -137,14 +143,17 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
         if bias.shape != (weight.shape[0],):
             raise ValueError(f"linear bias shape {bias.shape} does not match output dim {weight.shape[0]}")
         data = data + bias.data
+    xn, wn, bn = x.node, weight.node, bias.node if bias is not None else None
+    xd = x.data if wn is not None else None          # each side reads the other's data
+    wd = weight.data if xn is not None else None
 
     def backward_fn(out):
-        if x.requires_grad:
-            x.accumulate_grad(out.grad @ weight.data)
-        if weight.requires_grad:
-            weight.accumulate_grad(out.grad.T @ x.data)
-        if bias is not None and bias.requires_grad:
-            bias.accumulate_grad(out.grad.sum(axis=0, dtype=np.float64).astype(bias.dtype))
+        if xn is not None:
+            xn.accumulate_grad(out.grad @ wd)
+        if wn is not None:
+            wn.accumulate_grad(out.grad.T @ xd)
+        if bn is not None:
+            bn.accumulate_grad(out.grad.sum(axis=0, dtype=np.float64).astype(bn.dtype))
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return x._make(data, parents, backward_fn)
@@ -165,10 +174,10 @@ def pad2d(x: Tensor, pad: int | tuple[int, int, int, int]) -> Tensor:
         return x
     data = np.pad(x.data, ((0, 0), (0, 0), (top, bottom), (left, right)))
     H, W = x.shape[2], x.shape[3]
+    a = x.node
 
     def backward_fn(out):
-        if x.requires_grad:
-            x.accumulate_grad(out.grad[:, :, top:top + H, left:left + W])
+        a.accumulate_grad(out.grad[:, :, top:top + H, left:left + W])
 
     return x._make(data, (x,), backward_fn)
 
@@ -213,7 +222,7 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
         of the input when nothing is padded."""
         if not padding:
             return xt[:, top:bottom]
-        xp = np.zeros((c, bottom - top, wp, n), dtype=x.dtype)
+        xp = np.zeros((c, bottom - top, wp, n), dtype=xt.dtype)
         lo, hi = max(top, padding), min(bottom, padding + h)
         if lo < hi:
             xp[:, lo - top:hi - top, padding:padding + w] = xt[:, lo - padding:hi - padding]
@@ -242,17 +251,18 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
     if bias is not None:
         out += bias.data[:, None]
     out = out.reshape(f, oh, ow, n).transpose(3, 0, 1, 2)
+    xn, kn, bn = x.node, kernel.node, bias.node if bias is not None else None
 
     def backward_fn(o):
         dout = o.grad.transpose(1, 2, 3, 0).reshape(f, oh * row_len)
-        if bias is not None and bias.requires_grad:
-            bias.accumulate_grad(dout.sum(axis=1, dtype=np.float64).astype(bias.dtype))
+        if bn is not None:
+            bn.accumulate_grad(dout.sum(axis=1, dtype=np.float64).astype(bn.dtype))
         dw_t = None                                      # dW.T, (C*kh*kw, F)
-        dxp = np.zeros((c, hp, wp, n), dtype=dout.dtype) if x.requires_grad else None
+        dxp = np.zeros((c, hp, wp, n), dtype=dout.dtype) if xn is not None else None
         for r in range(0, oh, tile_rows):
             t = min(tile_rows, oh - r)
             dout_t = dout[:, r * row_len:(r + t) * row_len]
-            if kernel.requires_grad:
+            if kn is not None:
                 # cols @ dout.T, transposed once at the end, measured 14-23 %
                 # faster than dout @ cols.T over the cnn5 layers.
                 xp = padded(stride * r, stride * (r + t - 1) + kh)   # this tile's rows
@@ -266,10 +276,10 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
                 for m, (rows, columns) in enumerate(_taps(kh, kw, stride, t, ow, r)):
                     dxp[:, rows, columns] += per_tap[:, m]
         if dw_t is not None:
-            kernel.accumulate_grad(dw_t.T.reshape(kernel.shape))
+            kn.accumulate_grad(dw_t.T.reshape(kn.shape))
         if dxp is not None:
-            x.accumulate_grad(dxp[:, padding:padding + h, padding:padding + w].transpose(3, 0, 1, 2),
-                              owned=True)
+            xn.accumulate_grad(dxp[:, padding:padding + h, padding:padding + w].transpose(3, 0, 1, 2),
+                               owned=True)
 
     parents = (x, kernel) if bias is None else (x, kernel, bias)
     return x._make(out, parents, backward_fn)
@@ -300,7 +310,8 @@ def max_pool2d(x: Tensor, kernel: int = 2, stride: int | None = None, padding: i
     for view in views[1:]:
         np.maximum(out, view, out=out)
 
-    if not (grad_enabled() and x.requires_grad):
+    a = x.node
+    if not (grad_enabled() and a is not None):
         return x._make(out, (x,), None)
 
     # First maximum in row-major window order: a tap takes the windows whose
@@ -313,11 +324,13 @@ def max_pool2d(x: Tensor, kernel: int = 2, stride: int | None = None, padding: i
         taken |= hit
         masks.append(hit)
 
+    order = memory_order(x.data)     # the gradient's layout; the input itself is not kept
+
     def backward_fn(o):
-        dxp = np.zeros_like(x.data, shape=(n, c, hp, wp))    # keeps no padded copy alive
+        dxp = zeros_in(order, (n, c, hp, wp), a.dtype)        # keeps no padded copy alive
         for (rows, cols), hit in zip(taps, masks):
             dxp[:, :, rows, cols] += o.grad * hit
-        x.accumulate_grad(dxp[:, :, padding:padding + h, padding:padding + w], owned=True)
+        a.accumulate_grad(dxp[:, :, padding:padding + h, padding:padding + w], owned=True)
 
     return x._make(out, (x,), backward_fn)
 
@@ -326,11 +339,11 @@ def global_avg_pool2d(x: Tensor) -> Tensor:
     """Spatial mean of an (N, C, H, W) tensor, giving (N, C)."""
     n, c, h, w = x.shape
     data = x.data.mean(axis=(2, 3), dtype=np.float64).astype(x.dtype)
+    a = x.node
 
     def backward_fn(out):
-        if x.requires_grad:
-            g = out.grad[:, :, None, None] / (h * w)
-            x.accumulate_grad(np.broadcast_to(g, x.shape).astype(x.dtype))
+        g = out.grad[:, :, None, None] / (h * w)
+        a.accumulate_grad(np.broadcast_to(g, a.shape).astype(a.dtype))
 
     return x._make(data, (x,), backward_fn)
 
@@ -373,6 +386,7 @@ def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor,
         raise ValueError(f"batch norm cannot split {n} samples into {groups} equal groups")
     k = n // groups
     count = k * h * w
+    dtype = x.dtype
 
     def per_group(a):
         """(C, N) per-sample sums -> (C, G) per-group sums."""
@@ -380,7 +394,7 @@ def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor,
 
     def per_sample(a):
         """(C, G) per-group values -> (C, 1, N), to scale the (C, H*W, N) maps."""
-        return np.repeat(a.astype(x.dtype), k, axis=1)[:, None, :]
+        return np.repeat(a.astype(dtype), k, axis=1)[:, None, :]
 
     # Every map is read and written as (C, H*W, N), a view of the conv
     # output's batch-innermost memory.  Each reduction runs over the spatial
@@ -404,22 +418,23 @@ def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor,
     scale = gamma.data.astype(np.float64)[:, None] * inv_std
     out = centred * per_sample(scale)
     out += beta.data[:, None, None]
+    xn, gn, bn = x.node, gamma.node, beta.node
 
     def backward_fn(o):
         dy = o.grad.transpose(1, 2, 3, 0).reshape(c, h * w, n)
         sum_dy = per_group(dy.sum(axis=1, dtype=np.float64))
         sum_dy_xhat = per_group(np.einsum("cpn,cpn->cn", dy, centred, dtype=np.float64)) * inv_std
-        if gamma.requires_grad:
-            gamma.accumulate_grad(sum_dy_xhat.sum(axis=1).astype(gamma.dtype))
-        if beta.requires_grad:
-            beta.accumulate_grad(sum_dy.sum(axis=1).astype(beta.dtype))
-        if x.requires_grad:
+        if gn is not None:
+            gn.accumulate_grad(sum_dy_xhat.sum(axis=1).astype(gn.dtype))
+        if bn is not None:
+            bn.accumulate_grad(sum_dy.sum(axis=1).astype(bn.dtype))
+        if xn is not None:
             # dx = scale * (dy - mean(dy) - xhat * mean(dy * xhat)), per group
             dx = centred * per_sample(inv_std * sum_dy_xhat / count)
             np.subtract(dy, dx, out=dx)
             dx -= per_sample(sum_dy / count)
             dx *= per_sample(scale)
-            x.accumulate_grad(dx.reshape(c, h, w, n).transpose(3, 0, 1, 2), owned=True)
+            xn.accumulate_grad(dx.reshape(c, h, w, n).transpose(3, 0, 1, 2), owned=True)
 
     return x._make(out.reshape(c, h, w, n).transpose(3, 0, 1, 2), (x, gamma, beta), backward_fn)
 
@@ -428,25 +443,29 @@ def _batch_norm_eval(x: Tensor, gamma: Tensor, beta: Tensor,
                      running_mean: np.ndarray, running_var: np.ndarray, eps: float) -> Tensor:
     """Eval-mode batch norm: the running statistics and the affine map folded
     into one per-channel scale and shift, applied in the input's layout."""
+    dtype = x.dtype
+
     def per_channel(a):
-        return a.astype(x.dtype)[None, :, None, None]
+        return a.astype(dtype)[None, :, None, None]
 
     mean = running_mean.astype(np.float64)
     inv_std = 1.0 / np.sqrt(running_var.astype(np.float64) + eps)
     scale = gamma.data.astype(np.float64) * inv_std
     out = x.data * per_channel(scale)
     out += per_channel(beta.data - mean * scale)
+    xn, gn, bn = x.node, gamma.node, beta.node
+    xd = x.data if gn is not None else None          # read by the gamma gradient only
 
     def backward_fn(o):
         dy = o.grad
-        if gamma.requires_grad:
-            xc = x.data - per_channel(mean)
+        if gn is not None:
+            xc = xd - per_channel(mean)
             sum_dy_xhat = np.einsum("nchw,nchw->c", dy, xc, dtype=np.float64) * inv_std
-            gamma.accumulate_grad(sum_dy_xhat.astype(gamma.dtype))
-        if beta.requires_grad:
-            beta.accumulate_grad(dy.sum(axis=(0, 2, 3), dtype=np.float64).astype(beta.dtype))
-        if x.requires_grad:
-            x.accumulate_grad(dy * per_channel(scale), owned=True)
+            gn.accumulate_grad(sum_dy_xhat.astype(gn.dtype))
+        if bn is not None:
+            bn.accumulate_grad(dy.sum(axis=(0, 2, 3), dtype=np.float64).astype(bn.dtype))
+        if xn is not None:
+            xn.accumulate_grad(dy * per_channel(scale), owned=True)
 
     return x._make(out, (x, gamma, beta), backward_fn)
 
@@ -463,19 +482,21 @@ def layer_norm(x: Tensor, gain: Tensor, offset: Tensor, eps: float = LN_EPS) -> 
     inv_std = (1.0 / np.sqrt(var + eps)).astype(x.dtype)
     xhat = ((x.data - mean).astype(x.dtype)) * inv_std
     out = gain.data * xhat + offset.data
+    xn, gn, on = x.node, gain.node, offset.node
+    gd = gain.data if xn is not None else None       # read by the input gradient only
 
     def backward_fn(o):
         dy = o.grad
-        reduce_axes = tuple(range(x.ndim - 1))
-        if gain.requires_grad:
-            gain.accumulate_grad((dy * xhat).sum(axis=reduce_axes, dtype=np.float64).astype(gain.dtype))
-        if offset.requires_grad:
-            offset.accumulate_grad(dy.sum(axis=reduce_axes, dtype=np.float64).astype(offset.dtype))
-        if x.requires_grad:
-            h = dy * gain.data
-            m = h.mean(axis=-1, keepdims=True, dtype=np.float64).astype(x.dtype)
-            mx = (h * xhat).mean(axis=-1, keepdims=True, dtype=np.float64).astype(x.dtype)
-            x.accumulate_grad((h - m - xhat * mx) * inv_std)
+        reduce_axes = tuple(range(dy.ndim - 1))
+        if gn is not None:
+            gn.accumulate_grad((dy * xhat).sum(axis=reduce_axes, dtype=np.float64).astype(gn.dtype))
+        if on is not None:
+            on.accumulate_grad(dy.sum(axis=reduce_axes, dtype=np.float64).astype(on.dtype))
+        if xn is not None:
+            h = dy * gd
+            m = h.mean(axis=-1, keepdims=True, dtype=np.float64).astype(xn.dtype)
+            mx = (h * xhat).mean(axis=-1, keepdims=True, dtype=np.float64).astype(xn.dtype)
+            xn.accumulate_grad((h - m - xhat * mx) * inv_std)
 
     return x._make(out, (x, gain, offset), backward_fn)
 
@@ -503,12 +524,12 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     denom = e.sum(axis=1, keepdims=True, dtype=np.float64)
     logp = shifted - np.log(denom).astype(logits.dtype)
     loss = np.asarray(-logp[np.arange(n), labels].mean(dtype=np.float64), dtype=logits.dtype)
+    a = logits.node
 
     def backward_fn(out):
-        if logits.requires_grad:
-            p = (e / denom).astype(logits.dtype)
-            p[np.arange(n), labels] -= 1.0
-            logits.accumulate_grad(p * (out.grad / n))
+        p = (e / denom).astype(a.dtype)
+        p[np.arange(n), labels] -= 1.0
+        a.accumulate_grad(p * (out.grad / n))
 
     return logits._make(loss, (logits,), backward_fn)
 

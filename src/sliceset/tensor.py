@@ -1,14 +1,23 @@
 """Dense float32 tensors with reverse-mode automatic differentiation.
 
-A ``Tensor`` wraps a numpy array and remembers how it was produced; calling
-:func:`backward` on a scalar walks the recorded graph once in reverse
-topological order and accumulates ``d(loss)/d(x)`` into ``x.grad`` for every
-leaf with ``requires_grad=True`` (a parameter or any tensor no op produced).
-The walk releases the graph as it goes: once an op's backward rule has run,
-its output drops its gradient, its rule and the arrays the rule saved, so a
-training step holds only what the rest of the walk still needs.  Only leaves
-keep gradients, and a released graph cannot be walked again: a second
-``backward()`` through it raises ``ValueError``.
+A ``Tensor`` is a value: its numpy array and, when it needs a gradient, a
+link to its graph :class:`Node`.  Calling :func:`backward` on a scalar walks
+the nodes once in reverse topological order and accumulates
+``d(loss)/d(x)`` into ``x.grad`` for every leaf with ``requires_grad=True``
+(a parameter or any tensor no op produced).
+
+What the graph holds.  A node keeps its gradient, its input nodes, the op's
+backward rule and the shape and dtype of the data, never the data itself;
+a rule captures input nodes and only the arrays it reads (relu its own
+output, max pool its tap masks, batch norm its centred input, conv its
+input).  So an activation's array is freed as soon as the caller drops its
+tensor, unless a rule reads it.  No node is made under :func:`no_grad`, or
+for an op none of whose inputs needs a gradient.  The walk releases the
+graph as it goes: once an op's rule has run, its node drops its gradient,
+its rule and with it the arrays the rule saved, so a training step holds
+only what the rest of the walk still needs.  Only leaves keep gradients,
+and a released graph cannot be walked again: a second ``backward()``
+through it raises ``ValueError``.
 
 Conventions used throughout the engine:
 
@@ -46,80 +55,138 @@ def grad_enabled() -> bool:
     return _grad_enabled
 
 
-class Tensor:
-    """N-dimensional float array participating in a differentiable graph."""
+class Node:
+    """What the graph keeps of a tensor that needs a gradient.
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
+    A node holds the tensor's gradient, the nodes of the op's inputs, the op's
+    backward rule and the shape and dtype of the data, never the data itself.
+    A rule is called with its output's node and reads ``node.grad``.
+    """
+
+    __slots__ = ("grad", "parents", "rule", "shape", "dtype")
+
+    def __init__(self, parents: tuple["Node", ...], rule, shape: tuple[int, ...], dtype):
+        self.grad = None
+        self.parents: tuple[Node, ...] | None = parents   # None once backward released it
+        self.rule = rule
+        self.shape = shape
+        self.dtype = dtype
+
+    def accumulate_grad(self, g: np.ndarray, owned: bool = False):
+        """Add ``g`` into this node's gradient.  The first gradient is a copy
+        of ``g``, unless ``owned`` says that nothing else holds or will write
+        ``g`` (an array, or a view of one, that the caller allocated, or its
+        output's gradient), which is then kept as it is."""
+        if self.grad is None:
+            if owned and g.dtype == self.dtype:
+                self.grad = g
+            else:
+                self.grad = np.array(g, dtype=self.dtype, copy=True)
+        else:
+            self.grad += g
+
+
+class Tensor:
+    """N-dimensional float array participating in a differentiable graph.
+
+    ``node`` is the tensor's :class:`Node` when it needs a gradient (a leaf
+    created with ``requires_grad=True`` or an op output recorded while grad
+    is enabled from such inputs), else None.
+    """
+
+    __slots__ = ("_data", "node")
 
     def __init__(self, data, requires_grad: bool = False, dtype=np.float32):
         if isinstance(data, Tensor):
             data = data.data
-        self.data = np.asarray(data, dtype=dtype)
-        self.requires_grad = requires_grad
-        self.grad = None
-        self._parents: tuple[Tensor, ...] | None = ()   # None once backward released it
-        self._backward = None
+        self._data = np.asarray(data, dtype=dtype)
+        self.node = Node((), None, self._data.shape, self._data.dtype) if requires_grad else None
+
+    @property
+    def data(self) -> np.ndarray:
+        return self._data
+
+    @data.setter
+    def data(self, value: np.ndarray):
+        """Replace the array, e.g. a parameter update or a change of dtype."""
+        self._data = value
+        if self.node is not None:
+            self.node.shape, self.node.dtype = value.shape, value.dtype
+
+    # -- the node's fields, read through the tensor -------------------------
+
+    @property
+    def requires_grad(self) -> bool:
+        return self.node is not None
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return None if self.node is None else self.node.grad
+
+    @property
+    def _parents(self):
+        return () if self.node is None else self.node.parents
+
+    @property
+    def _backward(self):
+        return None if self.node is None else self.node.rule
+
+    @_backward.setter
+    def _backward(self, rule):
+        self.node.rule = rule
+
+    def accumulate_grad(self, g: np.ndarray, owned: bool = False):
+        """See :meth:`Node.accumulate_grad`."""
+        self.node.accumulate_grad(g, owned)
+
+    def zero_grad(self):
+        if self.node is not None:
+            self.node.grad = None
 
     # -- introspection ---------------------------------------------------
 
     @property
     def shape(self) -> tuple[int, ...]:
-        return self.data.shape
+        return self._data.shape
 
     @property
     def ndim(self) -> int:
-        return self.data.ndim
+        return self._data.ndim
 
     @property
     def size(self) -> int:
-        return self.data.size
+        return self._data.size
 
     @property
     def dtype(self):
-        return self.data.dtype
+        return self._data.dtype
 
     def item(self) -> float:
-        if self.data.size != 1:
+        if self._data.size != 1:
             raise ValueError(f"item() requires a single-element tensor, got shape {self.shape}")
-        return float(self.data.reshape(-1)[0])
+        return float(self._data.reshape(-1)[0])
 
     def numpy(self) -> np.ndarray:
-        return self.data
+        return self._data
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    def zero_grad(self):
-        self.grad = None
-
-    def accumulate_grad(self, g: np.ndarray, owned: bool = False):
-        """Add ``g`` into this tensor's gradient.  The first gradient is a copy
-        of ``g``, unless ``owned`` says that nothing else holds or will write
-        ``g`` (an array, or a view of one, that the caller allocated, or its
-        output's gradient), which is then kept as it is."""
-        if self.grad is None:
-            if owned and g.dtype == self.data.dtype:
-                self.grad = g
-            else:
-                self.grad = np.array(g, dtype=self.data.dtype, copy=True)
-        else:
-            self.grad += g
-
     # -- graph construction ----------------------------------------------
 
-    def _make(self, data: np.ndarray, parents: Sequence["Tensor"], backward_fn):
-        """Wrap ``data`` as the output of an op with the given parents."""
-        needs = _grad_enabled and any(p.requires_grad for p in parents)
+    @staticmethod
+    def _make(data: np.ndarray, parents: Sequence["Tensor"], backward_fn) -> "Tensor":
+        """Wrap ``data`` as the output of an op with the given parents.  The
+        output gets a node, linked to its parents' nodes, only while grad is
+        enabled and some parent needs a gradient; ``backward_fn`` must then
+        capture parent nodes and the arrays it reads, never a parent tensor."""
         out = Tensor.__new__(Tensor)
-        out.data = data
-        out.requires_grad = needs
-        out.grad = None
-        if needs:
-            out._parents = tuple(parents)
-            out._backward = backward_fn
-        else:
-            out._parents = ()
-            out._backward = None
+        out._data = data
+        out.node = None
+        if _grad_enabled:
+            nodes = tuple(p.node for p in parents if p.node is not None)
+            if nodes:
+                out.node = Node(nodes, backward_fn, data.shape, data.dtype)
         return out
 
     # -- arithmetic ------------------------------------------------------
@@ -127,12 +194,13 @@ class Tensor:
     def __add__(self, other):
         other = _lift(other, self.dtype)
         data = self.data + other.data
+        a, b = self.node, other.node
 
         def backward_fn(out):
-            if self.requires_grad:
-                self.accumulate_grad(_unbroadcast(out.grad, self.shape))
-            if other.requires_grad:
-                other.accumulate_grad(_unbroadcast(out.grad, other.shape))
+            if a is not None:
+                a.accumulate_grad(_unbroadcast(out.grad, a.shape))
+            if b is not None:
+                b.accumulate_grad(_unbroadcast(out.grad, b.shape))
 
         return self._make(data, (self, other), backward_fn)
 
@@ -141,12 +209,13 @@ class Tensor:
     def __sub__(self, other):
         other = _lift(other, self.dtype)
         data = self.data - other.data
+        a, b = self.node, other.node
 
         def backward_fn(out):
-            if self.requires_grad:
-                self.accumulate_grad(_unbroadcast(out.grad, self.shape))
-            if other.requires_grad:
-                other.accumulate_grad(_unbroadcast(-out.grad, other.shape))
+            if a is not None:
+                a.accumulate_grad(_unbroadcast(out.grad, a.shape))
+            if b is not None:
+                b.accumulate_grad(_unbroadcast(-out.grad, b.shape))
 
         return self._make(data, (self, other), backward_fn)
 
@@ -156,12 +225,15 @@ class Tensor:
     def __mul__(self, other):
         other = _lift(other, self.dtype)
         data = self.data * other.data
+        a, b = self.node, other.node
+        x = self.data if b is not None else None        # each side reads the other's data
+        y = other.data if a is not None else None
 
         def backward_fn(out):
-            if self.requires_grad:
-                self.accumulate_grad(_unbroadcast(out.grad * other.data, self.shape))
-            if other.requires_grad:
-                other.accumulate_grad(_unbroadcast(out.grad * self.data, other.shape))
+            if a is not None:
+                a.accumulate_grad(_unbroadcast(out.grad * y, a.shape))
+            if b is not None:
+                b.accumulate_grad(_unbroadcast(out.grad * x, b.shape))
 
         return self._make(data, (self, other), backward_fn)
 
@@ -179,21 +251,21 @@ class Tensor:
         if not np.isscalar(exponent):
             raise TypeError("pow only supports scalar exponents")
         e = float(exponent)
-        data = self.data ** e
+        x, a = self.data, self.node
+        data = x ** e
 
         def backward_fn(out):
-            if self.requires_grad:
-                self.accumulate_grad(out.grad * (e * self.data ** (e - 1.0)))
+            a.accumulate_grad(out.grad * (e * x ** (e - 1.0)))
 
         return self._make(data, (self,), backward_fn)
 
     def abs(self):
         """Elementwise absolute value; subgradient 0 at exactly 0."""
-        data = np.abs(self.data)
+        x, a = self.data, self.node
+        data = np.abs(x)
 
         def backward_fn(out):
-            if self.requires_grad:
-                self.accumulate_grad(out.grad * np.sign(self.data))
+            a.accumulate_grad(out.grad * np.sign(x))
 
         return self._make(data, (self,), backward_fn)
 
@@ -203,10 +275,10 @@ class Tensor:
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
         data = self.data.reshape(shape)
+        a = self.node
 
         def backward_fn(out):
-            if self.requires_grad:
-                self.accumulate_grad(out.grad.reshape(self.shape))
+            a.accumulate_grad(out.grad.reshape(a.shape))
 
         return self._make(data, (self,), backward_fn)
 
@@ -217,10 +289,10 @@ class Tensor:
             axes = tuple(axes[0])
         inverse = np.argsort(axes)
         data = np.ascontiguousarray(self.data.transpose(axes))
+        a = self.node
 
         def backward_fn(out):
-            if self.requires_grad:
-                self.accumulate_grad(out.grad.transpose(inverse))
+            a.accumulate_grad(out.grad.transpose(inverse))
 
         return self._make(data, (self,), backward_fn)
 
@@ -228,12 +300,12 @@ class Tensor:
         """Rows ``start:stop`` of the first axis, as a view; backward adds the
         gradient into those rows of this tensor's gradient only."""
         data = self.data[start:stop]
+        a, order = self.node, memory_order(self.data)
 
         def backward_fn(out):
-            if self.requires_grad:
-                if self.grad is None:
-                    self.grad = np.zeros_like(self.data)
-                self.grad[start:stop] += out.grad
+            if a.grad is None:
+                a.grad = zeros_in(order, a.shape, a.dtype)
+            a.grad[start:stop] += out.grad
 
         return self._make(data, (self,), backward_fn)
 
@@ -245,12 +317,15 @@ class Tensor:
         if self.shape[1] != other.shape[0]:
             raise ValueError(f"matmul inner dimensions differ: {self.shape} @ {other.shape}")
         data = self.data @ other.data
+        a, b = self.node, other.node
+        x = self.data if b is not None else None        # each side reads the other's data
+        y = other.data if a is not None else None
 
         def backward_fn(out):
-            if self.requires_grad:
-                self.accumulate_grad(out.grad @ other.data.T)
-            if other.requires_grad:
-                other.accumulate_grad(self.data.T @ out.grad)
+            if a is not None:
+                a.accumulate_grad(out.grad @ y.T)
+            if b is not None:
+                b.accumulate_grad(x.T @ out.grad)
 
         return self._make(data, (self, other), backward_fn)
 
@@ -258,13 +333,13 @@ class Tensor:
 
     def sum(self, axis=None, keepdims: bool = False):
         data = self.data.sum(axis=axis, keepdims=keepdims, dtype=np.float64).astype(self.dtype)
+        a = self.node
 
         def backward_fn(out):
-            if self.requires_grad:
-                g = out.grad
-                if axis is not None and not keepdims:
-                    g = np.expand_dims(g, axis)
-                self.accumulate_grad(np.broadcast_to(g, self.shape))
+            g = out.grad
+            if axis is not None and not keepdims:
+                g = np.expand_dims(g, axis)
+            a.accumulate_grad(np.broadcast_to(g, a.shape))
 
         return self._make(data, (self,), backward_fn)
 
@@ -301,27 +376,44 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
+def memory_order(a: np.ndarray) -> tuple[int, ...]:
+    """The axes of ``a`` from slowest- to fastest-varying, in the order that
+    ``np.zeros_like(a)`` lays out a new array, so that :func:`zeros_in` can
+    rebuild that layout once ``a`` itself is gone."""
+    if a.flags.c_contiguous:
+        return tuple(range(a.ndim))
+    if a.flags.f_contiguous:
+        return tuple(reversed(range(a.ndim)))
+    return tuple(sorted(range(a.ndim), key=lambda i: -abs(a.strides[i])))
+
+
+def zeros_in(order: tuple[int, ...], shape: tuple[int, ...], dtype) -> np.ndarray:
+    """Zeros of ``shape`` laid out in the axis ``order`` of :func:`memory_order`."""
+    return np.zeros([shape[i] for i in order], dtype=dtype).transpose(np.argsort(order))
+
+
 def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     """Stack same-shape tensors along a new axis."""
     tensors = list(tensors)
     if not tensors:
         raise ValueError("stack requires at least one tensor")
     data = np.stack([t.data for t in tensors], axis=axis)
+    nodes = [t.node for t in tensors]
 
     def backward_fn(out):
-        pieces = np.split(out.grad, len(tensors), axis=axis)
-        for t, piece in zip(tensors, pieces):
-            if t.requires_grad:
-                t.accumulate_grad(piece.reshape(t.shape))
+        pieces = np.split(out.grad, len(nodes), axis=axis)
+        for node, piece in zip(nodes, pieces):
+            if node is not None:
+                node.accumulate_grad(piece.reshape(node.shape))
 
-    return tensors[0]._make(data, tensors, backward_fn)
+    return Tensor._make(data, tensors, backward_fn)
 
 
-def _topo_order(root: Tensor) -> list[Tensor]:
-    """Operations reachable from ``root``, inputs before outputs."""
-    order: list[Tensor] = []
+def _topo_order(root: Node) -> list[Node]:
+    """Nodes reachable from ``root``, inputs before outputs."""
+    order: list[Node] = []
     seen: set[int] = set()
-    stack_: list[tuple[Tensor, bool]] = [(root, False)]
+    stack_: list[tuple[Node, bool]] = [(root, False)]
     while stack_:
         node, expanded = stack_.pop()
         if expanded:
@@ -329,11 +421,11 @@ def _topo_order(root: Tensor) -> list[Tensor]:
             continue
         if id(node) in seen:
             continue
-        if node._parents is None:
+        if node.parents is None:
             raise ValueError("backward through a graph that an earlier backward() released")
         seen.add(id(node))
         stack_.append((node, True))
-        for parent in node._parents:
+        for parent in node.parents:
             if id(parent) not in seen:
                 stack_.append((parent, False))
     return order
@@ -347,14 +439,14 @@ def backward(loss: Tensor):
     """
     if loss.data.size != 1:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
-    if not loss.requires_grad:
+    if loss.node is None:
         raise ValueError("loss does not require grad; nothing to differentiate")
-    order = _topo_order(loss)
-    loss.accumulate_grad(np.ones_like(loss.data))
+    order = _topo_order(loss.node)
+    loss.node.accumulate_grad(np.ones_like(loss.data))
     while order:
         node = order.pop()
-        if node._backward is not None:
-            node._backward(node)
-            # Release the op: its gradient and the arrays its closure saved
-            # are freed now, and ``_parents = None`` marks it as walked.
-            node.grad = node._backward = node._parents = None
+        if node.rule is not None:
+            node.rule(node)
+            # Release the op: its gradient and the arrays its rule saved are
+            # freed now, and ``parents = None`` marks it as walked.
+            node.grad = node.rule = node.parents = None

@@ -446,6 +446,33 @@ def test_train_divergence_is_an_error_not_a_traceback(tmp_path, data):
     assert not (tmp_path / "run" / "checkpoint_seed0.ssnw").exists()
 
 
+@pytest.mark.parametrize("learning_rate", ["1e4", "1e20"])
+def test_train_divergence_prints_no_numpy_warnings(tmp_path, data, learning_rate):
+    # pytest captures warnings in-process, so only a separate interpreter shows
+    # what a user sees on stderr: the overflows inside the conv GEMMs and the
+    # batch-norm moments must not print before the error line.
+    src = str(Path(sliceset.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-m", "sliceset.cli", "train", "--train-manifest", data["train"],
+         "--val-manifest", data["val"], "--test-manifest", data["test"],
+         "--output-dir", str(tmp_path / "run"), "--epochs", "2", *TRAIN_FLAGS,
+         "--optimizer", "sgd", "--learning-rate", learning_rate],
+        capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": src})
+    assert result.returncode == 2
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1, result.stderr
+
+
+@pytest.mark.parametrize("seeds", ["0", "-1"])
+def test_train_rejects_seed_counts_below_one_before_writing(tmp_path, data, seeds):
+    out = tmp_path / "run"
+    code, stdout, err = train_into(out, data, "--seeds", seeds)
+    assert code == 2
+    assert err == f"error: --seeds must be at least 1, got {seeds}\n"
+    assert stdout == ""
+    assert not out.exists()
+
+
 def test_train_names_the_parameter_whose_gradient_is_non_finite(tmp_path, data, monkeypatch):
     real_loss = train_mod.batch_loss
 

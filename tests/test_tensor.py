@@ -1,9 +1,17 @@
 """Reverse-mode autodiff engine: graph mechanics, hand oracles, FD spot checks."""
 
+import types
+import weakref
+
 import numpy as np
 import pytest
 
-from sliceset.tensor import Tensor, no_grad, grad_enabled, stack
+from sliceset import nn
+from sliceset.data import SyntheticSpec, generate_synthetic
+from sliceset.encoders import EncoderConfig
+from sliceset.model import AggregatorConfig, ModelConfig, build_model
+from sliceset.tensor import Node, Tensor, no_grad, grad_enabled, stack
+from sliceset.train import batch_loss, he_init
 
 
 def scalar(value, requires_grad=True):
@@ -236,3 +244,124 @@ def test_composite_matches_central_differences(seed):
                 p.data[idx] = orig
                 numeric = (fp - fm) / (2 * h)
                 assert numeric == pytest.approx(float(g[idx]), rel=1e-5, abs=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# graph nodes and values: the graph keeps only what a backward rule reads
+# ---------------------------------------------------------------------------
+
+def pooled_chain(x, keep):
+    """sum(relu(max_pool(batch_norm(2x)))); ``keep`` collects each op output
+    and records it as alive or as freed by a weak reference to its array."""
+    c = x.shape[1]
+    gamma = Tensor(np.linspace(0.5, 1.5, c), requires_grad=True, dtype=np.float64)
+    beta = Tensor(np.linspace(-0.2, 0.2, c), requires_grad=True, dtype=np.float64)
+    y = x * 2.0
+    keep.append(y)
+    y = nn.batch_norm2d(y, gamma, beta, np.zeros(c), np.ones(c), training=True)
+    keep.append(y)
+    y = nn.max_pool2d(y, 2)
+    keep.append(y)
+    y = nn.relu(y)
+    keep.append(y)
+    return y.sum()
+
+
+def test_a_dropped_op_output_is_freed_unless_a_rule_reads_it():
+    rng = np.random.default_rng(0)
+    values = rng.standard_normal((3, 2, 6, 6))
+    x = Tensor(values, requires_grad=True, dtype=np.float64)
+    outputs = []
+    loss = pooled_chain(x, outputs)
+    arrays = [weakref.ref(t.data) for t in outputs]
+    del outputs
+    # Batch norm reads its centred copy, max pool its tap masks and relu its
+    # own output, so only the relu map outlives its tensor.
+    assert [a() is None for a in arrays] == [True, True, True, False]
+    loss.backward()
+    assert arrays[3]() is None                     # released by the walk
+
+    kept = Tensor(values, requires_grad=True, dtype=np.float64)
+    held = []
+    pooled_chain(kept, held).backward()
+    assert x.grad.tobytes() == kept.grad.tobytes()
+
+
+def test_no_backward_rule_captures_a_tensor():
+    """Every rule a model's training graph holds reaches arrays and nodes
+    only, never a Tensor, which would pin that tensor's data."""
+    def captured(fn, seen):
+        for cell in fn.__closure__ or ():
+            value = cell.cell_contents
+            if id(value) in seen:
+                continue
+            seen.add(id(value))
+            yield value
+            if isinstance(value, types.FunctionType):
+                yield from captured(value, seen)
+            elif isinstance(value, (tuple, list)):
+                for item in value:
+                    yield item
+                    if isinstance(item, types.FunctionType):
+                        yield from captured(item, seen)
+
+    cases = [("cnn5", "attention", True, "regression", "mse", False),
+             ("cnn5", "mean", False, "regression", "l1", True),
+             ("resnet18", "mean", False, "classification", "cross_entropy", False),
+             ("resnet50", "attention", False, "regression", "l1", True)]
+    for kind, aggregator, positional, task, loss_kind, frozen in cases:
+        cfg = ModelConfig(task=task, axis="coronal",
+                          encoder=EncoderConfig(kind=kind, width_multiplier=0.125, min_input=8),
+                          aggregator=AggregatorConfig(kind=aggregator),
+                          positional_enabled=positional)
+        model = build_model(cfg, slice_count=10)
+        he_init(model, seed=0)
+        for _, module in model.named_modules():
+            if isinstance(module, nn.BatchNorm2d):
+                module.freeze_stats = frozen             # eval-mode batch norm in training
+        volumes = generate_synthetic(SyntheticSpec(extents=(9, 10, 9), task=task, count=2,
+                                                   seed=0, signal_axis="coronal"))
+        loss = batch_loss(model, volumes, loss_kind)
+        stack_, seen, rules = [loss.node], set(), 0
+        while stack_:
+            node = stack_.pop()
+            if id(node) in seen:
+                continue
+            seen.add(id(node))
+            stack_.extend(node.parents)
+            if node.rule is not None:
+                rules += 1
+                leaked = [v for v in captured(node.rule, set()) if isinstance(v, Tensor)]
+                assert not leaked, (kind, node.rule.__qualname__, leaked)
+        assert rules > 30, (kind, rules)
+
+
+def test_relu_gradient_from_output_sign_matches_input_sign():
+    x = np.array([-np.inf, -1.0, -1e-45, -0.0, 0.0, 1e-45, 2.0, np.inf, np.nan, np.nan],
+                 dtype=np.float32)
+    upstream = np.array([1.0, -2.0, 3.0, 4.0, -5.0, 6.0, 7.0, -8.0, 9.0, 0.5], dtype=np.float32)
+    xt = Tensor(x, requires_grad=True)
+    (nn.relu(xt) * Tensor(upstream)).sum().backward()
+    assert xt.grad.tobytes() == (upstream * (x > 0)).tobytes()
+
+
+def test_op_output_keeps_the_attributes_tracers_and_tests_use():
+    x = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True, dtype=np.float64)
+    y = x * 3.0
+    assert y.requires_grad and y.grad is None and len(y._parents) == 1
+    seen = []
+    rule = y._backward
+
+    def traced(node):
+        seen.append(node.grad.copy())
+        rule(node)
+    y._backward = traced
+    assert y._backward is traced
+    # _make still takes tensors as parents; accumulate_grad still works on a tensor.
+    extra = Tensor._make(np.zeros((), dtype=np.float64), (x,),
+                         lambda out: x.accumulate_grad(np.full(3, 0.5)))
+    ((y * y).sum() + extra).backward()
+    np.testing.assert_array_equal(seen[0], 2.0 * y.data)
+    np.testing.assert_array_equal(x.grad, 18.0 * x.data + 0.5)
+    assert y.grad is None and not y._parents and y._backward is None
+    assert isinstance(x.node, Node) and x.node.parents == () and x.node.rule is None
