@@ -71,7 +71,6 @@ class SyntheticSpec:
 
     extents: tuple[int, int, int] = (16, 20, 16)
     task: str = "regression"
-    signal_kind: str = "blob"
     noise_std: float = 0.1
     count: int = 16
     seed: int = 0
@@ -82,8 +81,6 @@ class SyntheticSpec:
     def __post_init__(self):
         if self.task not in TASKS:
             raise ValueError(f"unknown task {self.task!r}; choose from {TASKS}")
-        if self.signal_kind != "blob":
-            raise ValueError(f"unknown signal_kind {self.signal_kind!r}")
         if self.count <= 0:
             raise ValueError("count must be positive")
         if self.noise_std < 0:

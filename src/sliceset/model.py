@@ -5,6 +5,9 @@ The model computes, for a volume cut into K slices ``x_k`` along a chosen
 anatomical axis, the per-slice embeddings ``r(x_k)`` with one shared 2D
 encoder, optionally adds a trainable per-position vector ``p_k``, fuses the
 K rows with a mean or attention aggregator, and applies a linear head.
+Every forward, in training and in eval, for a batch or for one volume, goes
+through :meth:`SliceSetModel.forward_volumes`: one encoder call per run of
+consecutive volumes whose slices share a shape, then the tail per volume.
 
 With the positional table disabled (or all-zero) both aggregators are
 permutation-invariant in the slice order; the mean aggregator additionally
@@ -17,6 +20,7 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass, field, fields, is_dataclass
+from itertools import groupby
 from typing import get_args, get_type_hints
 
 import numpy as np
@@ -29,35 +33,20 @@ from .tensor import Tensor
 AGGREGATOR_KINDS = ("mean", "attention")
 
 
-@dataclass
-class SliceStack:
-    """K slices of a volume as a (K, C, H, W) array plus provenance."""
-
-    axis: str
-    data: np.ndarray
-    source_extents: tuple[int, int, int]
-
-    @property
-    def slice_count(self) -> int:
-        return self.data.shape[0]
-
-
-def slice_volume(volume: Volume, axis: str, input_channels: int = 1) -> SliceStack:
-    """Cut a volume into K planes orthogonal to ``axis``.
+def slice_volume(volume: Volume, axis: str, input_channels: int = 1) -> np.ndarray:
+    """Cut a volume into its (K, C, H, W) array of planes orthogonal to ``axis``.
 
     K equals the volume extent along the axis; each slice keeps the two
     remaining extents in canonical order.  The single voxel channel is
     replicated to ``input_channels``.
     """
-    i = axis_index(axis)
-    planes = np.moveaxis(volume.voxels, i, 0).astype(np.float32)
-    stacked = np.repeat(planes[:, None, :, :], input_channels, axis=1)
-    return SliceStack(axis=axis, data=np.ascontiguousarray(stacked), source_extents=volume.extents)
+    planes = np.moveaxis(volume.voxels, axis_index(axis), 0).astype(np.float32)
+    return np.ascontiguousarray(np.repeat(planes[:, None, :, :], input_channels, axis=1))
 
 
-def restack_volume(stack: SliceStack) -> np.ndarray:
+def restack_volume(slices: np.ndarray, axis: str) -> np.ndarray:
     """Inverse of :func:`slice_volume` (first channel), bit-exact."""
-    return np.ascontiguousarray(np.moveaxis(stack.data[:, 0], 0, axis_index(stack.axis)))
+    return np.ascontiguousarray(np.moveaxis(slices[:, 0], 0, axis_index(axis)))
 
 
 def permute_volume(volume: Volume, axis: str, permutation: np.ndarray) -> Volume:
@@ -209,43 +198,9 @@ class SliceSetModel(Module):
 
     # -- forward ---------------------------------------------------------
 
-    def embed_stack(self, stack: SliceStack) -> Tensor:
-        """Per-slice embeddings r(x_k) as a (K, d) tensor."""
-        return self.embed_stacks([stack])
-
-    def embed_stacks(self, stacks: list[SliceStack]) -> Tensor:
-        """The (ΣK, d) embeddings of same-shape slice stacks from one encoder call.
-
-        In training mode batch norm normalizes each stack's slices by their
-        own moments (:func:`~sliceset.nn.batch_norm_groups`), so each stack's
-        rows are what :meth:`embed_stack` gives it alone, up to GEMM roundoff.
-        """
-        with batch_norm_groups(len(stacks)):
-            return self.encoder(Tensor(np.concatenate([s.data for s in stacks])))
-
-    def forward_stacks(self, stacks: list[SliceStack]) -> list[Tensor]:
-        """Each same-shape slice stack's output, from one encoder call.
-
-        The (ΣK, d) embeddings are cut back into each stack's rows
-        (:meth:`~sliceset.tensor.Tensor.rows`), which go through
-        :meth:`forward_embeddings`.
-        """
-        embeddings = self.embed_stacks(stacks)
-        outputs, start = [], 0
-        for s in stacks:
-            outputs.append(self.forward_embeddings(embeddings.rows(start, start + s.slice_count)))
-            start += s.slice_count
-        return outputs
-
-    def _check_slice_count(self, count: int):
-        if count != self.slice_count:
-            raise ValueError(
-                f"model was built for {self.slice_count} slices, volume yields {count}")
-
     def forward_embeddings(self, embeddings: Tensor) -> Tensor:
         """The positional table, aggregator and head over one volume's (K, d)
         slice embeddings."""
-        self._check_slice_count(embeddings.shape[0])
         emb = self.positional(embeddings)
         agg = self.aggregator(emb)
         out = self.head(agg.reshape(1, -1))
@@ -253,29 +208,37 @@ class SliceSetModel(Module):
             return out.reshape(())
         return out.reshape(-1)
 
-    def slice_stack(self, volume: Volume) -> SliceStack:
-        """The volume's slice stack along the model's axis."""
-        return slice_volume(volume, self.config.axis, self.config.encoder.input_channels)
+    def forward_volumes(self, volumes: list[Volume]) -> list[Tensor]:
+        """Each volume's output, with one encoder call per run of consecutive
+        volumes whose slices share a shape; every slice count is checked
+        before any encoder call.
+
+        In training mode batch norm normalizes each volume's slices by their
+        own moments and updates its running statistics once per volume, in
+        order (:func:`~sliceset.nn.batch_norm_groups`), so each output is what
+        the volume gives alone, up to GEMM roundoff.  The (ΣK, d) embeddings
+        of a run are cut back per volume (:meth:`~sliceset.tensor.Tensor.rows`)
+        and go through :meth:`forward_embeddings`.
+        """
+        for v in volumes:
+            count = slice_count_for(v.extents, self.config.axis)
+            if count != self.slice_count:
+                raise ValueError(
+                    f"model was built for {self.slice_count} slices, volume yields {count}")
+        k = self.slice_count
+        stacks = [slice_volume(v, self.config.axis, self.config.encoder.input_channels)
+                  for v in volumes]
+        outputs = []
+        for _, run in groupby(stacks, key=lambda s: s.shape):
+            run = list(run)
+            with batch_norm_groups(len(run)):
+                embeddings = self.encoder(Tensor(np.concatenate(run)))
+            outputs += [self.forward_embeddings(embeddings.rows(r * k, (r + 1) * k))
+                        for r in range(len(run))]
+        return outputs
 
     def forward_volume(self, volume: Volume) -> Tensor:
-        return self.forward_stacks([self.slice_stack(volume)])[0]
-
-    def forward_volumes(self, volumes: list[Volume]) -> list[Tensor]:
-        """Each volume's :meth:`forward_volume` output, from one encoder call
-        per distinct slice shape, in the order each shape first appears (the
-        order in which training-mode batch norm updates its running
-        statistics); every slice count is checked before any encoder call."""
-        stacks = [self.slice_stack(v) for v in volumes]
-        for s in stacks:
-            self._check_slice_count(s.slice_count)
-        by_shape: dict[tuple[int, ...], list[int]] = {}
-        for i, s in enumerate(stacks):
-            by_shape.setdefault(s.data.shape[1:], []).append(i)
-        outputs: list[Tensor | None] = [None] * len(stacks)
-        for members in by_shape.values():
-            for i, out in zip(members, self.forward_stacks([stacks[i] for i in members])):
-                outputs[i] = out
-        return outputs
+        return self.forward_volumes([volume])[0]
 
     __call__ = forward_volume
 

@@ -1,13 +1,14 @@
 """Initialization, optimizers, and the epoch loop with best-model selection.
 
-Each training batch sends the slices of all its volumes through one encoder
-call per distinct slice shape; batch norm normalizes each volume's slices by
-that volume's own moments and updates its running statistics once per
-volume, in batch order, so a batch trains as per-volume forward passes
-would.  The loop validates after every epoch and keeps the checkpoint that
-optimizes the selection metric (lowest mean absolute error for regression,
-highest balanced accuracy for classification), breaking ties toward the
-earliest epoch.  Runs are fully deterministic given (seed, data, config);
+Each training batch goes through :meth:`SliceSetModel.forward_volumes`,
+which sends the slices of each run of consecutive same-shape volumes through
+one encoder call; batch norm normalizes each volume's slices by that
+volume's own moments and updates its running statistics once per volume, in
+batch order, so a batch trains as per-volume forward passes would.  The loop
+validates after every epoch and keeps the checkpoint that optimizes the
+selection metric (lowest mean absolute error for regression, highest
+balanced accuracy for classification), breaking ties toward the earliest
+epoch.  Runs are fully deterministic given (seed, data, config);
 the per-epoch wall-clock entry is the only field allowed to differ between
 identical runs.
 """
@@ -35,7 +36,8 @@ SELECTION_METRICS = ("mae", "balanced_accuracy")
 
 class TrainingDivergedError(RuntimeError):
     """Raised when a training loss goes non-finite, naming the epoch and batch,
-    or a gradient or a parameter's new value does, naming the parameter."""
+    a validation prediction does, naming the epoch, or a gradient or a
+    parameter's new value does, naming the parameter."""
 
 
 @dataclass(frozen=True)
@@ -268,8 +270,8 @@ def build_optimizer(parameters, config: OptimizerConfig):
 # ---------------------------------------------------------------------------
 
 def batch_loss(model: SliceSetModel, batch: list[Volume], loss_kind: str) -> Tensor:
-    """Forward the batch, one encoder call per distinct slice shape
-    (:meth:`SliceSetModel.forward_volumes`), and reduce to one scalar loss."""
+    """Forward the batch (:meth:`SliceSetModel.forward_volumes`) and reduce
+    to one scalar loss."""
     outputs = model.forward_volumes(batch)
     if model.config.task == "classification":
         logits = stack(outputs, axis=0)
@@ -286,21 +288,7 @@ def batch_loss(model: SliceSetModel, batch: list[Volume], loss_kind: str) -> Ten
 # evaluation
 # ---------------------------------------------------------------------------
 
-PREDICT_MAX_SLICES = 128   # slices per encoder call in predict (one volume at least)
-
-
-def _slice_groups(model: SliceSetModel, volumes: list[Volume]):
-    """Consecutive volumes' slice stacks, grouped for one encoder call each."""
-    group = []
-    for v in volumes:
-        stack = model.slice_stack(v)
-        full = sum(s.slice_count for s in group) + stack.slice_count > PREDICT_MAX_SLICES
-        if group and (full or stack.data.shape[1:] != group[0].data.shape[1:]):
-            yield group
-            group = []
-        group.append(stack)
-    if group:
-        yield group
+PREDICT_MAX_SLICES = 128   # slices per predict chunk (one volume at least)
 
 
 def predict(model: SliceSetModel, volumes: list[Volume]):
@@ -309,22 +297,21 @@ def predict(model: SliceSetModel, volumes: list[Volume]):
     Regression → (predictions, targets) float arrays.  Classification →
     (class-1 probabilities, predicted labels, true labels).
 
-    Consecutive volumes share one encoder call: a group holds at most
-    ``PREDICT_MAX_SLICES`` slices but at least one volume, and a new group
-    starts whenever the slice shape changes.  The encoder's (slices, d)
-    output is split back per volume before the positional table, aggregator
-    and head (:meth:`SliceSetModel.forward_stacks`).  In eval mode batch norm normalizes by its running statistics,
-    a fixed per-channel map, and every other encoder op acts on each slice
-    alone, so a slice's embedding does not depend on the other slices of its
-    call; only the GEMM roundoff may move with the batch width (see
-    :mod:`sliceset.nn`).
+    The volumes go to :meth:`SliceSetModel.forward_volumes` in consecutive
+    chunks of ``max(1, PREDICT_MAX_SLICES // model.slice_count)``, which makes
+    one encoder call per run of same-shape volumes in a chunk.  In eval mode
+    batch norm normalizes by its running statistics, a fixed per-channel map,
+    and every other encoder op acts on each slice alone, so a slice's
+    embedding does not depend on the other slices of its call; only the GEMM
+    roundoff may move with the batch width (see :mod:`sliceset.nn`).
     """
     was_training = model.training
     model.eval()
     try:
         with no_grad():
-            outputs = [out.numpy() for group in _slice_groups(model, volumes)
-                       for out in model.forward_stacks(group)]
+            chunk = max(1, PREDICT_MAX_SLICES // model.slice_count)
+            outputs = [out.numpy() for start in range(0, len(volumes), chunk)
+                       for out in model.forward_volumes(volumes[start:start + chunk])]
     finally:
         if was_training:
             model.train()
@@ -351,11 +338,17 @@ def evaluate(model: SliceSetModel, volumes: list[Volume]) -> EvalReport:
     return classification_report(scores, labels, truths)
 
 
-def _validation_metric(model: SliceSetModel, volumes: list[Volume], metric: str) -> float:
+def _validation_metric(model: SliceSetModel, volumes: list[Volume], metric: str,
+                       epoch: int) -> float:
+    """The selection metric on the validation split, or
+    :class:`TrainingDivergedError` naming the epoch when a prediction (a
+    regression output or a class-1 probability) is a NaN or an infinity."""
+    predictions = predict(model, volumes)
+    if not np.isfinite(predictions[0]).all():
+        raise TrainingDivergedError(f"non-finite validation prediction at epoch {epoch}")
     if metric == "mae":
-        preds, targets = predict(model, volumes)
-        return mae(preds, targets)
-    return evaluate(model, volumes).balanced_accuracy
+        return mae(*predictions)
+    return classification_report(*predictions).balanced_accuracy
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +413,7 @@ def train(model: SliceSetModel, train_volumes: list[Volume], val_volumes: list[V
             train_loss = _run_epoch(
                 model, optimizer, rng, len(train_volumes), cfg.batch_size, epoch,
                 lambda idx: batch_loss(model, [train_volumes[i] for i in idx], cfg.loss))
-            val_metric = _validation_metric(model, val_volumes, cfg.selection_metric)
+            val_metric = _validation_metric(model, val_volumes, cfg.selection_metric, epoch)
             record = {
                 "epoch": epoch,
                 "train_loss": train_loss,

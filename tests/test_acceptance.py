@@ -257,10 +257,10 @@ def test_slicing_covers_every_axis_and_restacks_exactly():
                 "axial": (91, (91, 109))}
     counts, exact = {}, True
     for axis, (k, plane) in expected.items():
-        stack = slice_volume(volume, axis, 1)
-        counts[axis] = stack.data.shape[0]
-        assert stack.data.shape == (k, 1) + plane, axis
-        back = restack_volume(stack)
+        slices = slice_volume(volume, axis, 1)
+        counts[axis] = slices.shape[0]
+        assert slices.shape == (k, 1) + plane, axis
+        back = restack_volume(slices, axis)
         exact &= (back.dtype == volume.voxels.dtype
                   and np.array_equal(back, volume.voxels))
     ok = counts == {"sagittal": 91, "coronal": 109, "axial": 91} and exact
@@ -284,9 +284,9 @@ def test_training_protocol_epoch_count_selection_and_aggregation(
     validations = []
     real_metric = train_module._validation_metric
 
-    def counting_metric(model, volumes, metric):
+    def counting_metric(model, volumes, metric, epoch):
         validations.append(metric)
-        return real_metric(model, volumes, metric)
+        return real_metric(model, volumes, metric, epoch)
 
     monkeypatch.setattr(train_module, "_validation_metric", counting_metric)
     model = _small_model(seed=1)
@@ -380,10 +380,10 @@ def test_weight_archives_round_trip_and_transfer_encoders():
     for name, array, _ in standalone.named_state():
         array[...] = pretrained.archive["encoder." + name]
     standalone.eval()
-    stack = slice_volume(volume, "coronal", 1)
+    slices = slice_volume(volume, "coronal", 1)
     with no_grad():
-        via_model = target.embed_stack(stack).numpy()
-        direct = standalone(Tensor(stack.data)).numpy()
+        via_model = target.encoder(Tensor(slices)).numpy()
+        direct = standalone(Tensor(slices)).numpy()
     embedding_gap = float(np.abs(via_model - direct).max())
 
     model_names = {name for name, _, _ in target.named_state()}

@@ -463,6 +463,17 @@ def test_train_divergence_prints_no_numpy_warnings(tmp_path, data, learning_rate
     assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1, result.stderr
 
 
+def test_train_names_the_epoch_whose_validation_prediction_is_non_finite(tmp_path, data):
+    # SGD at 1e4 keeps every loss, gradient and parameter finite through the
+    # first epoch's steps, but the grown weights overflow in the validation
+    # forward, which must stop the run before the metrics see the output.
+    code, _, err = train_into(tmp_path / "run", data, "--optimizer", "sgd",
+                              "--learning-rate", "1e4")
+    assert code == 2
+    assert err == "error: non-finite validation prediction at epoch 1\n"
+    assert not (tmp_path / "run" / "checkpoint_seed0.ssnw").exists()
+
+
 @pytest.mark.parametrize("seeds", ["0", "-1"])
 def test_train_rejects_seed_counts_below_one_before_writing(tmp_path, data, seeds):
     out = tmp_path / "run"

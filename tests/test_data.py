@@ -118,8 +118,6 @@ def test_spec_rejects_oversized_blob_and_bad_fields():
         SyntheticSpec(count=0)
     with pytest.raises(ValueError):
         SyntheticSpec(noise_std=-0.1)
-    with pytest.raises(ValueError):
-        SyntheticSpec(signal_kind="stripes")
 
 
 def test_synthetic_images_shapes_labels_and_determinism():

@@ -47,32 +47,31 @@ def test_slice_counts_match_axis_extents():
 ])
 def test_slice_shapes_keep_remaining_extents_in_order(axis, expected_hw):
     vol = rand_volume((91, 109, 91))
-    stack = slice_volume(vol, axis)
+    slices = slice_volume(vol, axis)
     k = slice_count_for(vol.extents, axis)
-    assert stack.data.shape == (k, 1, *expected_hw)
+    assert slices.shape == (k, 1, *expected_hw)
 
 
 @pytest.mark.parametrize("axis", ["sagittal", "coronal", "axial"])
 def test_restack_is_bit_exact_inverse(axis):
     vol = rand_volume((91, 109, 91), seed=1)
-    stack = slice_volume(vol, axis)
-    back = restack_volume(stack)
+    back = restack_volume(slice_volume(vol, axis), axis)
     assert back.dtype == vol.voxels.dtype
     np.testing.assert_array_equal(back, vol.voxels)
 
 
 def test_slice_volume_replicates_channels():
     vol = rand_volume((4, 5, 6))
-    stack = slice_volume(vol, "sagittal", input_channels=3)
-    assert stack.data.shape == (4, 3, 5, 6)
-    np.testing.assert_array_equal(stack.data[:, 0], stack.data[:, 2])
+    slices = slice_volume(vol, "sagittal", input_channels=3)
+    assert slices.shape == (4, 3, 5, 6)
+    np.testing.assert_array_equal(slices[:, 0], slices[:, 2])
 
 
 def test_slice_volume_content_matches_direct_indexing():
     vol = rand_volume((3, 4, 5), seed=2)
-    np.testing.assert_array_equal(slice_volume(vol, "coronal").data[2, 0],
+    np.testing.assert_array_equal(slice_volume(vol, "coronal")[2, 0],
                                   vol.voxels[:, 2, :])
-    np.testing.assert_array_equal(slice_volume(vol, "axial").data[4, 0],
+    np.testing.assert_array_equal(slice_volume(vol, "axial")[4, 0],
                                   vol.voxels[:, :, 4])
 
 

@@ -465,17 +465,20 @@ def test_batched_batch_loss_equals_one_encoder_call_per_volume(kind, aggregator,
     assert worst_gap(got[2], want[2]) <= 1e-6
 
 
-def test_batch_loss_makes_one_encoder_call_per_slice_shape(monkeypatch):
+def test_batch_loss_makes_one_encoder_call_per_run_of_same_shape_volumes(monkeypatch):
+    """A batch whose slice shapes go a, a, b, b, a makes three encoder calls and
+    trains as per-volume forwards would, running buffers updated in batch order."""
     model = cohort_model("regression", 10)
     a = cohort("regression", 10, 3)
     b = cohort("regression", 10, 2, in_plane=(10, 6), seed=1)
-    batch = [a[0], b[0], a[1], b[1], a[2]]
+    batch = [a[0], a[1], b[0], b[1], a[2]]
     want = loss_grads_buffers(model, per_volume_loss, batch, "mse")
     calls = count_encoder_calls(monkeypatch, model)
     got = loss_grads_buffers(model, batch_loss, batch, "mse")
-    assert calls == [30, 20]
+    assert calls == [20, 20, 10]
     assert worst_gap(got[0], want[0]) <= 1e-6
     assert worst_gap(got[1], want[1]) <= 1e-5
+    assert worst_gap(got[2], want[2]) <= 1e-6
 
 
 def test_batch_loss_rejects_a_volume_with_the_wrong_slice_count_before_encoding(monkeypatch):
@@ -606,11 +609,13 @@ def test_predict_of_no_volumes_is_empty():
         assert len(out) == arrays and all(a.shape == (0,) for a in out)
 
 
-def test_predict_rejects_a_volume_with_the_wrong_slice_count():
+def test_predict_rejects_a_volume_with_the_wrong_slice_count(monkeypatch):
     model = cohort_model("regression", 20)
     volumes = cohort("regression", 20, 2) + cohort("regression", 16, 1)
+    calls = count_encoder_calls(monkeypatch, model)
     with pytest.raises(ValueError, match="model was built for 20 slices, volume yields 16"):
         predict(model, volumes)
+    assert calls == []
     with pytest.raises(ValueError, match="model was built for 20 slices, volume yields 16"):
         model.forward_volume(volumes[-1])
 

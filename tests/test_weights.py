@@ -244,10 +244,10 @@ def test_import_encoder_embeddings_match_standalone_encoder():
     standalone.eval()
 
     vol = rand_volume(9)
-    stack = slice_volume(vol, "coronal")
+    slices = slice_volume(vol, "coronal")
     with no_grad():
-        via_model = model.embed_stack(stack).numpy()
-        direct = standalone(Tensor(stack.data)).numpy()
+        via_model = model.encoder(Tensor(slices)).numpy()
+        direct = standalone(Tensor(slices)).numpy()
     assert np.abs(via_model - direct).max() < 1e-5
 
 
@@ -265,10 +265,10 @@ def test_three_channel_stem_adapts_to_single_channel_input():
     model.eval()
     source.eval()
     vol = rand_volume(12)
-    stack = slice_volume(vol, "coronal", input_channels=1)
-    replicated = np.repeat(stack.data, 3, axis=1)
+    slices = slice_volume(vol, "coronal", input_channels=1)
+    replicated = np.repeat(slices, 3, axis=1)
     with no_grad():
-        adapted_emb = model.embed_stack(stack).numpy()
+        adapted_emb = model.encoder(Tensor(slices)).numpy()
         original_emb = source.encoder(Tensor(replicated)).numpy()
     assert np.abs(adapted_emb - original_emb).max() < 1e-5
 
