@@ -163,6 +163,16 @@ def _op_cases(master_seed):
         st = Tensor(rng.choice([-1.0, 1.0], (4, 3)), dtype=np.float64)
         return (lambda: (nn.linear(x, w, b) * st).sum()), [x, w, b]
 
+    def case_matmul_stacked(rng):
+        a, b = _t(rng, 3, 4, 5), _t(rng, 3, 5, 2)
+        st = Tensor(rng.choice([-1.0, 1.0], (3, 4, 2)), dtype=np.float64)
+        return (lambda: ((a @ b) * st).sum()), [a, b]
+
+    def case_linear_stacked(rng):
+        x, w, b = _t(rng, 2, 3, 6), _t(rng, 4, 6), _t(rng, 4)
+        st = Tensor(rng.choice([-1.0, 1.0], (2, 3, 4)), dtype=np.float64)
+        return (lambda: (nn.linear(x, w, b) * st).sum()), [x, w, b]
+
     def case_relu(rng):
         x = _t(rng, 5, 7, kink_safe=True)
         st = Tensor(rng.choice([-1.0, 1.0], (5, 7)), dtype=np.float64)
@@ -280,6 +290,8 @@ def _op_cases(master_seed):
         ("reshape_transpose", case_reshape_transpose),
         ("mean_reduction", case_mean_reduction),
         ("pad2d", case_pad),
+        ("matmul.stacked", case_matmul_stacked),
+        ("linear.stacked", case_linear_stacked),
     ]
     return cases
 

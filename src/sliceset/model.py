@@ -7,7 +7,8 @@ encoder, optionally adds a trainable per-position vector ``p_k``, fuses the
 K rows with a mean or attention aggregator, and applies a linear head.
 Every forward, in training and in eval, for a batch or for one volume, goes
 through :meth:`SliceSetModel.forward_volumes`: one encoder call per run of
-consecutive volumes whose slices share a shape, then the tail per volume.
+consecutive volumes whose slices share a shape, then one tail call on the
+(R, K, d) stack of their embeddings, with one GEMM per volume in each product.
 
 With the positional table disabled (or all-zero) both aggregators are
 permutation-invariant in the slice order; the mean aggregator additionally
@@ -28,7 +29,7 @@ import numpy as np
 from .data import TASKS, Volume, axis_index
 from .encoders import EncoderConfig, build_encoder
 from .nn import LayerNorm, Linear, Module, batch_norm_groups, relu, softmax
-from .tensor import Tensor
+from .tensor import Tensor, concat
 
 AGGREGATOR_KINDS = ("mean", "attention")
 
@@ -57,7 +58,7 @@ def permute_volume(volume: Volume, axis: str, permutation: np.ndarray) -> Volume
 
 
 class PositionalTable(Module):
-    """Trainable K x d table of per-position vectors added to slice embeddings.
+    """Trainable K x d table of per-position vectors added to each volume's slice embeddings.
 
     Zero initialization makes an enabled table exactly equivalent to a
     disabled one until training moves it.
@@ -71,7 +72,7 @@ class PositionalTable(Module):
     def __call__(self, embeddings: Tensor) -> Tensor:
         if not self.enabled:
             return embeddings
-        if embeddings.shape != self.table.shape:
+        if embeddings.shape[-2:] != self.table.shape:
             raise ValueError(
                 f"positional table shape {self.table.shape} does not match embeddings {embeddings.shape}"
             )
@@ -79,21 +80,21 @@ class PositionalTable(Module):
 
 
 def aggregate_mean(embeddings: Tensor) -> Tensor:
-    """Arithmetic mean over the K embedding rows.
+    """Arithmetic means (R, d) over the K rows of each volume in an (R, K, d) stack.
 
-    Contributions are summed in row-content lexicographic order with 64-bit
-    accumulation, so any permutation of the rows produces a bit-identical
-    result.
+    Each volume's rows are summed in row-content lexicographic order with 64-bit
+    accumulation, so any permutation of its rows produces a bit-identical result.
     """
-    if embeddings.ndim != 2 or embeddings.shape[0] < 1:
-        raise ValueError(f"aggregate_mean expects a nonempty (K, d) matrix, got {embeddings.shape}")
-    k = embeddings.shape[0]
-    order = np.lexsort(embeddings.data.T[::-1])
-    data = (embeddings.data[order].sum(axis=0, dtype=np.float64) / k).astype(embeddings.dtype)
+    if embeddings.ndim != 3 or embeddings.shape[1] < 1:
+        raise ValueError(f"aggregate_mean expects a nonempty (R, K, d) stack, got {embeddings.shape}")
+    k = embeddings.shape[1]
+    order = np.lexsort(embeddings.data.transpose(2, 0, 1)[::-1])       # (R, K), per volume
+    rows = np.take_along_axis(embeddings.data, order[..., None], axis=1)
+    data = (rows.sum(axis=1, dtype=np.float64) / k).astype(embeddings.dtype)
     node = embeddings.node
 
     def backward_fn(out):
-        node.accumulate_grad(np.broadcast_to(out.grad / k, node.shape))
+        node.accumulate_grad(np.broadcast_to(out.grad[:, None] / k, node.shape))
 
     return embeddings._make(data, (embeddings,), backward_fn)
 
@@ -111,7 +112,8 @@ class AttentionAggregator(Module):
     """Self-attention over slice embeddings, then mean pool, feed-forward, layer norm.
 
     Single-head scaled dot-product attention where queries, keys and values
-    are the rows after one learned projection to ``model_dim``.
+    are the rows after one learned projection to ``model_dim``.  Maps (R, K, d)
+    to (R, model_dim) with one GEMM per volume in each product.
     """
 
     def __init__(self, dim: int, model_dim: int | None = None, ff_hidden_dim: int | None = None):
@@ -125,20 +127,20 @@ class AttentionAggregator(Module):
         self.output_dim = m
         self.scale = 1.0 / float(np.sqrt(m))
 
+    def _attend(self, embeddings: Tensor) -> tuple[Tensor, Tensor]:
+        z = self.proj(embeddings)                          # (R, K, m)
+        scores = (z @ z.transpose(0, 2, 1)) * self.scale   # (R, K, K)
+        return softmax(scores, axis=-1), z
+
     def attention_weights(self, embeddings: Tensor) -> np.ndarray:
-        """The K x K row-stochastic attention matrix (diagnostic path)."""
-        z = self.proj(embeddings)
-        scores = (z @ z.transpose()) * self.scale
-        return softmax(scores, axis=-1).data
+        """The (R, K, K) row-stochastic attention matrices (diagnostic path)."""
+        return self._attend(embeddings)[0].data
 
     def __call__(self, embeddings: Tensor) -> Tensor:
-        z = self.proj(embeddings)                      # (K, m)
-        scores = (z @ z.transpose()) * self.scale      # (K, K)
-        attn = softmax(scores, axis=-1)
-        attended = attn @ z                            # (K, m)
-        pooled = attended.mean(axis=0).reshape(1, -1)  # (1, m)
+        attn, z = self._attend(embeddings)
+        pooled = (attn @ z).mean(axis=1, keepdims=True)    # (R, 1, m)
         h = self.ff2(relu(self.ff1(pooled)))
-        return self.norm(h).reshape(-1)
+        return self.norm(h).reshape(embeddings.shape[0], -1)
 
 
 @dataclass(frozen=True)
@@ -199,46 +201,45 @@ class SliceSetModel(Module):
     # -- forward ---------------------------------------------------------
 
     def forward_embeddings(self, embeddings: Tensor) -> Tensor:
-        """The positional table, aggregator and head over one volume's (K, d)
-        slice embeddings."""
-        emb = self.positional(embeddings)
+        """The positional table, aggregator and head over the (R·K, d) slice
+        embeddings of R volumes, K rows each, in volume order."""
+        r = embeddings.shape[0] // self.slice_count
+        emb = self.positional(embeddings.reshape(r, self.slice_count, -1))
         agg = self.aggregator(emb)
-        out = self.head(agg.reshape(1, -1))
-        if self.config.task == "regression":
-            return out.reshape(())
-        return out.reshape(-1)
+        out = self.head(agg.reshape(r, 1, -1))      # (R, 1, out): one GEMM per volume
+        return out.reshape(r) if self.config.task == "regression" else out.reshape(r, -1)
 
-    def forward_volumes(self, volumes: list[Volume]) -> list[Tensor]:
-        """Each volume's output, with one encoder call per run of consecutive
-        volumes whose slices share a shape; every slice count is checked
-        before any encoder call.
+    def forward_volumes(self, volumes: list[Volume]) -> Tensor:
+        """The outputs of a nonempty list of volumes, (R,) for regression and
+        (R, 2) for classification, with one encoder call per run of
+        consecutive volumes whose slices share a shape; every slice count is
+        checked before any encoder call.
 
         In training mode batch norm normalizes each volume's slices by their
         own moments and updates its running statistics once per volume, in
         order (:func:`~sliceset.nn.batch_norm_groups`), so each output is what
-        the volume gives alone, up to GEMM roundoff.  The (ΣK, d) embeddings
-        of a run are cut back per volume (:meth:`~sliceset.tensor.Tensor.rows`)
-        and go through :meth:`forward_embeddings`.
+        the volume gives alone, up to GEMM roundoff.  The runs' embeddings are
+        joined in volume order (:func:`~sliceset.tensor.concat`) and go
+        through :meth:`forward_embeddings` once.
         """
         for v in volumes:
             count = slice_count_for(v.extents, self.config.axis)
             if count != self.slice_count:
                 raise ValueError(
                     f"model was built for {self.slice_count} slices, volume yields {count}")
-        k = self.slice_count
         stacks = [slice_volume(v, self.config.axis, self.config.encoder.input_channels)
                   for v in volumes]
-        outputs = []
+        embeddings = []
         for _, run in groupby(stacks, key=lambda s: s.shape):
             run = list(run)
             with batch_norm_groups(len(run)):
-                embeddings = self.encoder(Tensor(np.concatenate(run)))
-            outputs += [self.forward_embeddings(embeddings.rows(r * k, (r + 1) * k))
-                        for r in range(len(run))]
-        return outputs
+                embeddings.append(self.encoder(Tensor(np.concatenate(run))))
+        return self.forward_embeddings(concat(embeddings))
 
     def forward_volume(self, volume: Volume) -> Tensor:
-        return self.forward_volumes([volume])[0]
+        """One volume's output: a scalar (regression) or two logits."""
+        out = self.forward_volumes([volume])
+        return out.reshape(out.shape[1:])
 
     __call__ = forward_volume
 

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Volume
+from .data import Volume, write_atomic
 
 HEADER_SIZE = 348
 MAGIC_SINGLE = b"n+1\x00"
@@ -110,7 +110,7 @@ def load_nifti(path) -> Volume:
 
 
 def save_nifti(path, volume: Volume, dtype=np.float32):
-    """Write a Volume as a little-endian single-file NIfTI-1; .gz paths are compressed."""
+    """Write a Volume as a little-endian single-file NIfTI-1, atomically; .gz paths are compressed."""
     np_dtype = np.dtype(dtype)
     if np_dtype not in _DTYPE_CODES:
         raise NiftiUnsupportedError(
@@ -131,9 +131,6 @@ def save_nifti(path, volume: Volume, dtype=np.float32):
         volume.voxels.astype(np_dtype.newbyteorder("<")), dtype=np_dtype.newbyteorder("<"))
     payload = bytes(header) + b"\x00\x00\x00\x00" + data.tobytes(order="F")
 
-    path = Path(path)
-    if path.name.endswith(".gz"):
-        # mtime pinned so identical volumes give identical files.
-        path.write_bytes(gzip.compress(payload, mtime=0))
-    else:
-        path.write_bytes(payload)
+    if Path(path).name.endswith(".gz"):
+        payload = gzip.compress(payload, mtime=0)   # mtime pinned: identical volumes, identical files
+    write_atomic(path, payload)

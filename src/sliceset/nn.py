@@ -131,12 +131,13 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
-    """Affine map ``x @ weight.T + bias`` for ``x`` of shape (N, din)."""
-    if x.ndim != 2 or weight.ndim != 2:
-        raise ValueError(f"linear expects 2-D input and weight, got {x.shape} and {weight.shape}")
-    if x.shape[1] != weight.shape[1]:
+    """Affine map ``x @ weight.T + bias`` for ``x`` of shape (..., N, din): one
+    GEMM per (N, din) matrix forward, one over all rows for the weight gradient."""
+    if x.ndim < 2 or weight.ndim != 2:
+        raise ValueError(f"linear expects (..., N, din) input and 2-D weight, got {x.shape} and {weight.shape}")
+    if x.shape[-1] != weight.shape[1]:
         raise ValueError(
-            f"linear dimension mismatch: input has {x.shape[1]} features, weight expects {weight.shape[1]}"
+            f"linear dimension mismatch: input has {x.shape[-1]} features, weight expects {weight.shape[1]}"
         )
     data = x.data @ weight.data.T
     if bias is not None:
@@ -148,12 +149,13 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     wd = weight.data if xn is not None else None
 
     def backward_fn(out):
+        g = out.grad.reshape(-1, out.grad.shape[-1])
         if xn is not None:
             xn.accumulate_grad(out.grad @ wd)
         if wn is not None:
-            wn.accumulate_grad(out.grad.T @ xd)
+            wn.accumulate_grad(g.T @ xd.reshape(-1, xd.shape[-1]))
         if bn is not None:
-            bn.accumulate_grad(out.grad.sum(axis=0, dtype=np.float64).astype(bn.dtype))
+            bn.accumulate_grad(g.sum(axis=0, dtype=np.float64).astype(bn.dtype))
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return x._make(data, parents, backward_fn)

@@ -24,9 +24,9 @@ Conventions used throughout the engine:
 * storage is 32-bit float (a 64-bit mode exists for numeric experiments);
 * reductions (sum, mean and the moment computations inside the norm layers)
   accumulate in 64-bit before casting back to the storage dtype;
-* broadcasting is limited to scalars and the bias-add patterns the models
-  need, e.g. ``(N, d) + (d,)`` and ``(N, C, H, W) + (C, 1, 1)``; anything
-  fancier requires an explicit reshape.
+* broadcasting is limited to scalars and the add patterns the models need,
+  e.g. ``(N, d) + (d,)``, ``(R, K, d) + (K, d)`` and ``(N, C, H, W) + (C, 1, 1)``;
+  anything fancier requires an explicit reshape.
 """
 
 from __future__ import annotations
@@ -283,10 +283,6 @@ class Tensor:
         return self._make(data, (self,), backward_fn)
 
     def transpose(self, *axes):
-        if not axes:
-            axes = tuple(reversed(range(self.ndim)))
-        elif len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
         inverse = np.argsort(axes)
         data = np.ascontiguousarray(self.data.transpose(axes))
         a = self.node
@@ -296,25 +292,13 @@ class Tensor:
 
         return self._make(data, (self,), backward_fn)
 
-    def rows(self, start: int, stop: int):
-        """Rows ``start:stop`` of the first axis, as a view; backward adds the
-        gradient into those rows of this tensor's gradient only."""
-        data = self.data[start:stop]
-        a, order = self.node, memory_order(self.data)
-
-        def backward_fn(out):
-            if a.grad is None:
-                a.grad = zeros_in(order, a.shape, a.dtype)
-            a.grad[start:stop] += out.grad
-
-        return self._make(data, (self,), backward_fn)
-
     # -- contractions and reductions -------------------------------------
 
     def matmul(self, other: "Tensor"):
-        if self.ndim != 2 or other.ndim != 2:
-            raise ValueError(f"matmul expects 2-D operands, got {self.shape} @ {other.shape}")
-        if self.shape[1] != other.shape[0]:
+        """Matrix product of 2-D operands or of equal stacks, one GEMM per matrix."""
+        if min(self.ndim, other.ndim) < 2 or self.shape[:-2] != other.shape[:-2]:
+            raise ValueError(f"matmul expects 2-D operands or equal stacks, got {self.shape} @ {other.shape}")
+        if self.shape[-1] != other.shape[-2]:
             raise ValueError(f"matmul inner dimensions differ: {self.shape} @ {other.shape}")
         data = self.data @ other.data
         a, b = self.node, other.node
@@ -323,9 +307,9 @@ class Tensor:
 
         def backward_fn(out):
             if a is not None:
-                a.accumulate_grad(out.grad @ y.T)
+                a.accumulate_grad(out.grad @ y.swapaxes(-1, -2))
             if b is not None:
-                b.accumulate_grad(x.T @ out.grad)
+                b.accumulate_grad(x.swapaxes(-1, -2) @ out.grad)
 
         return self._make(data, (self, other), backward_fn)
 
@@ -407,6 +391,21 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
                 node.accumulate_grad(piece.reshape(node.shape))
 
     return Tensor._make(data, tensors, backward_fn)
+
+
+def concat(tensors: Sequence[Tensor]) -> Tensor:
+    """Join tensors along their first axis; one tensor is returned as it is."""
+    if len(tensors) == 1:
+        return tensors[0]
+    nodes = [t.node for t in tensors]
+    bounds = np.cumsum([t.shape[0] for t in tensors[:-1]])
+
+    def backward_fn(out):
+        for node, piece in zip(nodes, np.split(out.grad, bounds)):
+            if node is not None:
+                node.accumulate_grad(piece)
+
+    return Tensor._make(np.concatenate([t.data for t in tensors]), tensors, backward_fn)
 
 
 def _topo_order(root: Node) -> list[Node]:

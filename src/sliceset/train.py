@@ -1,10 +1,11 @@
 """Initialization, optimizers, and the epoch loop with best-model selection.
 
 Each training batch goes through :meth:`SliceSetModel.forward_volumes`,
-which sends the slices of each run of consecutive same-shape volumes through
-one encoder call; batch norm normalizes each volume's slices by that
-volume's own moments and updates its running statistics once per volume, in
-batch order, so a batch trains as per-volume forward passes would.  The loop
+which returns the batch's (R,) or (R, 2) output from one encoder call per
+run of same-shape volumes and one tail call; batch norm normalizes each
+volume's slices by that volume's own moments and updates its running
+statistics once per volume, in batch order, so a batch trains as per-volume
+forward passes would.  The loop
 validates after every epoch and keeps the checkpoint that optimizes the
 selection metric (lowest mean absolute error for regression, highest
 balanced accuracy for classification), breaking ties toward the earliest
@@ -27,7 +28,7 @@ from . import nn
 from .data import Volume
 from .metrics import EvalReport, classification_report, mae, regression_report
 from .model import SliceSetModel
-from .tensor import Tensor, no_grad, stack
+from .tensor import Tensor, no_grad
 
 OPTIMIZER_KINDS = ("adam", "sgd")
 LOSS_KINDS = ("l1", "mse", "cross_entropy")
@@ -266,7 +267,7 @@ def build_optimizer(parameters, config: OptimizerConfig):
 
 
 # ---------------------------------------------------------------------------
-# losses on stacked batch outputs
+# losses on batch outputs
 # ---------------------------------------------------------------------------
 
 def batch_loss(model: SliceSetModel, batch: list[Volume], loss_kind: str) -> Tensor:
@@ -274,14 +275,12 @@ def batch_loss(model: SliceSetModel, batch: list[Volume], loss_kind: str) -> Ten
     to one scalar loss."""
     outputs = model.forward_volumes(batch)
     if model.config.task == "classification":
-        logits = stack(outputs, axis=0)
         labels = np.array([int(v.target) for v in batch], dtype=np.int64)
-        return nn.cross_entropy(logits, labels)
-    preds = stack(outputs, axis=0)
+        return nn.cross_entropy(outputs, labels)
     targets = Tensor(np.array([float(v.target) for v in batch], dtype=np.float32))
     if loss_kind == "l1":
-        return nn.l1_loss(preds, targets)
-    return nn.mse_loss(preds, targets)
+        return nn.l1_loss(outputs, targets)
+    return nn.mse_loss(outputs, targets)
 
 
 # ---------------------------------------------------------------------------
@@ -298,34 +297,32 @@ def predict(model: SliceSetModel, volumes: list[Volume]):
     (class-1 probabilities, predicted labels, true labels).
 
     The volumes go to :meth:`SliceSetModel.forward_volumes` in consecutive
-    chunks of ``max(1, PREDICT_MAX_SLICES // model.slice_count)``, which makes
-    one encoder call per run of same-shape volumes in a chunk.  In eval mode
+    chunks of ``max(1, PREDICT_MAX_SLICES // model.slice_count)``: one encoder
+    call per run of same-shape volumes and one tail call per chunk, whose
+    logits give class-1 probabilities by a float64 softmax.  In eval mode
     batch norm normalizes by its running statistics, a fixed per-channel map,
     and every other encoder op acts on each slice alone, so a slice's
     embedding does not depend on the other slices of its call; only the GEMM
     roundoff may move with the batch width (see :mod:`sliceset.nn`).
     """
+    regression = model.config.task == "regression"
+    outputs = [np.zeros((0,) if regression else (0, model.config.output_dim), np.float32)]
     was_training = model.training
     model.eval()
     try:
         with no_grad():
             chunk = max(1, PREDICT_MAX_SLICES // model.slice_count)
-            outputs = [out.numpy() for start in range(0, len(volumes), chunk)
-                       for out in model.forward_volumes(volumes[start:start + chunk])]
+            outputs += [model.forward_volumes(volumes[start:start + chunk]).numpy()
+                        for start in range(0, len(volumes), chunk)]
     finally:
         if was_training:
             model.train()
-    if model.config.task == "regression":
-        preds = np.array([out.item() for out in outputs])
-        targets = np.array([float(v.target) for v in volumes])
-        return preds, targets
-    scores, labels = [], []
-    for out in outputs:
-        logits = out.astype(np.float64)
-        shifted = np.exp(logits - logits.max())
-        scores.append(float(shifted[1] / shifted.sum()))
-        labels.append(int(np.argmax(logits)))
-    return np.array(scores), np.array(labels), np.array([int(v.target) for v in volumes])
+    outputs = np.concatenate(outputs).astype(np.float64)
+    if regression:
+        return outputs, np.array([float(v.target) for v in volumes])
+    shifted = np.exp(outputs - outputs.max(axis=1, keepdims=True))
+    scores = shifted[:, 1] / shifted.sum(axis=1)
+    return scores, np.argmax(outputs, axis=1), np.array([int(v.target) for v in volumes])
 
 
 def evaluate(model: SliceSetModel, volumes: list[Volume]) -> EvalReport:

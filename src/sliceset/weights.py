@@ -233,7 +233,6 @@ def import_encoder(model: SliceSetModel, archive: WeightArchive,
     parameters matching is treated as an incompatible archive.
     """
     report = LoadReport()
-    used_archive_names = set()
     encoder_params = 0
     encoder_params_matched = 0
 
@@ -242,28 +241,18 @@ def import_encoder(model: SliceSetModel, archive: WeightArchive,
         if in_encoder and is_param:
             encoder_params += 1
         src = archive.entries.get(name) if in_encoder else None
-        if src is None:
+        value = src if src is None or src.shape == arr.shape else _adapt_channels(src, arr.shape)
+        if value is None:
             report.reinitialized.append(name)
             continue
-        if src.shape == arr.shape:
-            arr[...] = src
-            report.matched.append(name)
-            used_archive_names.add(name)
-            if is_param:
-                encoder_params_matched += 1
-            continue
-        adapted = _adapt_channels(src, arr.shape)
-        if adapted is not None:
-            arr[...] = adapted
-            report.matched.append(name)
+        arr[...] = value
+        report.matched.append(name)
+        if value is not src:
             report.adapted.append(name)
-            used_archive_names.add(name)
-            if is_param:
-                encoder_params_matched += 1
-        else:
-            report.reinitialized.append(name)
+        if is_param:
+            encoder_params_matched += 1
 
-    report.skipped = sorted(set(archive.entries) - used_archive_names)
+    report.skipped = sorted(set(archive.entries) - set(report.matched))
 
     if encoder_params == 0 or encoder_params_matched * 2 < encoder_params:
         raise WeightArchiveError(

@@ -157,34 +157,34 @@ def test_table_shape_mismatch_raises():
 
 def test_aggregate_mean_matches_plain_mean():
     rng = np.random.default_rng(9)
-    e = rng.normal(0, 1, (12, 6)).astype(np.float32)
+    e = rng.normal(0, 1, (1, 12, 6)).astype(np.float32)
     out = aggregate_mean(Tensor(e)).numpy()
-    np.testing.assert_allclose(out, e.mean(axis=0), atol=1e-6)
+    np.testing.assert_allclose(out, e.mean(axis=1), atol=1e-6)
 
 
 def test_aggregate_mean_is_bitwise_permutation_invariant():
     rng = np.random.default_rng(10)
-    e = rng.normal(0, 1, (40, 8)).astype(np.float32)
+    e = rng.normal(0, 1, (1, 40, 8)).astype(np.float32)
     base = aggregate_mean(Tensor(e)).numpy()
     for _ in range(5):
         perm = rng.permutation(40)
-        np.testing.assert_array_equal(aggregate_mean(Tensor(e[perm])).numpy(), base)
+        np.testing.assert_array_equal(aggregate_mean(Tensor(e[:, perm])).numpy(), base)
 
 
 def test_aggregate_mean_gradient_is_uniform():
-    e = Tensor(np.ones((4, 3), dtype=np.float64), requires_grad=True, dtype=np.float64)
+    e = Tensor(np.ones((1, 4, 3), dtype=np.float64), requires_grad=True, dtype=np.float64)
     aggregate_mean(e).sum().backward()
-    np.testing.assert_allclose(e.grad, np.full((4, 3), 0.25))
+    np.testing.assert_allclose(e.grad, np.full((1, 4, 3), 0.25))
 
 
 def test_attention_weights_are_row_stochastic():
     model = build_model(small_config(aggregator="attention"), slice_count=10)
     he_init(model, seed=3)
     rng = np.random.default_rng(11)
-    emb = Tensor(rng.normal(0, 1, (10, model.encoder.embedding_dim)).astype(np.float32))
+    emb = Tensor(rng.normal(0, 1, (1, 10, model.encoder.embedding_dim)).astype(np.float32))
     w = model.aggregator.attention_weights(emb)
-    assert w.shape == (10, 10)
-    np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-5)
+    assert w.shape == (1, 10, 10)
+    np.testing.assert_allclose(w.sum(axis=-1), 1.0, atol=1e-5)
     assert (w > 0).all()
 
 

@@ -1,6 +1,7 @@
 """NIfTI-1 reader/writer against a header oracle built with raw struct packing."""
 
 import gzip
+import os
 import struct
 
 import numpy as np
@@ -224,6 +225,22 @@ def test_written_file_parses_with_crafted_reader_fields(tmp_path):
     assert raw[344:348] == b"n+1\x00"
     body = np.frombuffer(raw, dtype="<f4", count=12, offset=352)
     np.testing.assert_array_equal(body.reshape((3, 2, 2), order="F"), vox)
+
+
+@pytest.mark.parametrize("name", ["v.nii", "v.nii.gz"])
+def test_save_failure_keeps_old_file_and_leaves_no_temp_file(tmp_path, monkeypatch, name):
+    path = tmp_path / name
+    save_nifti(path, Volume(voxels=np.zeros((2, 3, 4), dtype=np.float32)))
+    before = path.read_bytes()
+
+    def crash(fd):
+        raise OSError("simulated crash while writing")
+
+    monkeypatch.setattr(os, "fsync", crash)
+    with pytest.raises(OSError, match="simulated crash"):
+        save_nifti(path, Volume(voxels=np.ones((2, 3, 4), dtype=np.float32)))
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == [name]
 
 
 @settings(deadline=None, max_examples=25)

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sliceset import nn
+from sliceset import nn, tensor
 from sliceset import train as train_mod
 from sliceset.data import SyntheticSpec, Volume, generate_synthetic, normalize
 from sliceset.encoders import CNN5_CHANNELS, EncoderConfig
@@ -463,6 +463,24 @@ def test_batched_batch_loss_equals_one_encoder_call_per_volume(kind, aggregator,
     want = loss_grads_buffers(model, per_volume_loss, volumes, loss_kind)
     assert worst_gap(got[0], want[0]) <= 1e-6
     assert worst_gap(got[2], want[2]) <= 1e-6
+
+
+@pytest.mark.parametrize("task, loss_kind", [("regression", "l1"),
+                                             ("classification", "cross_entropy")])
+def test_a_training_step_runs_the_tail_once_on_the_whole_batch(task, loss_kind):
+    """At the positional acceptance config (cnn5 w0.25, 8x10x8 coronal,
+    attention + positional, batch 8) the batch's output is one (R,) or (R, 2)
+    tensor, and a step's graph does not grow with a per-volume tail."""
+    cfg = ModelConfig(task=task, axis="coronal",
+                      encoder=EncoderConfig(kind="cnn5", width_multiplier=0.25, min_input=8),
+                      aggregator=AggregatorConfig(kind="attention"), positional_enabled=True)
+    model = he_init(build_model(cfg, slice_count=10), seed=0)
+    batch = tiny_dataset(task=task, count=8)
+    model.train()
+    assert model.forward_volumes(batch).shape == ((8,) if task == "regression" else (8, 2))
+    loss = batch_loss(model, batch, loss_kind)
+    ops = [node for node in tensor._topo_order(loss.node) if node.rule is not None]
+    assert len(ops) <= 60                      # parameters are leaves, not ops
 
 
 def test_batch_loss_makes_one_encoder_call_per_run_of_same_shape_volumes(monkeypatch):
