@@ -18,6 +18,7 @@ Three independent lines of defense, runnable from the CLI:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,7 +38,7 @@ from .model import (
     permute_volume,
     slice_count_for,
 )
-from .tensor import Tensor, no_grad
+from .tensor import Tensor, concat, no_grad
 from .train import he_init
 
 FD_STEP = 1e-3
@@ -144,156 +145,88 @@ def _t(rng, *shape, kink_safe=False, scale=1.0):
     return Tensor(data, requires_grad=True, dtype=np.float64)
 
 
-def _op_cases(master_seed):
-    """Yield (name, build) pairs; build(rng) -> (objective, params)."""
+def _signed_sum(rng, op, *inputs):
+    """Probe ``op`` through the sum of its output weighted by random ±1 signs.
 
-    def case_arithmetic(rng):
-        a, b = _t(rng, 4, 5), _t(rng, 4, 5)
-        signs = rng.choice([-1.0, 1.0], (4, 5))
-        st = Tensor(signs, dtype=np.float64)
-        return (lambda: ((a * b + a - b * 2.0) * st).sum()), [a, b]
+    The signs are drawn after the inputs, in the shape of the op's output.
+    """
+    with no_grad():
+        shape = op(*inputs).shape
+    signs = Tensor(rng.choice([-1.0, 1.0], shape), dtype=np.float64)
+    return (lambda: (op(*inputs) * signs).sum()), list(inputs)
 
-    def case_matmul(rng):
-        a, b = _t(rng, 3, 4), _t(rng, 4, 5)
-        st = Tensor(rng.choice([-1.0, 1.0], (3, 5)), dtype=np.float64)
-        return (lambda: ((a @ b) * st).sum()), [a, b]
 
-    def case_linear(rng):
-        x, w, b = _t(rng, 4, 6), _t(rng, 3, 6), _t(rng, 3)
-        st = Tensor(rng.choice([-1.0, 1.0], (4, 3)), dtype=np.float64)
-        return (lambda: (nn.linear(x, w, b) * st).sum()), [x, w, b]
-
-    def case_matmul_stacked(rng):
-        a, b = _t(rng, 3, 4, 5), _t(rng, 3, 5, 2)
-        st = Tensor(rng.choice([-1.0, 1.0], (3, 4, 2)), dtype=np.float64)
-        return (lambda: ((a @ b) * st).sum()), [a, b]
-
-    def case_linear_stacked(rng):
-        x, w, b = _t(rng, 2, 3, 6), _t(rng, 4, 6), _t(rng, 4)
-        st = Tensor(rng.choice([-1.0, 1.0], (2, 3, 4)), dtype=np.float64)
-        return (lambda: (nn.linear(x, w, b) * st).sum()), [x, w, b]
-
-    def case_relu(rng):
-        x = _t(rng, 5, 7, kink_safe=True)
-        st = Tensor(rng.choice([-1.0, 1.0], (5, 7)), dtype=np.float64)
-        return (lambda: (nn.relu(x) * st).sum()), [x]
-
-    def case_softmax(rng):
-        x = _t(rng, 4, 6)
-        st = Tensor(rng.choice([-1.0, 1.0], (4, 6)), dtype=np.float64)
-        return (lambda: (nn.softmax(x, axis=-1) * st).sum()), [x]
-
-    def case_layer_norm(rng):
-        x, g, o = _t(rng, 5, 8), _t(rng, 8), _t(rng, 8)
-        st = Tensor(rng.choice([-1.0, 1.0], (5, 8)), dtype=np.float64)
-        return (lambda: (nn.layer_norm(x, g, o) * st).sum()), [x, g, o]
-
-    def case_conv_basic(rng):
-        x, k, b = _t(rng, 2, 2, 6, 5), _t(rng, 3, 2, 3, 3, scale=0.5), _t(rng, 3)
-        st = Tensor(rng.choice([-1.0, 1.0], (2, 3, 4, 3)), dtype=np.float64)
-        return (lambda: (nn.conv2d(x, k, b) * st).sum()), [x, k, b]
-
-    def case_conv_strided(rng):
-        x, k, b = _t(rng, 1, 2, 5, 5), _t(rng, 3, 2, 3, 3, scale=0.5), _t(rng, 3)
-        st = Tensor(rng.choice([-1.0, 1.0], (1, 3, 3, 3)), dtype=np.float64)
-        return (lambda: (nn.conv2d(x, k, b, stride=2, padding=1) * st).sum()), [x, k, b]
-
-    def case_conv_no_bias(rng):
-        x, k = _t(rng, 2, 3, 4, 4), _t(rng, 2, 3, 2, 2, scale=0.5)
-        st = Tensor(rng.choice([-1.0, 1.0], (2, 2, 3, 3)), dtype=np.float64)
-        return (lambda: (nn.conv2d(x, k) * st).sum()), [x, k]
-
-    def case_max_pool(rng):
-        x = _t(rng, 2, 3, 6, 6)
-        st = Tensor(rng.choice([-1.0, 1.0], (2, 3, 3, 3)), dtype=np.float64)
-        return (lambda: (nn.max_pool2d(x, 2) * st).sum()), [x]
-
-    def case_max_pool_strided(rng):
-        x = _t(rng, 1, 2, 7, 7)
-        st = Tensor(rng.choice([-1.0, 1.0], (1, 2, 4, 4)), dtype=np.float64)
-        return (lambda: (nn.max_pool2d(x, 3, stride=2, padding=1) * st).sum()), [x]
-
-    def case_global_pool(rng):
-        x = _t(rng, 3, 4, 5, 6)
-        st = Tensor(rng.choice([-1.0, 1.0], (3, 4)), dtype=np.float64)
-        return (lambda: (nn.global_avg_pool2d(x) * st).sum()), [x]
-
-    def case_batch_norm_train(rng):
+def _batch_norm_case(training):
+    def build(rng):
         x, g, b = _t(rng, 4, 3, 5, 5), _t(rng, 3, scale=0.5), _t(rng, 3)
         g.data = g.data + 1.0
-        rm = np.zeros(3, dtype=np.float64)
-        rv = np.ones(3, dtype=np.float64)
-        st = Tensor(rng.choice([-1.0, 1.0], (4, 3, 5, 5)), dtype=np.float64)
-        return (lambda: (nn.batch_norm2d(x, g, b, rm, rv, training=True) * st).sum()), [x, g, b]
+        if training:
+            rm, rv = np.zeros(3), np.ones(3)
+        else:
+            rm, rv = rng.normal(0, 0.3, 3), 1.0 + np.abs(rng.normal(0, 0.2, 3))
+        return _signed_sum(
+            rng, lambda x, g, b: nn.batch_norm2d(x, g, b, rm, rv, training), x, g, b)
+    return build
 
-    def case_batch_norm_eval(rng):
-        x, g, b = _t(rng, 4, 3, 5, 5), _t(rng, 3, scale=0.5), _t(rng, 3)
-        g.data = g.data + 1.0
-        rm = rng.normal(0, 0.3, 3)
-        rv = 1.0 + np.abs(rng.normal(0, 0.2, 3))
-        st = Tensor(rng.choice([-1.0, 1.0], (4, 3, 5, 5)), dtype=np.float64)
-        return (lambda: (nn.batch_norm2d(x, g, b, rm, rv, training=False) * st).sum()), [x, g, b]
 
-    def case_cross_entropy(rng):
-        logits = _t(rng, 6, 3)
-        labels = rng.integers(0, 3, 6)
-        return (lambda: nn.cross_entropy(logits, labels)), [logits]
+def _cross_entropy_case(rng):
+    logits = _t(rng, 6, 3)
+    labels = rng.integers(0, 3, 6)
+    return (lambda: nn.cross_entropy(logits, labels)), [logits]
 
-    def case_l1(rng):
-        p = _t(rng, 10, kink_safe=True)
-        t = Tensor(rng.normal(0, 1, 10) + 5.0, dtype=np.float64)
-        return (lambda: nn.l1_loss(p, t)), [p]
 
-    def case_mse(rng):
-        p, t = _t(rng, 10), Tensor(rng.normal(0, 1, 10), dtype=np.float64)
-        return (lambda: nn.mse_loss(p, t)), [p]
+def _regression_loss_case(loss, kink_safe=False, offset=0.0):
+    def build(rng):
+        p = _t(rng, 10, kink_safe=kink_safe)
+        t = Tensor(rng.normal(0, 1, 10) + offset, dtype=np.float64)
+        return (lambda: loss(p, t)), [p]
+    return build
 
-    def case_reshape_transpose(rng):
-        x = _t(rng, 3, 4, 2)
-        st = Tensor(rng.choice([-1.0, 1.0], (2, 12)), dtype=np.float64)
-        return (lambda: ((x.transpose(2, 0, 1).reshape(2, 12)) * st).sum()), [x]
 
-    def case_mean_reduction(rng):
-        x = _t(rng, 4, 6)
-        st = Tensor(rng.choice([-1.0, 1.0], (4,)), dtype=np.float64)
-        return (lambda: (x.mean(axis=1) * st).sum()), [x]
-
-    def case_softmax_axis0(rng):
-        x = _t(rng, 5, 3)
-        st = Tensor(rng.choice([-1.0, 1.0], (5, 3)), dtype=np.float64)
-        return (lambda: (nn.softmax(x, axis=0) * st).sum()), [x]
-
-    def case_pad(rng):
-        x = _t(rng, 2, 2, 3, 3)
-        st = Tensor(rng.choice([-1.0, 1.0], (2, 2, 5, 7)), dtype=np.float64)
-        return (lambda: (nn.pad2d(x, (1, 1, 2, 2)) * st).sum()), [x]
-
-    cases = [
-        ("arithmetic", case_arithmetic),
-        ("matmul", case_matmul),
-        ("linear", case_linear),
-        ("relu", case_relu),
-        ("softmax.lastaxis", case_softmax),
-        ("softmax.axis0", case_softmax_axis0),
-        ("layer_norm", case_layer_norm),
-        ("conv2d.basic", case_conv_basic),
-        ("conv2d.stride2pad1", case_conv_strided),
-        ("conv2d.nobias", case_conv_no_bias),
-        ("max_pool2d.2x2", case_max_pool),
-        ("max_pool2d.3x3s2p1", case_max_pool_strided),
-        ("global_avg_pool2d", case_global_pool),
-        ("batch_norm2d.train", case_batch_norm_train),
-        ("batch_norm2d.eval", case_batch_norm_eval),
-        ("cross_entropy", case_cross_entropy),
-        ("l1_loss", case_l1),
-        ("mse_loss", case_mse),
-        ("reshape_transpose", case_reshape_transpose),
-        ("mean_reduction", case_mean_reduction),
-        ("pad2d", case_pad),
-        ("matmul.stacked", case_matmul_stacked),
-        ("linear.stacked", case_linear_stacked),
-    ]
-    return cases
+# (name, build) with build(rng) -> (objective, params).  Case i draws from
+# rng(seed * 1000 + i), so new cases go at the end to keep earlier draws.
+_OP_CASES = [
+    ("arithmetic", lambda rng: _signed_sum(
+        rng, lambda a, b: a * b + a - b * 2.0, _t(rng, 4, 5), _t(rng, 4, 5))),
+    ("matmul", lambda rng: _signed_sum(rng, operator.matmul, _t(rng, 3, 4), _t(rng, 4, 5))),
+    ("linear", lambda rng: _signed_sum(rng, nn.linear, _t(rng, 4, 6), _t(rng, 3, 6), _t(rng, 3))),
+    ("relu", lambda rng: _signed_sum(rng, nn.relu, _t(rng, 5, 7, kink_safe=True))),
+    ("softmax.lastaxis", lambda rng: _signed_sum(
+        rng, lambda x: nn.softmax(x, axis=-1), _t(rng, 4, 6))),
+    ("softmax.axis0", lambda rng: _signed_sum(
+        rng, lambda x: nn.softmax(x, axis=0), _t(rng, 5, 3))),
+    ("layer_norm", lambda rng: _signed_sum(
+        rng, nn.layer_norm, _t(rng, 5, 8), _t(rng, 8), _t(rng, 8))),
+    ("conv2d.basic", lambda rng: _signed_sum(
+        rng, nn.conv2d, _t(rng, 2, 2, 6, 5), _t(rng, 3, 2, 3, 3, scale=0.5), _t(rng, 3))),
+    ("conv2d.stride2pad1", lambda rng: _signed_sum(
+        rng, lambda x, k, b: nn.conv2d(x, k, b, stride=2, padding=1),
+        _t(rng, 1, 2, 5, 5), _t(rng, 3, 2, 3, 3, scale=0.5), _t(rng, 3))),
+    ("conv2d.nobias", lambda rng: _signed_sum(
+        rng, nn.conv2d, _t(rng, 2, 3, 4, 4), _t(rng, 2, 3, 2, 2, scale=0.5))),
+    ("max_pool2d.2x2", lambda rng: _signed_sum(
+        rng, lambda x: nn.max_pool2d(x, 2), _t(rng, 2, 3, 6, 6))),
+    ("max_pool2d.3x3s2p1", lambda rng: _signed_sum(
+        rng, lambda x: nn.max_pool2d(x, 3, stride=2, padding=1), _t(rng, 1, 2, 7, 7))),
+    ("global_avg_pool2d", lambda rng: _signed_sum(rng, nn.global_avg_pool2d, _t(rng, 3, 4, 5, 6))),
+    ("batch_norm2d.train", _batch_norm_case(training=True)),
+    ("batch_norm2d.eval", _batch_norm_case(training=False)),
+    ("cross_entropy", _cross_entropy_case),
+    ("l1_loss", _regression_loss_case(nn.l1_loss, kink_safe=True, offset=5.0)),
+    ("mse_loss", _regression_loss_case(nn.mse_loss)),
+    ("reshape_transpose", lambda rng: _signed_sum(
+        rng, lambda x: x.transpose(2, 0, 1).reshape(2, 12), _t(rng, 3, 4, 2))),
+    ("mean_reduction", lambda rng: _signed_sum(rng, lambda x: x.mean(axis=1), _t(rng, 4, 6))),
+    ("pad2d", lambda rng: _signed_sum(
+        rng, lambda x: nn.pad2d(x, (1, 1, 2, 2)), _t(rng, 2, 2, 3, 3))),
+    ("matmul.stacked", lambda rng: _signed_sum(
+        rng, operator.matmul, _t(rng, 3, 4, 5), _t(rng, 3, 5, 2))),
+    ("linear.stacked", lambda rng: _signed_sum(
+        rng, nn.linear, _t(rng, 2, 3, 6), _t(rng, 4, 6), _t(rng, 4))),
+    ("concat", lambda rng: _signed_sum(
+        rng, lambda a, b: concat([a, b]), _t(rng, 2, 3), _t(rng, 4, 3))),
+    ("pow", lambda rng: _signed_sum(rng, lambda x: x ** 3, _t(rng, 3, 4, kink_safe=True))),
+]
 
 
 def _small_model(task, aggregator_kind, positional=False, seed=0,
@@ -364,7 +297,7 @@ def _model_case(task, aggregator_kind, seed):
 
 def gradient_suite(seed: int = 0, samples_per_tensor: int = 6) -> SuiteReport:
     report = SuiteReport(suite="gradients")
-    for i, (name, build) in enumerate(_op_cases(seed)):
+    for i, (name, build) in enumerate(_OP_CASES):
         rng = np.random.default_rng(seed * 1000 + i)
         objective, params = build(rng)
         err = gradient_error(objective, params, rng, samples_per_tensor=samples_per_tensor)

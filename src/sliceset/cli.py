@@ -202,9 +202,9 @@ def output_lock(directory: Path):
 def _parse_extents(text: str) -> tuple[int, int, int]:
     with contextlib.suppress(ValueError):
         extents = tuple(int(x) for x in text.split(","))
-        if len(extents) == 3:
+        if len(extents) == 3 and min(extents) >= 1:
             return extents
-    raise ValueError(f"--extents wants three comma-separated integers, got {text!r}")
+    raise ValueError(f"--extents wants three comma-separated positive integers, got {text!r}")
 
 
 def _common_extents(volumes, context: str) -> tuple[int, int, int]:
@@ -375,7 +375,10 @@ def _model_from_checkpoint(archive: WeightArchive) -> tuple[SliceSetModel, dict]
         raise ValueError("archive is not a training checkpoint "
                          f"(metadata kind {meta.get('kind')!r})")
     model_config = build_dataclass(ModelConfig, json.loads(meta["model_config"]), "model config")
-    model = _new_model(model_config, int(meta["slice_count"]))
+    slice_count = int(meta["slice_count"])
+    if slice_count < 1:
+        raise ValueError(f"checkpoint metadata slice_count must be at least 1, got {slice_count}")
+    model = _new_model(model_config, slice_count)
     import_strict(model, archive)
     return model, meta
 

@@ -12,7 +12,9 @@ apart.
 from __future__ import annotations
 
 import json
+import math
 import os
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -58,6 +60,13 @@ def normalize(volume: Volume) -> Volume:
     return Volume(voxels=out, subject_id=volume.subject_id, target=volume.target)
 
 
+def _check_noise_and_amplitude(noise_std, amplitude):
+    if not 0 <= noise_std < math.inf:
+        raise ValueError(f"noise_std must be finite and >= 0, got {noise_std}")
+    if not math.isfinite(amplitude):
+        raise ValueError(f"blob amplitude must be finite, got {amplitude}")
+
+
 @dataclass(frozen=True)
 class SyntheticSpec:
     """Recipe for a deterministic blob dataset.
@@ -83,8 +92,7 @@ class SyntheticSpec:
             raise ValueError(f"unknown task {self.task!r}; choose from {TASKS}")
         if self.count <= 0:
             raise ValueError("count must be positive")
-        if self.noise_std < 0:
-            raise ValueError("noise_std must be >= 0")
+        _check_noise_and_amplitude(self.noise_std, self.blob_amplitude)
         if self.blob_radius < 1:
             raise ValueError("blob_radius must be >= 1")
         if len(self.extents) != 3 or any(e < 1 for e in self.extents):
@@ -143,6 +151,7 @@ def generate_synthetic_images(count: int, size: tuple[int, int] = (32, 32),
 
     Returns (images, labels) with images of shape (count, 1, H, W).
     """
+    _check_noise_and_amplitude(noise_std, amplitude)
     rng = np.random.default_rng(seed)
     h, w = size
     if min(h, w) < 2 * blob_radius + 1:
@@ -255,9 +264,17 @@ def read_manifest(path) -> list[dict]:
     entries = json.loads(Path(path).read_text())
     if not isinstance(entries, list):
         raise ValueError(f"manifest {path} must be a JSON array")
-    for e in entries:
+    for i, e in enumerate(entries):
         if not isinstance(e, dict) or set(e) != {"path", "subject_id", "target"}:
-            raise ValueError(f"bad manifest entry in {path}: {e!r}")
+            raise ValueError(f"bad manifest entry {i} in {path}: {e!r}")
+        target = e["target"]
+        # The bound rejects NaN, ±Infinity and integers past the float range.
+        if not (isinstance(e["path"], str) and e["path"] and isinstance(e["subject_id"], str)
+                and isinstance(target, (int, float)) and not isinstance(target, bool)
+                and abs(target) <= sys.float_info.max):
+            raise ValueError(f"bad manifest entry {i} in {path}: path must be a non-empty "
+                             f"string, subject_id a string and target a finite number, "
+                             f"got {e!r}")
     return entries
 
 

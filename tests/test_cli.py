@@ -160,6 +160,19 @@ def test_synth_rejects_malformed_extents(tmp_path):
         assert "three comma-separated" in err
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--blob-amplitude", "inf"), ("--blob-amplitude", "nan"),
+    ("--noise-std", "nan"), ("--noise-std", "inf"),
+])
+def test_synth_rejects_non_finite_parameters_before_writing(tmp_path, flag, value):
+    out = tmp_path / "bad"
+    code, _, err = run_cli("synth", "--out", str(out), "--count", "2",
+                           "--extents", EXTENTS, "--blob-radius", "2", flag, value)
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1 and "finite" in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # train
 # ---------------------------------------------------------------------------
@@ -380,6 +393,37 @@ def test_train_rejects_truncated_gzip_nifti_without_traceback(tmp_path, data):
     assert code == 2
     assert err.startswith("error:") and err.count("\n") == 1
     assert "gzip" in err and bad.name in err
+
+
+def manifest_with_bad_first_entry(tmp_path, manifest, **values):
+    """A copy of ``manifest`` with absolute paths and ``values`` set on entry 0."""
+    base = Path(manifest).parent
+    entries = [{**e, "path": str(base / e["path"])} for e in read_manifest(manifest)]
+    entries[0].update(values)
+    path = tmp_path / "bad_manifest.json"
+    path.write_text(json.dumps(entries))
+    return str(path)
+
+
+MALFORMED_ENTRY_VALUES = {
+    "path-int": {"path": 5}, "path-empty": {"path": ""}, "subject-id-int": {"subject_id": 7},
+    "target-null": {"target": None}, "target-list": {"target": [1]},
+    "target-string": {"target": "x"}, "target-bool": {"target": True},
+    "target-nan": {"target": float("nan")}, "target-past-float-range": {"target": 10 ** 400},
+}
+
+
+@pytest.mark.parametrize("values", MALFORMED_ENTRY_VALUES.values(), ids=MALFORMED_ENTRY_VALUES)
+def test_train_rejects_malformed_manifest_values_before_writing(tmp_path, data, values):
+    bad = manifest_with_bad_first_entry(tmp_path, data["train"], **values)
+    out = tmp_path / "run"
+    code, _, err = run_cli(
+        "train", "--train-manifest", bad, "--val-manifest", data["val"],
+        "--test-manifest", data["test"], "--output-dir", str(out), "--epochs", "1",
+        *TRAIN_FLAGS)
+    assert code == 2
+    assert err.startswith(f"error: bad manifest entry 0 in {bad}") and err.count("\n") == 1
+    assert not (out / "config.json").exists()
 
 
 @pytest.mark.parametrize("config, key", [
@@ -641,6 +685,29 @@ def test_eval_rejects_wrongly_typed_checkpoint_model_config(tmp_path, train_run,
     assert err == "error: input_channels in encoder must be an integer, got 1.5\n"
 
 
+@pytest.mark.parametrize("values", MALFORMED_ENTRY_VALUES.values(), ids=MALFORMED_ENTRY_VALUES)
+def test_eval_rejects_malformed_manifest_values(tmp_path, train_run, data, values):
+    bad = manifest_with_bad_first_entry(tmp_path, data["test"], **values)
+    report = tmp_path / "report.json"
+    code, _, err = run_cli(
+        "eval", "--checkpoint", str(train_run[2] / "checkpoint_seed0.ssnw"),
+        "--manifest", bad, "--output", str(report))
+    assert code == 2
+    assert err.startswith(f"error: bad manifest entry 0 in {bad}") and err.count("\n") == 1
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("slice_count", ["0", "-1"])
+def test_eval_rejects_checkpoint_slice_count_below_one(tmp_path, train_run, data, slice_count):
+    archive = WeightArchive.load(train_run[2] / "checkpoint_seed0.ssnw")
+    path = tmp_path / "bad.ssnw"
+    WeightArchive(entries=archive.entries, metadata={
+        **archive.metadata, "slice_count": slice_count}).save(path)
+    code, _, err = run_cli("eval", "--checkpoint", str(path), "--manifest", data["test"])
+    assert code == 2
+    assert err == f"error: checkpoint metadata slice_count must be at least 1, got {slice_count}\n"
+
+
 def test_eval_reports_missing_checkpoint_file(tmp_path, data):
     code, _, err = run_cli("eval", "--checkpoint", str(tmp_path / "absent.ssnw"),
                            "--manifest", data["test"])
@@ -720,6 +787,19 @@ def test_import_weights_rejects_malformed_extents(tmp_path, pretrain_archive):
         "--archive", pretrain_archive, "--out", str(tmp_path / "x.ssnw"))
     assert code == 2
     assert "three comma-separated" in err
+
+
+@pytest.mark.parametrize("extents", ["0,10,8", "-1,10,8", "8,10,0"])
+def test_import_weights_rejects_non_positive_extents_before_writing(tmp_path, pretrain_archive,
+                                                                   extents):
+    target = tmp_path / "x.ssnw"
+    code, _, err = run_cli(
+        "import-weights", "--task", "regression", f"--extents={extents}",
+        "--archive", pretrain_archive, "--out", str(target))
+    assert code == 2
+    assert err == ("error: --extents wants three comma-separated positive integers, "
+                   f"got {extents!r}\n")
+    assert not target.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -120,6 +120,18 @@ def test_spec_rejects_oversized_blob_and_bad_fields():
         SyntheticSpec(noise_std=-0.1)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_synthetic_generators_reject_non_finite_noise_and_amplitude(bad):
+    with pytest.raises(ValueError, match="noise_std must be finite"):
+        SyntheticSpec(noise_std=bad)
+    with pytest.raises(ValueError, match="amplitude must be finite"):
+        SyntheticSpec(blob_amplitude=bad)
+    with pytest.raises(ValueError, match="noise_std must be finite"):
+        generate_synthetic_images(2, size=(8, 8), noise_std=bad)
+    with pytest.raises(ValueError, match="amplitude must be finite"):
+        generate_synthetic_images(2, size=(8, 8), amplitude=bad)
+
+
 def test_synthetic_images_shapes_labels_and_determinism():
     imgs, labels = generate_synthetic_images(12, size=(16, 16), seed=5)
     assert imgs.shape == (12, 1, 16, 16)

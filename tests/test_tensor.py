@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from sliceset import nn
+from sliceset.checks import gradient_suite
 from sliceset.data import SyntheticSpec, generate_synthetic
 from sliceset.encoders import EncoderConfig
 from sliceset.model import AggregatorConfig, ModelConfig, build_model
@@ -365,3 +366,9 @@ def test_op_output_keeps_the_attributes_tracers_and_tests_use():
     np.testing.assert_array_equal(x.grad, 18.0 * x.data + 0.5)
     assert y.grad is None and not y._parents and y._backward is None
     assert isinstance(x.node, Node) and x.node.parents == () and x.node.rule is None
+
+
+def test_gradient_suite_probes_concat_and_pow():
+    results = {r.name: r for r in gradient_suite(seed=0).results}
+    for name in ("op.concat", "op.pow"):
+        assert results[name].passed, results[name].line()
