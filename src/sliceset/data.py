@@ -121,25 +121,28 @@ def _blob(extents, center, radius, amplitude) -> np.ndarray:
     return (amplitude * np.exp(-dist2 / (2.0 * sigma * sigma))).astype(np.float32)
 
 
+def _blob_sample(rng, extents, has_blob: bool, radius: int, amplitude: float,
+                 noise_std: float) -> tuple[np.ndarray, list[int]]:
+    """One synthetic sample and its blob centre: a centre drawn per axis, the
+    blob added if present, then the noise."""
+    centers = [int(rng.integers(radius, e - radius)) for e in extents]
+    out = np.zeros(extents, dtype=np.float32)
+    if has_blob:
+        out += _blob(extents, centers, radius, amplitude)
+    if noise_std > 0:
+        out += rng.normal(0.0, noise_std, extents).astype(np.float32)
+    return out, centers
+
+
 def generate_synthetic(spec: SyntheticSpec) -> list[Volume]:
     """Deterministic synthetic dataset; identical (spec, seed) reruns are bit-identical."""
     rng = np.random.default_rng(spec.seed)
-    axis = spec.axis_id
-    low, high = spec.position_range
     volumes = []
     for i in range(spec.count):
         has_blob = spec.task == "regression" or i % 2 == 0
-        r = spec.blob_radius
-        centers = [int(rng.integers(r, e - r)) for e in spec.extents]
-        vox = np.zeros(spec.extents, dtype=np.float32)
-        if has_blob:
-            vox += _blob(spec.extents, centers, spec.blob_radius, spec.blob_amplitude)
-        if spec.noise_std > 0:
-            vox += rng.normal(0.0, spec.noise_std, spec.extents).astype(np.float32)
-        if spec.task == "regression":
-            target: float | int = float(centers[axis])
-        else:
-            target = int(has_blob)
+        vox, centers = _blob_sample(rng, spec.extents, has_blob, spec.blob_radius,
+                                    spec.blob_amplitude, spec.noise_std)
+        target = float(centers[spec.axis_id]) if spec.task == "regression" else int(has_blob)
         volumes.append(Volume(voxels=vox, subject_id=f"synth-{i:05d}", target=target))
     return volumes
 
@@ -160,14 +163,7 @@ def generate_synthetic_images(count: int, size: tuple[int, int] = (32, 32),
     labels = np.zeros(count, dtype=np.int64)
     for i in range(count):
         has_blob = i % 2 == 0
-        cy = int(rng.integers(blob_radius, h - blob_radius))
-        cx = int(rng.integers(blob_radius, w - blob_radius))
-        img = np.zeros((h, w), dtype=np.float32)
-        if has_blob:
-            img += _blob((h, w), (cy, cx), blob_radius, amplitude)
-        if noise_std > 0:
-            img += rng.normal(0.0, noise_std, (h, w)).astype(np.float32)
-        images[i, 0] = img
+        images[i, 0], _ = _blob_sample(rng, (h, w), has_blob, blob_radius, amplitude, noise_std)
         labels[i] = int(has_blob)
     return images, labels
 
@@ -252,18 +248,10 @@ def write_atomic(path, data: bytes | str):
 # manifests
 # ---------------------------------------------------------------------------
 
-def write_manifest(path, entries: list[dict]):
-    """Write a dataset manifest: a JSON array of {path, subject_id, target}."""
-    for e in entries:
-        if set(e) != {"path", "subject_id", "target"}:
-            raise ValueError(f"manifest entry must have exactly path/subject_id/target, got {sorted(e)}")
-    write_atomic(path, json.dumps(entries, indent=1) + "\n")
-
-
-def read_manifest(path) -> list[dict]:
-    entries = json.loads(Path(path).read_text())
-    if not isinstance(entries, list):
-        raise ValueError(f"manifest {path} must be a JSON array")
+def _check_manifest_entries(entries: list, path):
+    """The manifest entry rule, on write and on read: exactly path/subject_id/
+    target, a non-empty string path, a string subject_id and a finite JSON
+    number target (an int or a float, not a bool)."""
     for i, e in enumerate(entries):
         if not isinstance(e, dict) or set(e) != {"path", "subject_id", "target"}:
             raise ValueError(f"bad manifest entry {i} in {path}: {e!r}")
@@ -275,6 +263,20 @@ def read_manifest(path) -> list[dict]:
             raise ValueError(f"bad manifest entry {i} in {path}: path must be a non-empty "
                              f"string, subject_id a string and target a finite number, "
                              f"got {e!r}")
+
+
+def write_manifest(path, entries: list[dict]):
+    """Write a dataset manifest: a JSON array of {path, subject_id, target},
+    each entry checked before anything is written."""
+    _check_manifest_entries(entries, path)
+    write_atomic(path, json.dumps(entries, indent=1) + "\n")
+
+
+def read_manifest(path) -> list[dict]:
+    entries = json.loads(Path(path).read_text())
+    if not isinstance(entries, list):
+        raise ValueError(f"manifest {path} must be a JSON array")
+    _check_manifest_entries(entries, path)
     return entries
 
 

@@ -1,10 +1,10 @@
 """2D slice encoders: a 5-block CNN and native residual networks.
 
 Every encoder maps an (N, C, H, W) batch of slices to an (N, d) embedding
-matrix via global average pooling over its final feature map.  At default
-width the embedding dimensions are 32 (cnn5), 512 (resnet18) and 2048
-(resnet50); ``width_multiplier`` scales all channel counts, and with it
-``d``, for desk-scale runs.
+matrix via global average pooling over its final feature map, and records d
+as ``embedding_dim``: 32 (cnn5), 512 (resnet18) and 2048 (resnet50) at
+default width, scaled with every channel count by ``width_multiplier``.  One
+:class:`ResidualBlock`, basic or bottleneck, serves both residual networks.
 
 Inputs smaller than ``min_input`` on either spatial axis are zero-padded up
 to it (centered) when ``pad_to_min`` is set, otherwise rejected.  Odd
@@ -38,9 +38,6 @@ from .nn import (
 ENCODER_KINDS = ("cnn5", "resnet18", "resnet50")
 CNN5_CHANNELS = (32, 64, 128, 256, 32)   # full width; no encoder has a wider base
 
-# full-width embedding sizes, also used to validate default configurations
-DEFAULT_EMBEDDING_DIM = {"cnn5": 32, "resnet18": 512, "resnet50": 2048}
-
 
 @dataclass(frozen=True)
 class EncoderConfig:
@@ -62,14 +59,6 @@ class EncoderConfig:
 
     def scaled(self, base: int) -> int:
         return max(1, int(round(base * self.width_multiplier)))
-
-    @property
-    def embedding_dim(self) -> int:
-        if self.kind == "cnn5":
-            return self.scaled(32)
-        if self.kind == "resnet18":
-            return self.scaled(64) * 8
-        return self.scaled(64) * 8 * 4  # resnet50 bottleneck expansion
 
 
 def _pad_to_even(x: Tensor) -> Tensor:
@@ -134,55 +123,36 @@ class CNN5Encoder(Module):
         return global_avg_pool2d(x)
 
 
-class BasicBlock(Module):
-    expansion = 1
+class ResidualBlock(Module):
+    """Basic (3x3 with the stride, then 3x3) or bottleneck (1x1, 3x3 with the
+    stride, then 1x1 to 4x the width) residual block.  Each conv feeds a batch
+    norm that centres its output in place; relu runs between the pairs and
+    after the shortcut add.  A 1x1 ``downsample`` conv and batch norm carry
+    the shortcut when the stride or the width changes."""
 
-    def __init__(self, in_ch: int, out_ch: int, stride: int = 1):
+    def __init__(self, in_ch: int, width: int, stride: int, bottleneck: bool):
         super().__init__()
-        self.conv1 = Conv2d(in_ch, out_ch, 3, stride=stride, padding=1, bias=False)
-        self.bn1 = BatchNorm2d(out_ch)
-        self.conv2 = Conv2d(out_ch, out_ch, 3, padding=1, bias=False)
-        self.bn2 = BatchNorm2d(out_ch)
-        if stride != 1 or in_ch != out_ch:
-            self.downsample = ModuleList([
-                Conv2d(in_ch, out_ch, 1, stride=stride, bias=False),
-                BatchNorm2d(out_ch),
-            ])
-        else:
-            self.downsample = None
+        convs = ([(width, 1, 1), (width, 3, stride), (4 * width, 1, 1)] if bottleneck
+                 else [(width, 3, stride), (width, 3, 1)])
+        self.pairs = []
+        prev = in_ch
+        for j, (out_ch, k, s) in enumerate(convs, start=1):
+            conv = Conv2d(prev, out_ch, k, stride=s, padding=k // 2, bias=False)
+            bn = BatchNorm2d(out_ch)
+            setattr(self, f"conv{j}", conv)
+            setattr(self, f"bn{j}", bn)
+            self.pairs.append((conv, bn))
+            prev = out_ch
+        self.out_channels = prev
+        self.downsample = None if stride == 1 and in_ch == prev else ModuleList(
+            [Conv2d(in_ch, prev, 1, stride=stride, bias=False), BatchNorm2d(prev)])
 
     def __call__(self, x: Tensor) -> Tensor:
-        out = relu(self.bn1(self.conv1(x), overwrite_input=True))
-        out = self.bn2(self.conv2(out), overwrite_input=True)
-        if self.downsample is not None:
-            x = self.downsample[1](self.downsample[0](x), overwrite_input=True)
-        return relu(out + x)
-
-
-class Bottleneck(Module):
-    expansion = 4
-
-    def __init__(self, in_ch: int, mid_ch: int, stride: int = 1):
-        super().__init__()
-        out_ch = mid_ch * self.expansion
-        self.conv1 = Conv2d(in_ch, mid_ch, 1, bias=False)
-        self.bn1 = BatchNorm2d(mid_ch)
-        self.conv2 = Conv2d(mid_ch, mid_ch, 3, stride=stride, padding=1, bias=False)
-        self.bn2 = BatchNorm2d(mid_ch)
-        self.conv3 = Conv2d(mid_ch, out_ch, 1, bias=False)
-        self.bn3 = BatchNorm2d(out_ch)
-        if stride != 1 or in_ch != out_ch:
-            self.downsample = ModuleList([
-                Conv2d(in_ch, out_ch, 1, stride=stride, bias=False),
-                BatchNorm2d(out_ch),
-            ])
-        else:
-            self.downsample = None
-
-    def __call__(self, x: Tensor) -> Tensor:
-        out = relu(self.bn1(self.conv1(x), overwrite_input=True))
-        out = relu(self.bn2(self.conv2(out), overwrite_input=True))
-        out = self.bn3(self.conv3(out), overwrite_input=True)
+        *inner, (conv, bn) = self.pairs
+        out = x
+        for c, b in inner:
+            out = relu(b(c(out), overwrite_input=True))
+        out = bn(conv(out), overwrite_input=True)
         if self.downsample is not None:
             x = self.downsample[1](self.downsample[0](x), overwrite_input=True)
         return relu(out + x)
@@ -201,7 +171,6 @@ class ResNetEncoder(Module):
         self.config = config
         bottleneck = config.kind == "resnet50"
         counts = (3, 4, 6, 3) if bottleneck else (2, 2, 2, 2)
-        block = Bottleneck if bottleneck else BasicBlock
         base = config.scaled(64)
 
         self.conv1 = Conv2d(config.input_channels, base, 7, stride=2, padding=3, bias=False)
@@ -209,12 +178,11 @@ class ResNetEncoder(Module):
 
         in_ch = base
         for stage, (count, mult) in enumerate(zip(counts, (1, 2, 4, 8)), start=1):
-            width = base * mult
-            stride = 1 if stage == 1 else 2
             blocks = ModuleList()
             for b in range(count):
-                blocks.append(block(in_ch, width, stride if b == 0 else 1))
-                in_ch = width * block.expansion
+                stride = 2 if stage > 1 and b == 0 else 1
+                blocks.append(ResidualBlock(in_ch, base * mult, stride, bottleneck))
+                in_ch = blocks[-1].out_channels
             setattr(self, f"layer{stage}", blocks)
         self.embedding_dim = in_ch
 

@@ -185,6 +185,8 @@ class SliceSetModel(Module):
 
     def __init__(self, config: ModelConfig, slice_count: int):
         super().__init__()
+        if slice_count < 1:
+            raise ValueError(f"slice_count must be at least 1, got {slice_count}")
         self.config = config
         self.slice_count = slice_count
         self.encoder = build_encoder(config.encoder)

@@ -278,7 +278,7 @@ class Classifier2D(nn.Module):
         super().__init__()
         self.config = encoder_config
         self.encoder = build_encoder(encoder_config)
-        self.head = nn.Linear(encoder_config.embedding_dim, n_classes)
+        self.head = nn.Linear(self.encoder.embedding_dim, n_classes)
 
     def __call__(self, images: Tensor) -> Tensor:
         return self.head(self.encoder(images))
@@ -337,7 +337,7 @@ def pretrain_2d(encoder_config: EncoderConfig, images: np.ndarray, labels: np.nd
         "input_channels": str(encoder_config.input_channels),
         "width_multiplier": repr(encoder_config.width_multiplier),
         "min_input": str(encoder_config.min_input),
-        "embedding_dim": str(encoder_config.embedding_dim),
+        "embedding_dim": str(model.encoder.embedding_dim),
         "train_accuracy": f"{accuracy:.6f}",
         "seed": str(seed),
     }

@@ -244,6 +244,28 @@ def test_manifest_rejects_missing_or_extra_keys(tmp_path):
         read_manifest(notlist)
 
 
+@pytest.mark.parametrize("bad", [
+    {"path": 5, "subject_id": None, "target": "x"},
+    {"path": "", "subject_id": "s", "target": 1.0},
+    {"path": "b.nii", "subject_id": None, "target": 1.0},
+    {"path": "b.nii", "subject_id": "s", "target": True},
+    {"path": "b.nii", "subject_id": "s", "target": float("nan")},
+])
+def test_write_manifest_rejects_what_read_manifest_rejects_before_writing(tmp_path, bad):
+    good = {"path": "a.nii", "subject_id": "s1", "target": 0.5}
+    fresh = tmp_path / "fresh.json"
+    with pytest.raises(ValueError, match=f"bad manifest entry 1 in {fresh}"):
+        write_manifest(fresh, [good, bad])
+    assert not list(tmp_path.iterdir())
+    kept = tmp_path / "kept.json"
+    write_manifest(kept, [good])
+    before = kept.read_bytes()
+    with pytest.raises(ValueError, match="bad manifest entry 1"):
+        write_manifest(kept, [good, bad])
+    assert kept.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.json"]
+
+
 def test_manifest_task_from_target_types():
     as_int = [{"path": "", "subject_id": "", "target": t} for t in (0, 1, 1, 0)]
     as_float = [{"path": "", "subject_id": "", "target": t} for t in (0.0, 1.0)]

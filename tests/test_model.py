@@ -232,8 +232,43 @@ def test_every_encoder_kind_forwards(kind):
     x = Tensor(rng.normal(0, 1, (3, 1, 8, 10)).astype(np.float32))
     with no_grad():
         out = enc(x)
-    assert out.shape == (3, cfg.embedding_dim)
+    assert out.shape == (3, {"cnn5": 4, "resnet18": 64, "resnet50": 256}[kind])
     assert np.isfinite(out.numpy()).all()
+
+
+_BASIC = "conv1.weight bn1.weight bn1.bias conv2.weight bn2.weight bn2.bias".split()
+_BOTTLENECK = _BASIC + "conv3.weight bn3.weight bn3.bias".split()
+_DOWNSAMPLE = "downsample.0.weight downsample.1.weight downsample.1.bias".split()
+_STATS = ["bn1.running_mean", "bn1.running_var", "bn2.running_mean", "bn2.running_var"]
+_BOTTLENECK_STATS = _STATS + ["bn3.running_mean", "bn3.running_var"]
+_DOWNSAMPLE_STATS = ["downsample.1.running_mean", "downsample.1.running_var"]
+
+
+@pytest.mark.parametrize("kind,width,count,layer1,layer2,strided_conv", [
+    ("resnet18", 0.25, 100, _BASIC + _STATS,
+     _BASIC + _DOWNSAMPLE + _STATS + _DOWNSAMPLE_STATS, "conv1"),
+    ("resnet50", 0.125, 265, _BOTTLENECK + _DOWNSAMPLE + _BOTTLENECK_STATS + _DOWNSAMPLE_STATS,
+     _BOTTLENECK + _DOWNSAMPLE + _BOTTLENECK_STATS + _DOWNSAMPLE_STATS, "conv2"),
+], ids=["resnet18", "resnet50"])
+def test_resnet_state_layout_mirrors_torchvision(kind, width, count, layer1, layer2, strided_conv):
+    """Checkpoints, archives and converted pretrained weights address resnet
+    tensors by these ordered names; he_init draws in the same order.  Only
+    the first block of a stage downsamples: resnet18 strides its first 3x3
+    conv, resnet50 its middle 3x3, and resnet50's layer1.0 widens 4x."""
+    enc = build_encoder(EncoderConfig(kind=kind, width_multiplier=width))
+    names = [n for n, _, _ in enc.named_state()]
+    assert len(names) == count
+    for stage, expected in (("layer1.0.", layer1), ("layer2.0.", layer2)):
+        assert [n[len(stage):] for n in names if n.startswith(stage)] == expected
+    assert not any(n.startswith(("layer1.1.downsample", "layer2.1.downsample")) for n in names)
+    assert getattr(enc.layer2[0], strided_conv).stride == 2
+    assert enc.layer1[0].conv2.stride == enc.layer2[1].conv2.stride == 1
+
+
+def test_model_rejects_slice_count_below_one():
+    for count in (0, -1):
+        with pytest.raises(ValueError, match=f"slice_count must be at least 1, got {count}$"):
+            SliceSetModel(small_config(), count)
 
 
 def test_cnn5_pooling_before_relu_matches_relu_before_pooling_bit_for_bit():
@@ -273,7 +308,7 @@ def test_encoder_pads_small_slices_to_min_input():
     x = Tensor(np.random.default_rng(13).normal(0, 1, (2, 1, 8, 6)).astype(np.float32))
     with no_grad():
         out = enc(x)
-    assert out.shape == (2, cfg.embedding_dim)
+    assert out.shape == (2, 8)
 
 
 # ---------------------------------------------------------------------------
