@@ -42,8 +42,8 @@ from .data import (  # noqa: E402
     AXES,
     TASKS,
     SyntheticSpec,
+    _synthetic_volumes,
     axis_index,
-    generate_synthetic,
     load_manifest_volumes,
     manifest_task,
     read_manifest,
@@ -237,12 +237,11 @@ def cmd_synth(args) -> int:
                          noise_std=args.noise_std, count=args.count, seed=args.seed,
                          blob_radius=args.blob_radius, blob_amplitude=args.blob_amplitude,
                          signal_axis=args.signal_axis)
-    volumes = generate_synthetic(spec)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     entries = []
     suffix = ".nii.gz" if args.gzip else ".nii"
-    for volume in volumes:
+    for volume in _synthetic_volumes(spec):   # one volume held at a time
         name = volume.subject_id + suffix
         save_nifti(out / name, volume)
         entries.append({"path": name, "subject_id": volume.subject_id,
@@ -251,7 +250,7 @@ def cmd_synth(args) -> int:
     low, high = spec.position_range
     detail = (f"targets in [{low}, {high}] along {spec.signal_axis}"
               if spec.task == "regression" else "labels blob=1 / noise=0")
-    print(f"wrote {len(volumes)} volumes + manifest.json to {out} ({detail})")
+    print(f"wrote {len(entries)} volumes + manifest.json to {out} ({detail})")
     return 0
 
 

@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -136,15 +137,19 @@ def _blob_sample(rng, extents, has_blob: bool, radius: int, amplitude: float,
 
 def generate_synthetic(spec: SyntheticSpec) -> list[Volume]:
     """Deterministic synthetic dataset; identical (spec, seed) reruns are bit-identical."""
+    return list(_synthetic_volumes(spec))
+
+
+def _synthetic_volumes(spec: SyntheticSpec) -> Iterator[Volume]:
+    """The volumes of :func:`generate_synthetic`, drawn one at a time, so a
+    caller that writes each one and drops it holds one volume, not the cohort."""
     rng = np.random.default_rng(spec.seed)
-    volumes = []
     for i in range(spec.count):
         has_blob = spec.task == "regression" or i % 2 == 0
         vox, centers = _blob_sample(rng, spec.extents, has_blob, spec.blob_radius,
                                     spec.blob_amplitude, spec.noise_std)
         target = float(centers[spec.axis_id]) if spec.task == "regression" else int(has_blob)
-        volumes.append(Volume(voxels=vox, subject_id=f"synth-{i:05d}", target=target))
-    return volumes
+        yield Volume(voxels=vox, subject_id=f"synth-{i:05d}", target=target)
 
 
 def generate_synthetic_images(count: int, size: tuple[int, int] = (32, 32),
@@ -224,19 +229,23 @@ def make_splits(volumes: list[Volume], fractions=(0.8, 0.1, 0.1),
 
 
 # ---------------------------------------------------------------------------
-# atomic writes: manifests, and the CLI's and archives' files
+# atomic writes: manifests, NIfTI volumes, and the CLI's and archives' files
 # ---------------------------------------------------------------------------
 
-def write_atomic(path, data: bytes | str):
+def write_atomic(path, data: bytes | str | Iterable[bytes]):
     """Write a temporary file, fsync it and rename it over ``path``.
 
-    A crash leaves either the old file or the new one, never a truncated one.
+    ``data`` may also be an iterable of byte chunks, written as they come.
+    A crash, or an exception from that iterable, leaves either the old file
+    or the new one, never a truncated one.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.tmp")
+    if isinstance(data, str):
+        data = data.encode()
     try:
         with open(tmp, "wb") as f:
-            f.write(data.encode() if isinstance(data, str) else data)
+            f.writelines([data] if isinstance(data, bytes) else data)
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, path)

@@ -4,12 +4,16 @@ Covers exactly what the rest of the package needs: 3-D volumes in uint8,
 int16, or float32, plain or gzip-compressed, either byte order (sniffed from
 the header-size field).  Orientation metadata is read but not acted on —
 inputs are assumed already resampled to a common grid.  Files are written
-little-endian with data at offset 352 (header + empty extension flag).
+little-endian with data at offset 352 (header + empty extension flag),
+streamed one z-plane at a time so that a save holds no volume-sized copy;
+``.nii.gz`` files are run-length deflated (see ``_gzip_chunks``).  Any gzip
+stream loads.
 """
 
 from __future__ import annotations
 
 import gzip
+import itertools
 import struct
 import zlib
 from pathlib import Path
@@ -21,6 +25,7 @@ from .data import Volume, write_atomic
 HEADER_SIZE = 348
 MAGIC_SINGLE = b"n+1\x00"
 VOX_OFFSET = 352
+_MAX_EXTENT = 32767   # dim[] is int16
 
 # NIfTI-1 datatype codes we accept.
 _DTYPES = {2: np.uint8, 4: np.int16, 16: np.float32}
@@ -110,15 +115,35 @@ def load_nifti(path) -> Volume:
 
 
 def save_nifti(path, volume: Volume, dtype=np.float32):
-    """Write a Volume as a little-endian single-file NIfTI-1, atomically; .gz paths are compressed."""
+    """Write a Volume as a little-endian single-file NIfTI-1, atomically; .gz paths are compressed.
+
+    Only what :func:`load_nifti` reads back is written: extents in 1..32767,
+    finite voxels, and for an integer ``dtype`` values inside its range
+    (fractions are truncated toward zero).  Anything else raises before the
+    file at ``path`` changes.
+    """
     np_dtype = np.dtype(dtype)
     if np_dtype not in _DTYPE_CODES:
         raise NiftiUnsupportedError(
-            f"cannot write dtype {np_dtype}; supported: {sorted(str(d) for d in _DTYPE_CODES)}")
+            f"{path}: cannot write dtype {np_dtype}; "
+            f"supported: {sorted(str(d) for d in _DTYPE_CODES)}")
     code, bitpix = _DTYPE_CODES[np_dtype]
-    extents = volume.extents
+    voxels = volume.voxels
+    extents = voxels.shape
+    if not all(1 <= e <= _MAX_EXTENT for e in extents):
+        raise NiftiFormatError(f"{path}: extents {extents} outside 1..{_MAX_EXTENT}")
+    # min and max propagate NaN and show ±inf, with no volume-sized temporary.
+    low, high = voxels.min(), voxels.max()
+    if not (np.isfinite(low) and np.isfinite(high)):
+        raise NiftiFormatError(f"{path}: voxel values are not all finite")
+    if np_dtype.kind in "iu":
+        info = np.iinfo(np_dtype)
+        if low < info.min or high > info.max:
+            raise NiftiUnsupportedError(
+                f"{path}: voxel range [{low}, {high}] does not fit {np_dtype} "
+                f"[{info.min}, {info.max}]")
 
-    header = bytearray(HEADER_SIZE)
+    header = bytearray(VOX_OFFSET)   # the 348-byte header, then an empty extension flag
     struct.pack_into("<i", header, 0, HEADER_SIZE)
     struct.pack_into("<8h", header, 40, 3, *extents, 1, 1, 1, 1)
     struct.pack_into("<2h", header, 70, code, bitpix)
@@ -127,10 +152,23 @@ def save_nifti(path, volume: Volume, dtype=np.float32):
     struct.pack_into("<2f", header, 112, 1.0, 0.0)  # scl_slope, scl_inter
     header[344:348] = MAGIC_SINGLE
 
-    data = np.ascontiguousarray(
-        volume.voxels.astype(np_dtype.newbyteorder("<")), dtype=np_dtype.newbyteorder("<"))
-    payload = bytes(header) + b"\x00\x00\x00\x00" + data.tobytes(order="F")
-
+    # The file stores x fastest: each z-plane in Fortran order, planes in z order.
+    le_dtype = np_dtype.newbyteorder("<")
+    chunks = itertools.chain([bytes(header)], (
+        voxels[:, :, k].astype(le_dtype, copy=False).tobytes(order="F")
+        for k in range(extents[2])))
     if Path(path).name.endswith(".gz"):
-        payload = gzip.compress(payload, mtime=0)   # mtime pinned: identical volumes, identical files
-    write_atomic(path, payload)
+        chunks = _gzip_chunks(chunks)
+    write_atomic(path, chunks)
+
+
+def _gzip_chunks(chunks):
+    """Gzip-frame byte chunks (``wbits=31``: mtime 0, so equal volumes give
+    equal files) with run-length deflate, which on float noise keeps level
+    9's ratio at a third of its time; zero backgrounds still shrink."""
+    compressor = zlib.compressobj(9, zlib.DEFLATED, 31, zlib.DEF_MEM_LEVEL, zlib.Z_RLE)
+    for chunk in chunks:
+        out = compressor.compress(chunk)
+        if out:
+            yield out
+    yield compressor.flush()

@@ -18,6 +18,7 @@ import struct
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -143,6 +144,30 @@ def test_synth_gzip_flag_zips_every_volume(tmp_path):
     entries = read_manifest(out / "manifest.json")
     assert all(entry["path"].endswith(".nii.gz") for entry in entries)
     assert (out / "synth-00000.nii.gz").exists()
+
+
+def test_synth_memory_does_not_grow_with_count(tmp_path):
+    """synth writes each volume as it is drawn, so 24 volumes peak like 3."""
+    extents = (32, 40, 32)
+    volume_bytes = 4 * 32 * 40 * 32
+
+    def traced_peak(count):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            code, _, err = run_cli("synth", "--out", str(tmp_path / str(count)),
+                                   "--count", str(count), "--gzip",
+                                   "--extents", ",".join(map(str, extents)))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert code == 0, err
+        return peak
+
+    traced_peak(1)   # the first run pays one-time imports and caches
+    small, large = traced_peak(3), traced_peak(24)
+    assert large - small <= volume_bytes, (small, large)
 
 
 def test_synth_rejects_blob_larger_than_volume(tmp_path):

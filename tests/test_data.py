@@ -231,6 +231,23 @@ def test_manifest_write_failure_keeps_old_manifest_and_leaves_no_temp_file(tmp_p
     assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json"]
 
 
+def test_write_atomic_chunk_failure_keeps_old_file_and_leaves_no_temp_file(tmp_path):
+    path = tmp_path / "out.bin"
+    data.write_atomic(path, b"old contents")
+
+    def chunks():
+        yield b"first chunk"
+        raise RuntimeError("producer failed")
+
+    with pytest.raises(RuntimeError, match="producer failed"):
+        data.write_atomic(path, chunks())
+    assert path.read_bytes() == b"old contents"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.bin"]
+
+    data.write_atomic(path, iter([b"new ", b"contents"]))
+    assert path.read_bytes() == b"new contents"
+
+
 def test_manifest_rejects_missing_or_extra_keys(tmp_path):
     with pytest.raises(ValueError):
         write_manifest(tmp_path / "m.json", [{"path": "a.nii", "subject_id": "s"}])

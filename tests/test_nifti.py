@@ -1,8 +1,11 @@
 """NIfTI-1 reader/writer against a header oracle built with raw struct packing."""
 
 import gzip
+import hashlib
 import os
 import struct
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -251,6 +254,99 @@ def test_round_trip_property(tmp_path_factory, vox):
     tmp = tmp_path_factory.mktemp("rt")
     save_nifti(tmp / "p.nii", Volume(voxels=vox))
     np.testing.assert_array_equal(load_nifti(tmp / "p.nii").voxels, vox)
+
+
+# A fixed volume in each writable dtype: x·37 mod 251 over 4×5×6 voxels,
+# fractional floats, negative int16 and the whole uint8 range in use.
+_PIN_BASE = np.arange(4 * 5 * 6).reshape(4, 5, 6) * 37 % 251
+PINNED = {
+    "float32": (_PIN_BASE / 4.0 - 20.0, np.float32,
+                "770b21de26d1ff192b02eddf895a7acd1af59db04083eeaae6ade2967f56610f"),
+    "int16": ((_PIN_BASE - 125) * 100, np.int16,
+              "deb5d4b167e169cf79c871ad450fe332b7d7f01ef9ea23b58b1c15e45c07f8b5"),
+    "uint8": (_PIN_BASE, np.uint8,
+              "6acb7ff35eedffddff4d477bd2ca02195763259ad3f2196df4918c2fbe7c1051"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_plain_file_bytes_are_pinned(tmp_path, name):
+    vox, dtype, digest = PINNED[name]
+    save_nifti(tmp_path / "v.nii", Volume(voxels=vox), dtype=dtype)
+    assert hashlib.sha256((tmp_path / "v.nii").read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_gzip_file_is_the_plain_file_compressed(tmp_path, name):
+    vox, dtype, _ = PINNED[name]
+    plain, zipped = tmp_path / "v.nii", tmp_path / "v.nii.gz"
+    for path in (plain, zipped):
+        save_nifti(path, Volume(voxels=vox), dtype=dtype)
+    assert gzip.decompress(zipped.read_bytes()) == plain.read_bytes()
+    np.testing.assert_array_equal(load_nifti(zipped).voxels, load_nifti(plain).voxels)
+    np.testing.assert_array_equal(load_nifti(plain).voxels, vox.astype(np.float32))
+
+
+def test_fortran_ordered_volume_writes_the_same_bytes(tmp_path):
+    vox = PINNED["float32"][0].astype(np.float32)
+    c, f = tmp_path / "c.nii.gz", tmp_path / "f.nii.gz"
+    save_nifti(c, Volume(voxels=vox))
+    save_nifti(f, Volume(voxels=np.asfortranarray(vox)))
+    assert c.read_bytes() == f.read_bytes()
+
+
+@pytest.mark.parametrize("name", ["v.nii", "v.nii.gz"])
+def test_save_holds_no_volume_sized_copy(tmp_path, name):
+    vox = np.random.default_rng(5).normal(0, 1, (96, 112, 96)).astype(np.float32)
+    volume = Volume(voxels=vox)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        save_nifti(tmp_path / name, volume)
+        added = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert added <= 0.25 * vox.nbytes, (added, vox.nbytes)
+
+
+def _nan_voxel():
+    vox = np.zeros((2, 3, 4), dtype=np.float32)
+    vox[1, 2, 3] = np.nan
+    return vox
+
+
+@pytest.mark.parametrize("vox, dtype, error, message", [
+    (_nan_voxel(), np.float32, NiftiFormatError, "not all finite"),
+    (np.full((2, 3, 4), -np.inf, dtype=np.float32), np.float32, NiftiFormatError, "not all finite"),
+    (np.zeros((0, 2, 2), dtype=np.float32), np.float32, NiftiFormatError, "extents"),
+    (np.zeros((40000, 1, 1), dtype=np.float32), np.float32, NiftiFormatError, "extents"),
+    (np.full((2, 3, 4), 40000.0), np.int16, NiftiUnsupportedError, "does not fit int16"),
+    (_nan_voxel(), np.int16, NiftiFormatError, "not all finite"),
+    (np.full((2, 3, 4), -3.0), np.uint8, NiftiUnsupportedError, "does not fit uint8"),
+    (np.full((2, 3, 4), 300.0), np.uint8, NiftiUnsupportedError, "does not fit uint8"),
+], ids=["nan", "neg-inf", "empty-extent", "extent-40000", "int16-40000", "int16-nan",
+        "uint8-minus-3", "uint8-300"])
+@pytest.mark.parametrize("name", ["v.nii", "v.nii.gz"])
+def test_save_rejects_what_load_would_not_read_back(tmp_path, vox, dtype, error, message, name):
+    path = tmp_path / name
+    save_nifti(path, Volume(voxels=np.ones((2, 2, 2), dtype=np.float32)))
+    before = path.read_bytes()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # no numpy cast warning on the way
+        with pytest.raises(error, match=message) as info:
+            save_nifti(path, Volume(voxels=vox), dtype=dtype)
+    assert name in str(info.value)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == [name]
+
+
+def test_save_accepts_the_ends_of_the_integer_ranges(tmp_path):
+    for dtype in (np.int16, np.uint8):
+        info = np.iinfo(dtype)
+        vox = np.array([info.min, info.max], dtype=np.float32).reshape(2, 1, 1)
+        save_nifti(tmp_path / "ends.nii.gz", Volume(voxels=vox), dtype=dtype)
+        np.testing.assert_array_equal(load_nifti(tmp_path / "ends.nii.gz").voxels, vox)
 
 
 # ---------------------------------------------------------------------------
