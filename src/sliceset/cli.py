@@ -5,8 +5,9 @@ Configs are JSON documents with strict schemas: unknown keys and values of
 the wrong JSON type are rejected by key (``model.build_dataclass``).  Each
 config flag's dest is its config path (``--epochs`` sets ``train.epochs``),
 so flags fold over config-file values generically, and the fully resolved
-config is echoed into the output directory for provenance.  Training writes
-nothing outside its output directory and guards it with a lock file.
+config is echoed into the output directory for provenance.  Every split's
+manifest is checked against the run's task before its volumes load.  Training
+writes nothing outside its output directory and guards it with a lock file.
 
 Set ``SLICESET_THREADS`` to cap the numeric libraries' worker threads; it is
 applied before numpy loads.
@@ -91,7 +92,7 @@ class RunConfig:
 
     ``task`` may be "auto", in which case it is inferred from the training
     manifest's target types (integer 0/1 targets → classification, floats →
-    regression).
+    regression); every split's manifest must hold the task's targets.
     """
 
     task: str = "auto"
@@ -112,8 +113,8 @@ class RunConfig:
             raise ValueError(f"unknown task {self.task!r}; choose from {('auto', *TASKS)}")
         axis_index(self.axis)
 
-    def model_config(self, task: str) -> ModelConfig:
-        return ModelConfig(task=task, axis=self.axis, encoder=self.encoder,
+    def model_config(self) -> ModelConfig:
+        return ModelConfig(task=self.task, axis=self.axis, encoder=self.encoder,
                            aggregator=self.aggregator,
                            positional_enabled=self.positional_enabled)
 
@@ -254,14 +255,30 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _load_split(path, normalize, context):
+def _load_split(path, normalize, context, task):
+    """The volumes of a split whose manifest is non-empty and holds ``task``'s targets."""
     if path is None:
         raise ValueError(f"no {context} manifest configured (flag --{context}-manifest "
                          f"or config key {context}_manifest)")
-    volumes = load_manifest_volumes(path, normalize_volumes=normalize)
-    if not volumes:
+    entries = read_manifest(path)
+    if not entries:
         raise ValueError(f"{context} manifest {path} is empty")
-    return volumes
+    if manifest_task(entries) != task:
+        raise ValueError(f"{context} manifest {path} holds {manifest_task(entries)} targets, "
+                         f"but the model is a {task} model")
+    return load_manifest_volumes(path, normalize_volumes=normalize)
+
+
+def _check_disjoint_files(manifests: dict):
+    """Reject a volume file that the manifests of two splits both name."""
+    owners = {}
+    for split, manifest in manifests.items():
+        for entry in read_manifest(manifest):
+            file = (Path(manifest).parent / entry["path"]).resolve()
+            owner, owner_manifest = owners.setdefault(file, (split, manifest))
+            if owner != split:
+                raise ValueError(f"volume file {file} is in both the {owner} manifest "
+                                 f"{owner_manifest} and the {split} manifest {manifest}")
 
 
 def cmd_train(args) -> int:
@@ -269,23 +286,16 @@ def cmd_train(args) -> int:
         raise ValueError(f"--seeds must be at least 1, got {args.seeds}")
     config = load_run_config(args.config) if args.config else RunConfig()
     config = _apply_overrides(config, args)
+    if config.task == "auto" and config.train_manifest is not None:
+        config = replace(config, task=manifest_task(read_manifest(config.train_manifest)))
 
-    train_entries = read_manifest(config.train_manifest) if config.train_manifest else None
-    if train_entries is None:
-        raise ValueError("no training manifest configured")
-    inferred = manifest_task(train_entries)
-    task = inferred if config.task == "auto" else config.task
-    if task != inferred:
-        raise ValueError(f"config task {task!r} but training manifest targets look like "
-                         f"{inferred!r}")
-    config = replace(config, task=task)
-
-    train_vols = _load_split(config.train_manifest, config.normalize, "train")
-    val_vols = _load_split(config.val_manifest, config.normalize, "val")
-    test_vols = _load_split(config.test_manifest, config.normalize, "test")
+    manifests = {split: getattr(config, f"{split}_manifest") for split in ("train", "val", "test")}
+    train_vols, val_vols, test_vols = (_load_split(path, config.normalize, split, config.task)
+                                       for split, path in manifests.items())
+    _check_disjoint_files(manifests)
     extents = _common_extents(train_vols + val_vols + test_vols, "dataset")
     slice_count = slice_count_for(extents, config.axis)
-    model_config = config.model_config(task)
+    model_config = config.model_config()
     model = _new_model(model_config, slice_count)   # fails before anything is written
 
     out = Path(config.output_dir)
@@ -377,23 +387,20 @@ def _model_from_checkpoint(archive: WeightArchive) -> tuple[SliceSetModel, dict]
     slice_count = int(meta["slice_count"])
     if slice_count < 1:
         raise ValueError(f"checkpoint metadata slice_count must be at least 1, got {slice_count}")
+    if meta["normalize"] not in ("true", "false"):
+        raise ValueError('checkpoint metadata normalize must be "true" or "false", '
+                         f'got {meta["normalize"]!r}')
     model = _new_model(model_config, slice_count)
     import_strict(model, archive)
     return model, meta
 
 
 def cmd_eval(args) -> int:
-    entries = read_manifest(args.manifest)
-    m_task = manifest_task(entries)
     reports = []
     for ckpt in args.checkpoint:
-        archive = WeightArchive.load(ckpt)
-        model, meta = _model_from_checkpoint(archive)
-        if model.config.task != m_task:
-            raise ValueError(f"checkpoint {ckpt} is a {model.config.task} model but manifest "
-                             f"{args.manifest} holds {m_task} targets")
-        volumes = load_manifest_volumes(args.manifest,
-                                        normalize_volumes=meta.get("normalize") == "true")
+        model, meta = _model_from_checkpoint(WeightArchive.load(ckpt))
+        volumes = _load_split(args.manifest, meta["normalize"] == "true",
+                              f"checkpoint {ckpt}: eval", model.config.task)
         report = evaluate(model, volumes)
         print(f"{ckpt}: {report.summary()}")
         print(report.to_json())
@@ -426,7 +433,7 @@ def cmd_import_weights(args) -> int:
     if config.task == "auto":
         raise ValueError("import-weights needs an explicit task (flag --task)")
     extents = _parse_extents(args.extents)
-    model = _new_model(config.model_config(config.task), slice_count_for(extents, config.axis))
+    model = _new_model(config.model_config(), slice_count_for(extents, config.axis))
     seed = args.seed if args.seed is not None else 0
     he_init(model, seed=seed)
 
@@ -560,9 +567,10 @@ def main(argv=None) -> int:
         # it as source lines on stderr.
         with np.errstate(all="ignore"):
             return args.func(args)
-    except (ValueError, OSError, KeyError, TrainingDivergedError) as exc:
-        message = str(exc) if not isinstance(exc, KeyError) else f"missing key {exc}"
-        print(f"error: {message}", file=sys.stderr)
+    except (ValueError, OSError, KeyError, MemoryError, TrainingDivergedError) as exc:
+        prefix = ("missing key " if isinstance(exc, KeyError) else
+                  "cannot allocate memory: " if isinstance(exc, MemoryError) else "")
+        print(f"error: {prefix}{exc}", file=sys.stderr)
         return 2
 
 

@@ -52,6 +52,8 @@ class EncoderConfig:
             raise ValueError(f"unknown encoder kind {self.kind!r}; choose from {ENCODER_KINDS}")
         if self.input_channels < 1:
             raise ValueError("input_channels must be >= 1")
+        if self.min_input < 1:
+            raise ValueError(f"min_input must be >= 1, got {self.min_input}")
         widest = max(CNN5_CHANNELS) * self.width_multiplier
         if not (self.width_multiplier > 0 and math.isfinite(widest)):
             raise ValueError("width_multiplier must be positive with finite channel counts, "

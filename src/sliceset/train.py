@@ -7,9 +7,9 @@ volume's slices by that volume's own moments and updates its running
 statistics once per volume, in batch order, so a batch trains as per-volume
 forward passes would.  The loop
 validates after every epoch and keeps the checkpoint that optimizes the
-selection metric (lowest mean absolute error for regression, highest
-balanced accuracy for classification), breaking ties toward the earliest
-epoch.  Runs are fully deterministic given (seed, data, config);
+task's selection metric (lowest mean absolute error for regression,
+highest balanced accuracy for classification), breaking ties toward the
+earliest epoch.  Runs are fully deterministic given (seed, data, config);
 the per-epoch wall-clock entry is the only field allowed to differ between
 identical runs.
 """
@@ -32,7 +32,6 @@ from .tensor import Tensor, no_grad
 
 OPTIMIZER_KINDS = ("adam", "sgd")
 LOSS_KINDS = ("l1", "mse", "cross_entropy")
-SELECTION_METRICS = ("mae", "balanced_accuracy")
 
 
 class TrainingDivergedError(RuntimeError):
@@ -64,12 +63,11 @@ class OptimizerConfig:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Loop hyperparameters; loss/selection default from the task when None."""
+    """Loop hyperparameters; the loss defaults from the task when None."""
 
     epochs: int = 100
     batch_size: int = 8
     loss: str | None = None
-    selection_metric: str | None = None
     seed: int = 0
 
     def __post_init__(self):
@@ -79,23 +77,14 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if self.loss is not None and self.loss not in LOSS_KINDS:
             raise ValueError(f"unknown loss {self.loss!r}; choose from {LOSS_KINDS}")
-        if self.selection_metric is not None and self.selection_metric not in SELECTION_METRICS:
-            raise ValueError(
-                f"unknown selection metric {self.selection_metric!r}; choose from {SELECTION_METRICS}")
 
     def resolved(self, task: str) -> "TrainConfig":
         loss = self.loss or ("cross_entropy" if task == "classification" else "mse")
-        metric = self.selection_metric or (
-            "balanced_accuracy" if task == "classification" else "mae")
         if task == "classification" and loss != "cross_entropy":
             raise ValueError(f"loss {loss!r} does not fit classification")
         if task == "regression" and loss == "cross_entropy":
             raise ValueError("cross_entropy does not fit regression")
-        if task == "classification" and metric != "balanced_accuracy":
-            raise ValueError(f"selection metric {metric!r} does not fit classification")
-        if task == "regression" and metric != "mae":
-            raise ValueError(f"selection metric {metric!r} does not fit regression")
-        return replace(self, loss=loss, selection_metric=metric)
+        return replace(self, loss=loss)
 
 
 @dataclass
@@ -386,7 +375,8 @@ class TrainResult:
 def train(model: SliceSetModel, train_volumes: list[Volume], val_volumes: list[Volume],
           train_config: TrainConfig, optimizer_config: OptimizerConfig,
           log_path=None, progress=None) -> TrainResult:
-    """Run the epoch loop and return the best checkpoint plus the epoch log.
+    """Run the epoch loop and return the best checkpoint plus the epoch log;
+    ``model.config.task`` fixes the selection metric.
 
     Each log record is {epoch, train_loss, val_metric, wall_ms}; when
     ``log_path`` is given the records are also appended there as JSON lines.
@@ -399,7 +389,7 @@ def train(model: SliceSetModel, train_volumes: list[Volume], val_volumes: list[V
     cfg = train_config.resolved(model.config.task)
     rng = np.random.default_rng(cfg.seed)
     optimizer = build_optimizer(model.named_parameters(), optimizer_config)
-    lower_is_better = cfg.selection_metric == "mae"
+    metric = "mae" if model.config.task == "regression" else "balanced_accuracy"
 
     log_file = open(log_path, "w") if log_path is not None else None
     best: Checkpoint | None = None
@@ -410,7 +400,7 @@ def train(model: SliceSetModel, train_volumes: list[Volume], val_volumes: list[V
             train_loss = _run_epoch(
                 model, optimizer, rng, len(train_volumes), cfg.batch_size, epoch,
                 lambda idx: batch_loss(model, [train_volumes[i] for i in idx], cfg.loss))
-            val_metric = _validation_metric(model, val_volumes, cfg.selection_metric, epoch)
+            val_metric = _validation_metric(model, val_volumes, metric, epoch)
             record = {
                 "epoch": epoch,
                 "train_loss": train_loss,
@@ -425,7 +415,7 @@ def train(model: SliceSetModel, train_volumes: list[Volume], val_volumes: list[V
                 progress(record)
 
             improved = best is None or (
-                val_metric < best.val_metric if lower_is_better else val_metric > best.val_metric)
+                val_metric < best.val_metric if metric == "mae" else val_metric > best.val_metric)
             if improved:
                 best = Checkpoint(epoch=epoch, val_metric=val_metric,
                                   state=snapshot_state(model))

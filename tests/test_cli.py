@@ -27,7 +27,7 @@ import pytest
 import sliceset
 from sliceset import train as train_mod
 from sliceset.cli import LOCK_NAME, _cap_threads, main, output_lock
-from sliceset.data import generate_synthetic_images, read_manifest
+from sliceset.data import generate_synthetic_images, read_manifest, write_manifest
 from sliceset.encoders import EncoderConfig
 from sliceset.weights import MAGIC, WeightArchive, pretrain_2d
 
@@ -68,6 +68,15 @@ def data(tmp_path_factory):
         "val": str(synth_dir(root, "val", count=4, seed=1) / "manifest.json"),
         "test": str(synth_dir(root, "test", count=4, seed=2) / "manifest.json"),
     }
+
+
+@pytest.fixture(scope="module")
+def cls_data(tmp_path_factory):
+    """Paths to train/val/test manifests over classification datasets."""
+    root = tmp_path_factory.mktemp("cli-cls-data")
+    return {split: str(synth_dir(root, split, count=count, seed=seed, task="classification")
+                       / "manifest.json")
+            for split, count, seed in (("train", 8, 0), ("val", 4, 1), ("test", 4, 2))}
 
 
 @pytest.fixture(scope="module")
@@ -196,6 +205,15 @@ def test_synth_rejects_non_finite_parameters_before_writing(tmp_path, flag, valu
     assert code == 2
     assert err.startswith("error:") and err.count("\n") == 1 and "finite" in err
     assert not out.exists()
+
+
+def test_refused_allocation_is_one_error_line_not_a_traceback(tmp_path):
+    # 40000³ float32 voxels are 233 TiB, more than the 128 TiB user address
+    # space, so the allocation is refused up front and touches no memory
+    code, _, err = run_cli("synth", "--out", str(tmp_path / "huge"), "--count", "1",
+                           "--extents", "40000,40000,40000")
+    assert code == 2
+    assert err.startswith("error: cannot allocate memory: ") and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------
@@ -354,6 +372,66 @@ def test_train_rejects_task_mismatch(tmp_path, data):
         "--epochs", "1")
     assert code == 2
     assert "classification" in err and "regression" in err
+
+
+@pytest.mark.parametrize("task, other, flags", [
+    ("regression", "classification", ()),
+    ("classification", "regression", ("--loss", "cross_entropy")),
+], ids=["regression-run-classification-val", "classification-run-regression-val"])
+def test_train_rejects_a_split_of_the_other_task_before_writing(tmp_path, data, cls_data,
+                                                                task, other, flags):
+    manifests = {"regression": data, "classification": cls_data}
+    val = manifests[other]["val"]
+    out = tmp_path / "run"
+    code, _, err = run_cli(
+        "train", "--train-manifest", manifests[task]["train"], "--val-manifest", val,
+        "--test-manifest", manifests[task]["test"], "--output-dir", str(out),
+        "--epochs", "1", *TRAIN_FLAGS, *flags)
+    assert code == 2
+    assert err == (f"error: val manifest {val} holds {other} targets, "
+                   f"but the model is a {task} model\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("relative", [False, True], ids=["same-manifest", "path-from-elsewhere"])
+def test_train_rejects_a_volume_file_in_two_splits_before_writing(tmp_path, data, relative):
+    train_dir = Path(data["train"]).parent
+    first = read_manifest(data["train"])[0]
+    val = data["train"]
+    if relative:   # another directory's manifest naming one training file
+        val = str(tmp_path / "val" / "manifest.json")
+        (tmp_path / "val").mkdir()
+        write_manifest(val, [{**first, "path": os.path.relpath(train_dir / first["path"],
+                                                               tmp_path / "val")}])
+    out = tmp_path / "run"
+    code, _, err = run_cli(
+        "train", "--train-manifest", data["train"], "--val-manifest", val,
+        "--test-manifest", data["test"], "--output-dir", str(out), "--epochs", "1", *TRAIN_FLAGS)
+    assert code == 2
+    assert err == (f"error: volume file {(train_dir / first['path']).resolve()} is in both "
+                   f"the train manifest {data['train']} and the val manifest {val}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("min_input", ["0", "-3"])
+def test_train_rejects_min_input_below_one_before_writing(tmp_path, data, min_input):
+    out = tmp_path / "run"
+    code, _, err = run_cli(
+        "train", "--train-manifest", data["train"], "--val-manifest", data["val"],
+        "--test-manifest", data["test"], "--output-dir", str(out), "--epochs", "1",
+        *TRAIN_FLAGS, "--min-input", min_input)
+    assert code == 2
+    assert err == f"error: min_input must be >= 1, got {min_input}\n"
+    assert not out.exists()
+
+
+def test_train_rejects_the_removed_selection_metric_key(tmp_path):
+    # the task alone fixes the selection metric, so a config may not name one
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"train": {"selection_metric": "mae"}}))
+    code, _, err = run_cli("train", "--config", str(config))
+    assert code == 2
+    assert err == "error: unknown key(s) in train: ['selection_metric']\n"
 
 
 def test_train_rejects_unknown_config_key(tmp_path):
@@ -731,6 +809,21 @@ def test_eval_rejects_checkpoint_slice_count_below_one(tmp_path, train_run, data
     code, _, err = run_cli("eval", "--checkpoint", str(path), "--manifest", data["test"])
     assert code == 2
     assert err == f"error: checkpoint metadata slice_count must be at least 1, got {slice_count}\n"
+
+
+@pytest.mark.parametrize("normalize", [None, "yes"], ids=["missing", "yes"])
+def test_eval_rejects_checkpoint_normalize_other_than_true_or_false(tmp_path, train_run, data,
+                                                                    normalize):
+    archive = WeightArchive.load(train_run[2] / "checkpoint_seed0.ssnw")
+    metadata = {k: v for k, v in archive.metadata.items() if k != "normalize"}
+    if normalize is not None:
+        metadata["normalize"] = normalize
+    path = tmp_path / "bad.ssnw"
+    WeightArchive(entries=archive.entries, metadata=metadata).save(path)
+    code, out, err = run_cli("eval", "--checkpoint", str(path), "--manifest", data["test"])
+    assert code == 2 and out == ""
+    assert err == ("error: missing key 'normalize'\n" if normalize is None else
+                   'error: checkpoint metadata normalize must be "true" or "false", got \'yes\'\n')
 
 
 def test_eval_reports_missing_checkpoint_file(tmp_path, data):

@@ -269,8 +269,8 @@ def test_train_config_defaults_per_task():
     cfg = TrainConfig()
     reg = cfg.resolved("regression")
     cls = cfg.resolved("classification")
-    assert (reg.loss, reg.selection_metric) == ("mse", "mae")
-    assert (cls.loss, cls.selection_metric) == ("cross_entropy", "balanced_accuracy")
+    assert reg.loss == "mse"
+    assert cls.loss == "cross_entropy"
 
 
 def test_train_config_rejects_task_mismatches():
@@ -278,8 +278,6 @@ def test_train_config_rejects_task_mismatches():
         TrainConfig(loss="l1").resolved("classification")
     with pytest.raises(ValueError):
         TrainConfig(loss="cross_entropy").resolved("regression")
-    with pytest.raises(ValueError):
-        TrainConfig(selection_metric="balanced_accuracy").resolved("regression")
     with pytest.raises(ValueError):
         TrainConfig(loss="maximum_likelihood")
     with pytest.raises(ValueError):
