@@ -255,8 +255,8 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _load_split(path, normalize, context, task):
-    """The volumes of a split whose manifest is non-empty and holds ``task``'s targets."""
+def _check_split(path, context, task):
+    """Reject a split whose manifest is missing or empty or holds other than ``task``'s targets."""
     if path is None:
         raise ValueError(f"no {context} manifest configured (flag --{context}-manifest "
                          f"or config key {context}_manifest)")
@@ -266,6 +266,11 @@ def _load_split(path, normalize, context, task):
     if manifest_task(entries) != task:
         raise ValueError(f"{context} manifest {path} holds {manifest_task(entries)} targets, "
                          f"but the model is a {task} model")
+
+
+def _load_split(path, normalize, context, task):
+    """The volumes of a split that passes :func:`_check_split`."""
+    _check_split(path, context, task)
     return load_manifest_volumes(path, normalize_volumes=normalize)
 
 
@@ -297,6 +302,7 @@ def cmd_train(args) -> int:
     slice_count = slice_count_for(extents, config.axis)
     model_config = config.model_config()
     model = _new_model(model_config, slice_count)   # fails before anything is written
+    _check_batch_fits(config, extents, len(train_vols))
 
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -378,6 +384,22 @@ def _new_model(config: ModelConfig, slice_count: int) -> SliceSetModel:
             f"aggregator.ff_hidden_dim {agg.ff_hidden_dim}: {exc}") from None
 
 
+def _check_batch_fits(config: RunConfig, extents, volumes: int):
+    """Allocate one training batch of slices padded to the encoder's minimum,
+    so a size numpy cannot allocate is a config error before anything is written."""
+    enc = config.encoder
+    axis = axis_index(config.axis)
+    h, w = (max(e, enc.min_input) if enc.pad_to_min else e
+            for i, e in enumerate(extents) if i != axis)
+    shape = (min(config.train.batch_size, volumes) * extents[axis], enc.input_channels, h, w)
+    try:
+        np.empty(shape, dtype=np.float32)
+    except (MemoryError, ValueError) as exc:
+        raise ValueError(
+            f"cannot allocate one batch of slices padded by encoder.min_input {enc.min_input} "
+            f"with train.batch_size {config.train.batch_size}: {exc}") from None
+
+
 def _model_from_checkpoint(archive: WeightArchive) -> tuple[SliceSetModel, dict]:
     meta = archive.metadata
     if meta.get("kind") != CHECKPOINT_METADATA_KIND:
@@ -397,11 +419,14 @@ def _model_from_checkpoint(archive: WeightArchive) -> tuple[SliceSetModel, dict]
 
 def cmd_eval(args) -> int:
     reports = []
+    volumes = {}   # by normalize setting: the manifest decodes once per setting
     for ckpt in args.checkpoint:
         model, meta = _model_from_checkpoint(WeightArchive.load(ckpt))
-        volumes = _load_split(args.manifest, meta["normalize"] == "true",
-                              f"checkpoint {ckpt}: eval", model.config.task)
-        report = evaluate(model, volumes)
+        normalize = meta["normalize"] == "true"
+        _check_split(args.manifest, f"checkpoint {ckpt}: eval", model.config.task)
+        if normalize not in volumes:
+            volumes[normalize] = load_manifest_volumes(args.manifest, normalize_volumes=normalize)
+        report = evaluate(model, volumes[normalize])
         print(f"{ckpt}: {report.summary()}")
         print(report.to_json())
         reports.append(report)

@@ -50,14 +50,20 @@ class Volume:
 
 
 def normalize(volume: Volume) -> Volume:
-    """Per-volume z-score; a constant volume maps to all zeros."""
+    """Per-volume z-score in float64; a constant volume maps to all zeros.
+
+    The float64 copy is centred and scaled in place, so the peak is that
+    copy and ``std``'s temporary, 4× the float32 volume.
+    """
     v = volume.voxels.astype(np.float64)
     mean = v.mean()
     std = v.std()
     if std == 0.0:
         out = np.zeros_like(volume.voxels)
     else:
-        out = ((v - mean) / std).astype(np.float32)
+        np.subtract(v, mean, out=v)
+        np.divide(v, std, out=v)
+        out = v.astype(np.float32)
     return Volume(voxels=out, subject_id=volume.subject_id, target=volume.target)
 
 

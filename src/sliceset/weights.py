@@ -4,7 +4,10 @@ The archive container is deliberately simple and auditable: an 8-byte magic,
 an 8-byte little-endian index size, a canonical JSON index mapping tensor
 names to {shape, offset, length} plus a string→string metadata map, then the
 raw little-endian float32 payloads concatenated in sorted-name order.  The
-same bytes always come back out: serialization is bit-exact.
+same bytes always come back out: serialization is bit-exact.  Writing joins
+the header and views of the entries into the archive bytes, the one copy of
+the payload; reading copies each entry once, out of a view of those bytes,
+into an array of its own.
 
 Partial import (``import_encoder``) carries a pretrained 2D encoder into a
 slice-set model by name, skipping whatever else the archive holds (e.g. a
@@ -72,21 +75,19 @@ class WeightArchive:
         return self.entries[name]
 
     def to_bytes(self) -> bytes:
-        names = self.names()
         index_entries = {}
         payloads = []
         offset = 0
-        for name in names:
+        for name in self.names():
             arr = np.ascontiguousarray(self.entries[name], dtype="<f4")
-            raw = arr.tobytes()
             index_entries[name] = {"shape": list(arr.shape), "offset": offset,
-                                   "length": len(raw)}
-            payloads.append(raw)
-            offset += len(raw)
+                                   "length": arr.nbytes}
+            payloads.append(memoryview(arr))   # joined below without a copy of its own
+            offset += arr.nbytes
         index = {"version": self.version, "entries": index_entries,
                  "metadata": dict(sorted(self.metadata.items()))}
         index_bytes = json.dumps(index, sort_keys=True, separators=(",", ":")).encode()
-        return MAGIC + struct.pack("<Q", len(index_bytes)) + index_bytes + b"".join(payloads)
+        return b"".join([MAGIC, struct.pack("<Q", len(index_bytes)), index_bytes, *payloads])
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "WeightArchive":
@@ -114,7 +115,7 @@ class WeightArchive:
         metadata = index["metadata"]
         if not isinstance(index_entries, dict) or not isinstance(metadata, dict):
             raise WeightArchiveError("archive index 'entries' and 'metadata' must be JSON objects")
-        payload = raw[16 + index_len:]
+        payload = memoryview(raw)[16 + index_len:]   # a view: entries are copied out once each
         entries = {}
         for name, meta in index_entries.items():
             if not (isinstance(meta, dict) and isinstance(meta.get("shape"), list)

@@ -582,6 +582,18 @@ def test_train_rejects_unallocatable_model_before_writing(tmp_path, data, width)
     assert list(tmp_path.iterdir()) == []
 
 
+def test_train_rejects_unallocatable_padded_batch_before_writing(tmp_path, data):
+    # 4 volumes of 10 slices padded to 10⁶×10⁶ are 145 TiB of float32
+    code, _, err = run_cli(
+        "train", "--train-manifest", data["train"], "--val-manifest", data["val"],
+        "--test-manifest", data["test"], "--output-dir", str(tmp_path / "run"),
+        "--epochs", "1", *TRAIN_FLAGS, "--min-input", "1000000")
+    assert code == 2
+    assert list(tmp_path.iterdir()) == []
+    assert err.startswith("error: cannot allocate") and err.count("\n") == 1
+    assert "encoder.min_input 1000000" in err
+
+
 def test_train_divergence_is_an_error_not_a_traceback(tmp_path, data):
     code, _, err = run_cli(
         "train", "--train-manifest", data["train"], "--val-manifest", data["val"],
@@ -739,6 +751,28 @@ def test_eval_aggregates_across_checkpoints(tmp_path, multi_seed_run, data):
     agg = json.loads(report_path.read_text())
     assert len(agg["per_seed"]) == 2
     assert "±" in stdout
+
+
+def test_eval_decodes_the_manifest_once_per_normalize_setting(tmp_path, multi_seed_run, data,
+                                                              monkeypatch):
+    _, out = multi_seed_run
+    checkpoints = [str(out / "checkpoint_seed0.ssnw"), str(out / "checkpoint_seed1.ssnw")]
+    raw = WeightArchive.load(checkpoints[1])
+    raw.metadata["normalize"] = "false"
+    raw.save(tmp_path / "raw.ssnw")
+    checkpoints.append(str(tmp_path / "raw.ssnw"))
+    alone = [run_cli("eval", "--checkpoint", ckpt, "--manifest", data["test"])[1]
+             for ckpt in checkpoints]
+
+    calls = []
+    load_nifti = sliceset.nifti.load_nifti
+    monkeypatch.setattr(sliceset.nifti, "load_nifti",
+                        lambda path: calls.append(path) or load_nifti(path))
+    code, stdout, err = run_cli("eval", "--checkpoint", *checkpoints, "--manifest", data["test"])
+    assert code == 0, err
+    assert len(read_manifest(data["test"])) == 4
+    assert len(calls) == 8    # 4 volumes normalized for two checkpoints, 4 raw for the third
+    assert stdout.startswith("".join(alone))
 
 
 def test_eval_rejects_task_mismatch(tmp_path, train_run):

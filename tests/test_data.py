@@ -2,6 +2,7 @@
 
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -46,6 +47,27 @@ def test_normalize_constant_volume_maps_to_zeros():
     v = Volume(voxels=np.full((4, 4, 4), 7.0))
     out = normalize(v)
     assert not out.voxels.any()
+
+
+def test_normalize_is_the_float64_z_score_rounded_once():
+    vox = np.random.default_rng(2).normal(3.0, 2.0, (6, 7, 8)).astype(np.float32)
+    v = vox.astype(np.float64)
+    want = ((v - v.mean()) / v.std()).astype(np.float32)
+    assert normalize(Volume(voxels=vox)).voxels.tobytes() == want.tobytes()
+
+
+def test_normalize_peak_is_its_float64_copy_and_one_temporary():
+    vox = np.random.default_rng(3).normal(0, 1, (96, 112, 96)).astype(np.float32)
+    volume = Volume(voxels=vox)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        normalize(volume)
+        added = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert added <= 4.25 * vox.nbytes, (added, vox.nbytes)
 
 
 # ---------------------------------------------------------------------------

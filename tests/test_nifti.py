@@ -310,6 +310,51 @@ def test_save_holds_no_volume_sized_copy(tmp_path, name):
     assert added <= 0.25 * vox.nbytes, (added, vox.nbytes)
 
 
+@pytest.mark.parametrize("name", ["v.nii", "v.nii.gz"])
+def test_load_holds_no_volume_sized_copy(tmp_path, name):
+    vox = np.random.default_rng(5).normal(0, 1, (96, 112, 96)).astype(np.float32)
+    save_nifti(tmp_path / name, Volume(voxels=vox))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        volume = load_nifti(tmp_path / name)
+        added = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(volume.voxels, vox)
+    assert added <= 1.25 * vox.nbytes, (added, vox.nbytes)
+
+
+def test_gzip_members_split_inside_the_payload_load_as_one_stream(tmp_path):
+    vox = np.random.default_rng(6).normal(0, 1, (5, 6, 7)).astype(np.float32)
+    raw = craft_nifti_bytes(vox, 16, np.float32)
+    cut = 352 + vox.nbytes // 3
+    path = tmp_path / "two.nii.gz"
+    path.write_bytes(gzip.compress(raw[:cut], mtime=0) + gzip.compress(raw[cut:], mtime=0))
+    np.testing.assert_array_equal(load_nifti(path).voxels, vox)
+
+
+@pytest.mark.parametrize("offset", [348, 349, 350, 351])
+@pytest.mark.parametrize("name", ["v.nii", "v.nii.gz"])
+def test_vox_offset_348_to_351_loads_the_same_voxels(tmp_path, offset, name):
+    vox = np.arange(3 * 4 * 5, dtype=np.int16).reshape(3, 4, 5) - 30
+    raw = craft_nifti_bytes(vox, 4, np.int16, vox_offset=float(offset))
+    (tmp_path / name).write_bytes(gzip.compress(raw) if name.endswith(".gz") else raw)
+    np.testing.assert_array_equal(load_nifti(tmp_path / name).voxels, vox.astype(np.float32))
+
+
+def test_corrupt_gzip_is_reported_before_a_bad_header(tmp_path):
+    raw = craft_nifti_bytes(np.zeros((2, 2, 2), dtype=np.float32), 16, np.float32,
+                            magic=b"ni1\x00")
+    zipped = bytearray(gzip.compress(raw, mtime=0))
+    zipped[-8] ^= 0x01                    # CRC32 trailer
+    path = tmp_path / "both.nii.gz"
+    path.write_bytes(bytes(zipped))
+    with pytest.raises(NiftiFormatError, match="corrupt gzip stream"):
+        load_nifti(path)
+
+
 def _nan_voxel():
     vox = np.zeros((2, 3, 4), dtype=np.float32)
     vox[1, 2, 3] = np.nan

@@ -1,8 +1,10 @@
 """Weight archives, strict and partial imports, and 2D pretraining transfer."""
 
+import hashlib
 import json
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -89,6 +91,40 @@ def test_archive_rejects_corrupt_bytes():
         WeightArchive.from_bytes(raw[:40])
     with pytest.raises(WeightArchiveError):
         WeightArchive.from_bytes(raw[:-16])  # payload shorter than the index claims
+
+
+def test_archive_bytes_are_pinned():
+    archive = WeightArchive(
+        entries={"encoder.conv.weight": np.arange(24, dtype=np.float32).reshape(2, 3, 2, 2) / 8 - 1,
+                 "encoder.bn.running_var": np.asfortranarray(np.linspace(0.5, 2, 6).reshape(2, 3)),
+                 "head.bias": np.float32(-0.25),
+                 "head.empty": np.zeros((0, 4), dtype=np.float32)},
+        metadata={"kind": "slice-set-checkpoint", "seed": "7"})
+    assert hashlib.sha256(archive.to_bytes()).hexdigest() == (
+        "04febbe8cb1c3e2a1af5ffeb3dc862c06a9af8d2b95d52ee6e9dbecb60b70a5a")
+
+
+def traced_peak(fn) -> int:
+    """Heap that ``fn()`` adds at its peak, in bytes."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_archive_save_and_load_hold_one_copy_of_the_payload(tmp_path):
+    rng = np.random.default_rng(0)
+    archive = WeightArchive({f"layer{i}.w": rng.normal(size=(64, 64, 3, 3)) for i in range(8)})
+    payload = sum(arr.nbytes for arr in archive.entries.values())
+    path = tmp_path / "w.ssnw"
+    saved = traced_peak(lambda: archive.save(path))
+    loaded = traced_peak(lambda: WeightArchive.load(path))
+    assert saved <= 1.1 * payload, (saved, payload)
+    assert loaded <= 2.1 * payload, (loaded, payload)   # the file's bytes and the entries
 
 
 def archive_with_index(index, payload=b"\0" * 16) -> bytes:
