@@ -54,6 +54,7 @@ _EXPORTS = {
     "he_init": "train",
     "train": "train",
     "evaluate": "train",
+    "pretrain_2d": "train",
     # metrics
     "EvalReport": "metrics",
     "mae": "metrics",
@@ -67,7 +68,6 @@ _EXPORTS = {
     "export_weights": "weights",
     "import_strict": "weights",
     "import_encoder": "weights",
-    "pretrain_2d": "weights",
     # verification suites
     "run_suite": "checks",
 }

@@ -289,6 +289,9 @@ def _check_disjoint_files(manifests: dict):
 def cmd_train(args) -> int:
     if args.seeds is not None and args.seeds < 1:
         raise ValueError(f"--seeds must be at least 1, got {args.seeds}")
+    if args.freeze_bn_stats and not args.pretrained:
+        raise ValueError("--freeze-bn-stats needs --pretrained")
+    archive = WeightArchive.load(args.pretrained) if args.pretrained else None
     config = load_run_config(args.config) if args.config else RunConfig()
     config = _apply_overrides(config, args)
     if config.task == "auto" and config.train_manifest is not None:
@@ -302,6 +305,8 @@ def cmd_train(args) -> int:
     slice_count = slice_count_for(extents, config.axis)
     model_config = config.model_config()
     model = _new_model(model_config, slice_count)   # fails before anything is written
+    if archive is not None:
+        import_encoder(model, archive)   # so does an archive that does not fit the encoder
     _check_batch_fits(config, extents, len(train_vols))
 
     out = Path(config.output_dir)
@@ -321,8 +326,7 @@ def cmd_train(args) -> int:
             if model is None:
                 model = _new_model(model_config, slice_count)
             he_init(model, seed=seed)
-            if args.pretrained:
-                archive = WeightArchive.load(args.pretrained)
+            if archive is not None:
                 model, report = import_encoder(
                     model, archive, freeze_batchnorm_stats=args.freeze_bn_stats)
                 print(f"pretrained import from {args.pretrained}:")
@@ -467,8 +471,7 @@ def cmd_import_weights(args) -> int:
         import_strict(model, archive)
         print(f"strict import: loaded all {len(archive.entries)} tensors")
     else:
-        model, report = import_encoder(model, archive,
-                                       freeze_batchnorm_stats=args.freeze_bn_stats)
+        model, report = import_encoder(model, archive)
         print(report.summary())
 
     _save_checkpoint(args.out, model, extents, config.normalize, 0, float("nan"), seed)
@@ -546,7 +549,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run N seeds (base seed, base+1, ...) and report mean ± std")
     p.add_argument("--pretrained", help="weight archive to import into the encoder")
     p.add_argument("--freeze-bn-stats", action="store_true", dest="freeze_bn_stats",
-                   help="keep imported batch-norm statistics fixed during finetuning")
+                   help="keep imported batch-norm statistics fixed (needs --pretrained)")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate checkpoint(s) on a manifest")
@@ -571,7 +574,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--strict", action="store_true",
                    help="require the archive to cover the model exactly")
-    p.add_argument("--freeze-bn-stats", action="store_true", dest="freeze_bn_stats")
     p.set_defaults(func=cmd_import_weights)
 
     p = sub.add_parser("check", help="run a verification suite")

@@ -126,11 +126,6 @@ class EvalReport:
         if self.task == "classification" and any(not 0.0 <= v <= 1.0 for v in have):
             raise ValueError(f"classification metrics must lie in [0,1], got {have}")
 
-    @property
-    def selection_metric(self) -> float:
-        """Model-selection scalar: MAE (lower better) or balanced accuracy (higher)."""
-        return self.mae if self.task == "regression" else self.balanced_accuracy
-
     def to_dict(self) -> dict:
         if self.task == "regression":
             metrics = {"mae": self.mae, "rmse": self.rmse}

@@ -1,4 +1,5 @@
-"""Initialization, optimizers, and the epoch loop with best-model selection.
+"""Initialization, optimizers, the epoch loop with best-model selection, and 2D
+pretraining on that loop; archives and imports live in :mod:`sliceset.weights`.
 
 Each training batch goes through :meth:`SliceSetModel.forward_volumes`,
 which returns the batch's (R,) or (R, 2) output from one encoder call per
@@ -26,9 +27,11 @@ import numpy as np
 
 from . import nn
 from .data import Volume
+from .encoders import EncoderConfig, build_encoder
 from .metrics import EvalReport, classification_report, mae, regression_report
 from .model import SliceSetModel
 from .tensor import Tensor, no_grad
+from .weights import WeightArchive
 
 OPTIMIZER_KINDS = ("adam", "sgd")
 LOSS_KINDS = ("l1", "mse", "cross_entropy")
@@ -443,3 +446,81 @@ def read_epoch_log(path) -> list[dict]:
             raise ValueError(f"{path}: line {number} is not a JSON object")
         records.append(record)
     return records
+
+
+# ---------------------------------------------------------------------------
+# synthetic 2D pretraining
+# ---------------------------------------------------------------------------
+
+class Classifier2D(nn.Module):
+    """2D encoder plus a linear class head, for pretraining on images."""
+
+    def __init__(self, encoder_config: EncoderConfig, n_classes: int = 2):
+        super().__init__()
+        self.config = encoder_config
+        self.encoder = build_encoder(encoder_config)
+        self.head = nn.Linear(self.encoder.embedding_dim, n_classes)
+
+    def __call__(self, images: Tensor) -> Tensor:
+        return self.head(self.encoder(images))
+
+
+@dataclass
+class Pretrain2DResult:
+    archive: WeightArchive
+    train_accuracy: float
+    losses: list[float]
+
+
+def pretrain_2d(encoder_config: EncoderConfig, images: np.ndarray, labels: np.ndarray,
+                epochs: int = 30, batch_size: int = 32, learning_rate: float = 1e-3,
+                seed: int = 0) -> Pretrain2DResult:
+    """Train encoder+head on a 2D image classification set; archive the encoder.
+
+    The returned archive holds only ``encoder.*`` tensors (weights and
+    running statistics), so its names line up one-to-one with a slice-set
+    model's encoder. Deterministic for a fixed (config, data, seed).
+    """
+    images = np.asarray(images, dtype=np.float32)
+    labels = np.asarray(labels, dtype=np.int64)
+    if images.ndim != 4:
+        raise ValueError(f"images must be (N, C, H, W), got shape {images.shape}")
+    if labels.shape != (images.shape[0],):
+        raise ValueError("labels must be one integer per image")
+    if not labels.size:
+        raise ValueError("pretrain_2d needs at least one image")
+    n_classes = int(labels.max()) + 1
+
+    model = Classifier2D(encoder_config, n_classes=max(2, n_classes))
+    he_init(model, seed=seed)
+    optimizer = Adam(model.named_parameters(),
+                     OptimizerConfig(kind="adam", learning_rate=learning_rate))
+    rng = np.random.default_rng(seed)
+
+    n = images.shape[0]
+    losses = [_run_epoch(model, optimizer, rng, n, batch_size, epoch,
+                         lambda idx: nn.cross_entropy(model(Tensor(images[idx])), labels[idx]))
+              for epoch in range(1, epochs + 1)]
+
+    model.eval()
+    correct = 0
+    with no_grad():
+        for start in range(0, n, batch_size):
+            logits = model(Tensor(images[start:start + batch_size]))
+            correct += int(np.sum(np.argmax(logits.numpy(), axis=1) == labels[start:start + batch_size]))
+    accuracy = correct / n
+
+    entries = {name: arr.copy() for name, arr, _ in model.named_state()
+               if name.startswith("encoder.")}
+    metadata = {
+        "contents": "2d-encoder",
+        "encoder_kind": encoder_config.kind,
+        "input_channels": str(encoder_config.input_channels),
+        "width_multiplier": repr(encoder_config.width_multiplier),
+        "min_input": str(encoder_config.min_input),
+        "embedding_dim": str(model.encoder.embedding_dim),
+        "train_accuracy": f"{accuracy:.6f}",
+        "seed": str(seed),
+    }
+    return Pretrain2DResult(archive=WeightArchive(entries=entries, metadata=metadata),
+                            train_accuracy=accuracy, losses=losses)

@@ -47,6 +47,7 @@ from sliceset.train import (
     build_optimizer,
     evaluate,
     he_init,
+    pretrain_2d,
     train,
 )
 from sliceset.weights import (
@@ -54,7 +55,6 @@ from sliceset.weights import (
     export_weights,
     import_encoder,
     import_strict,
-    pretrain_2d,
 )
 
 TINY_ENCODER = EncoderConfig(kind="cnn5", width_multiplier=0.25, min_input=8)

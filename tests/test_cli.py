@@ -29,7 +29,8 @@ from sliceset import train as train_mod
 from sliceset.cli import LOCK_NAME, _cap_threads, main, output_lock
 from sliceset.data import generate_synthetic_images, read_manifest, write_manifest
 from sliceset.encoders import EncoderConfig
-from sliceset.weights import MAGIC, WeightArchive, pretrain_2d
+from sliceset.train import pretrain_2d
+from sliceset.weights import MAGIC, WeightArchive
 
 EXTENTS = "8,10,8"
 
@@ -704,6 +705,62 @@ def test_train_pretrained_import_runs_before_first_epoch(tmp_path, data,
         np.testing.assert_array_equal(trained.entries[name], source.entries[name])
 
 
+def test_train_reads_the_pretrained_archive_once(tmp_path, data, pretrain_archive,
+                                                monkeypatch):
+    loaded = []
+    real_load = WeightArchive.load.__func__
+
+    def counting_load(cls, path):
+        loaded.append(path)
+        return real_load(cls, path)
+
+    monkeypatch.setattr(WeightArchive, "load", classmethod(counting_load))
+    out = tmp_path / "run"
+    code, stdout, err = train_into(out, data, "--pretrained", pretrain_archive, "--seeds", "2")
+    assert code == 0, err
+    assert loaded == [pretrain_archive]
+    assert stdout.count("pretrained import from") == 2
+    assert (out / "checkpoint_seed1.ssnw").exists()
+
+
+@pytest.fixture(scope="module")
+def resnet18_archive(tmp_path_factory):
+    """A 2D-pretrained resnet18 encoder, which fits no cnn5 run."""
+    images, labels = generate_synthetic_images(8, size=(8, 8), seed=6)
+    encoder_config = EncoderConfig(kind="resnet18", width_multiplier=0.125, min_input=8)
+    path = tmp_path_factory.mktemp("cli-resnet18") / "resnet18.ssnw"
+    pretrain_2d(encoder_config, images, labels, epochs=1, batch_size=8).archive.save(path)
+    return path
+
+
+@pytest.mark.parametrize("archive", ["junk", "resnet18"])
+def test_train_rejects_a_bad_pretrained_archive_before_writing(tmp_path, data, archive,
+                                                               resnet18_archive):
+    if archive == "junk":
+        path = tmp_path / "junk.ssnw"
+        path.write_bytes(b"junk\n")
+        expected = "error: bad magic b'junk\\n'; not a weight archive\n"
+    else:
+        path = resnet18_archive
+        expected = ("error: archive incompatible with encoder: only 0 of 15 encoder "
+                    "parameters matched (need at least half)\n")
+    out = tmp_path / "run"
+    code, stdout, err = train_into(out, data, "--pretrained", str(path))
+    assert code == 2
+    assert err == expected
+    assert stdout == ""
+    assert not out.exists()
+
+
+def test_train_freeze_bn_stats_needs_pretrained_before_writing(tmp_path, data):
+    out = tmp_path / "run"
+    code, stdout, err = train_into(out, data, "--freeze-bn-stats")
+    assert code == 2
+    assert err == "error: --freeze-bn-stats needs --pretrained\n"
+    assert stdout == ""
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # eval
 # ---------------------------------------------------------------------------
@@ -913,6 +970,18 @@ def test_import_weights_builds_evaluable_checkpoint(tmp_path, pretrain_archive,
     code, _, err = run_cli("eval", "--checkpoint", str(target),
                            "--manifest", data["test"])
     assert code == 0, err
+
+
+def test_import_weights_has_no_freeze_bn_stats_flag(tmp_path, pretrain_archive):
+    """Checkpoints do not store the flag, so it would change nothing."""
+    err = io.StringIO()
+    with pytest.raises(SystemExit) as excinfo, contextlib.redirect_stderr(err):
+        main(["import-weights", "--task", "regression", "--extents", EXTENTS,
+              "--archive", pretrain_archive, "--out", str(tmp_path / "x.ssnw"),
+              "--freeze-bn-stats"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --freeze-bn-stats" in err.getvalue()
+    assert not (tmp_path / "x.ssnw").exists()
 
 
 def test_import_weights_strict_needs_full_coverage(tmp_path, pretrain_archive):

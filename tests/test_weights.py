@@ -15,10 +15,9 @@ from sliceset.data import Volume, generate_synthetic_images
 from sliceset.encoders import EncoderConfig, build_encoder
 from sliceset.model import AggregatorConfig, ModelConfig, build_model, slice_volume
 from sliceset.tensor import Tensor, no_grad
-from sliceset.train import TrainingDivergedError, he_init
-from sliceset.weights import (MAGIC, Classifier2D, LoadReport, WeightArchive,
-                              WeightArchiveError, export_weights, import_encoder,
-                              import_strict, pretrain_2d)
+from sliceset.train import Classifier2D, TrainingDivergedError, he_init, pretrain_2d
+from sliceset.weights import (MAGIC, LoadReport, WeightArchive, WeightArchiveError,
+                              export_weights, import_encoder, import_strict)
 
 ENC = EncoderConfig(kind="cnn5", width_multiplier=0.25, min_input=8)
 
@@ -358,6 +357,16 @@ def test_pretrain_same_seed_gives_identical_bytes():
     b = pretrain_2d(ENC, imgs, labels, epochs=2, batch_size=10, seed=18)
     assert a.archive.to_bytes() == b.archive.to_bytes()
     assert a.train_accuracy == b.train_accuracy
+
+
+def test_pretrain_archive_and_losses_are_pinned():
+    """One tiny config's archive digest and loss list: a refactor of pretraining
+    that moves a single bit of either fails here."""
+    imgs, labels = generate_synthetic_images(16, size=(8, 8), blob_radius=2, seed=3)
+    result = pretrain_2d(ENC, imgs, labels, epochs=2, batch_size=8, learning_rate=1e-3, seed=1)
+    assert hashlib.sha256(result.archive.to_bytes()).hexdigest() == (
+        "16b4315362ddf46f69c2e5670227e09b974c7938840b7780cd275571d97564af")
+    assert result.losses == [0.48149415850639343, 0.2931322306394577]
 
 
 def test_pretrain_learns_blob_detection():
