@@ -25,7 +25,7 @@ import numpy as np
 
 from . import nn
 from .data import Volume
-from .encoders import EncoderConfig
+from .encoders import EncoderConfig, stem
 from .metrics import average_precision, balanced_accuracy, f1, mae, rmse
 from .model import (
     AGGREGATOR_KINDS,
@@ -169,6 +169,23 @@ def _batch_norm_case(training):
     return build
 
 
+def _stem_case(frozen):
+    """The encoders' stem, whose batch norm recomputes the conv in backward:
+    per-group moments in training mode, or frozen running statistics."""
+    def build(rng):
+        conv, bn = nn.Conv2d(1, 3, 3, padding=1, bias=False), _f64(nn.BatchNorm2d(3))
+        x, conv.weight, bn.weight = _t(rng, 4, 1, 5, 5), _t(rng, 3, 1, 3, 3), _t(rng, 3, scale=0.5)
+        bn.weight.data = bn.weight.data + 1.0
+        bn.freeze_stats = frozen
+        bn.running_mean[...], bn.running_var[...] = rng.normal(0, 0.3, 3), 1.0 + rng.uniform(0, 0.5, 3)
+
+        def op(x, *_):          # the modules read their own parameters
+            with nn.batch_norm_groups(2):
+                return stem(conv, bn, x)
+        return _signed_sum(rng, op, x, conv.weight, bn.weight, bn.bias)
+    return build
+
+
 def _cross_entropy_case(rng):
     logits = _t(rng, 6, 3)
     labels = rng.integers(0, 3, 6)
@@ -226,6 +243,8 @@ _OP_CASES = [
     ("concat", lambda rng: _signed_sum(
         rng, lambda a, b: concat([a, b]), _t(rng, 2, 3), _t(rng, 4, 3))),
     ("pow", lambda rng: _signed_sum(rng, lambda x: x ** 3, _t(rng, 3, 4, kink_safe=True))),
+    ("stem.train", _stem_case(frozen=False)),
+    ("stem.frozen_stats", _stem_case(frozen=True)),
 ]
 
 

@@ -274,16 +274,20 @@ def _load_split(path, normalize, context, task):
     return load_manifest_volumes(path, normalize_volumes=normalize)
 
 
-def _check_disjoint_files(manifests: dict):
-    """Reject a volume file that the manifests of two splits both name."""
-    owners = {}
+def _check_disjoint_splits(manifests: dict):
+    """Reject a volume file or a subject id that the manifests of two splits
+    both name: either would leak a subject's scans across splits."""
+    files, subjects = {}, {}
     for split, manifest in manifests.items():
         for entry in read_manifest(manifest):
             file = (Path(manifest).parent / entry["path"]).resolve()
-            owner, owner_manifest = owners.setdefault(file, (split, manifest))
-            if owner != split:
-                raise ValueError(f"volume file {file} is in both the {owner} manifest "
-                                 f"{owner_manifest} and the {split} manifest {manifest}")
+            subject = entry["subject_id"]
+            for owners, key, what in ((files, file, f"volume file {file}"),
+                                      (subjects, subject, f"subject id {subject!r}")):
+                owner, owner_manifest = owners.setdefault(key, (split, manifest))
+                if owner != split:
+                    raise ValueError(f"{what} is in both the {owner} manifest "
+                                     f"{owner_manifest} and the {split} manifest {manifest}")
 
 
 def cmd_train(args) -> int:
@@ -300,7 +304,7 @@ def cmd_train(args) -> int:
     manifests = {split: getattr(config, f"{split}_manifest") for split in ("train", "val", "test")}
     train_vols, val_vols, test_vols = (_load_split(path, config.normalize, split, config.task)
                                        for split, path in manifests.items())
-    _check_disjoint_files(manifests)
+    _check_disjoint_splits(manifests)
     extents = _common_extents(train_vols + val_vols + test_vols, "dataset")
     slice_count = slice_count_for(extents, config.axis)
     model_config = config.model_config()

@@ -155,7 +155,7 @@ def _synthetic_volumes(spec: SyntheticSpec) -> Iterator[Volume]:
         vox, centers = _blob_sample(rng, spec.extents, has_blob, spec.blob_radius,
                                     spec.blob_amplitude, spec.noise_std)
         target = float(centers[spec.axis_id]) if spec.task == "regression" else int(has_blob)
-        yield Volume(voxels=vox, subject_id=f"synth-{i:05d}", target=target)
+        yield Volume(voxels=vox, subject_id=f"synth-s{spec.seed}-{i:05d}", target=target)
 
 
 def generate_synthetic_images(count: int, size: tuple[int, int] = (32, 32),

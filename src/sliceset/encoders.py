@@ -29,6 +29,7 @@ from .nn import (
     Conv2d,
     Module,
     ModuleList,
+    conv2d,
     global_avg_pool2d,
     max_pool2d,
     pad2d,
@@ -84,9 +85,28 @@ def prepare_slices(x: Tensor, min_input: int, pad_to_min: bool) -> Tensor:
     return pad2d(x, (ph // 2, ph - ph // 2, pw // 2, pw - pw // 2))
 
 
+def stem(conv: Conv2d, bn: BatchNorm2d, x: Tensor) -> Tensor:
+    """An encoder's first, bias-free conv and its batch norm, the pair whose
+    input is the slices themselves.  Batch norm writes its output over the
+    conv output, and its backward rule runs the conv again on the same input
+    and kernel arrays (``recompute`` in :func:`~sliceset.nn.batch_norm2d`),
+    in training mode and with frozen statistics alike.  So the graph keeps
+    ``x``, which the conv's own backward reads anyway, and not the conv
+    output (32x the 1-channel slices at ``cnn5`` width 1); the recomputed
+    output has the forward's bits, and so do the gradients."""
+    xd, kd = x.data, conv.weight.data
+    stride, padding = conv.stride, conv.padding
+
+    def recompute():
+        return conv2d(Tensor(xd, dtype=xd.dtype), Tensor(kd, dtype=kd.dtype),
+                      stride=stride, padding=padding).data
+
+    return bn(conv(x), overwrite_input=True, recompute=recompute)
+
+
 class _ConvBlock(Module):
     """conv 3x3 -> batch norm, which centres the conv output in place (relu
-    applied by the caller)."""
+    applied by the caller); ``block1`` runs as the :func:`stem`."""
 
     def __init__(self, in_ch: int, out_ch: int):
         super().__init__()
@@ -101,7 +121,8 @@ class CNN5Encoder(Module):
     """Five blocks of [3x3 conv, batch norm, relu, 2x2 max pool], then GAP.
 
     Channel progression 32-64-128-256-32 at full width; the final channel
-    count is the embedding dimension.
+    count is the embedding dimension.  ``block1``, whose input is the
+    slices, is the :func:`stem`.
     """
 
     def __init__(self, config: EncoderConfig):
@@ -118,10 +139,11 @@ class CNN5Encoder(Module):
         x = prepare_slices(x, self.config.min_input, self.config.pad_to_min)
         for i in range(1, 6):
             block = self._children[f"block{i}"]
+            x = stem(block.conv, block.bn, x) if i == 1 else block(x)
             # relu after the pool: relu and max commute, and the zero padding
             # is relu's fixed point, so values match relu-then-pool exactly
             # while relu works on a quarter of the map.
-            x = relu(max_pool2d(_pad_to_even(block(x)), 2, 2))
+            x = relu(max_pool2d(_pad_to_even(x), 2, 2))
         return global_avg_pool2d(x)
 
 
@@ -164,8 +186,8 @@ class ResNetEncoder(Module):
     """Residual network trunk without a classification head.
 
     resnet18 uses basic blocks [2, 2, 2, 2]; resnet50 bottlenecks
-    [3, 4, 6, 3].  The embedding is the global average pool of the final
-    stage.
+    [3, 4, 6, 3].  ``conv1`` and ``bn1`` are the :func:`stem`.  The
+    embedding is the global average pool of the final stage.
     """
 
     def __init__(self, config: EncoderConfig):
@@ -190,7 +212,7 @@ class ResNetEncoder(Module):
 
     def __call__(self, x: Tensor) -> Tensor:
         x = prepare_slices(x, self.config.min_input, self.config.pad_to_min)
-        x = relu(self.bn1(self.conv1(x), overwrite_input=True))
+        x = relu(stem(self.conv1, self.bn1, x))
         x = max_pool2d(x, 3, 2, padding=1)
         for stage in range(1, 5):
             for blk in self._children[f"layer{stage}"]:

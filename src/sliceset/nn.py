@@ -51,7 +51,12 @@ input, which the backward pass reuses; each sum runs over the spatial axis
 first and then over the samples of a group.  The encoders let it centre the
 conv output in that output's own buffer (``overwrite_input``), since nothing
 else reads a conv output; that spares allocating a fresh conv-output-sized
-array per batch norm.  By default the whole
+array per batch norm.  Backward computes the input gradient in the centred
+buffer, which nothing reads after the rule has run.  An encoder's stem
+(``recompute``) goes further: batch norm writes its output over the centred
+buffer and keeps nothing of the conv output's size; backward runs the conv
+again on the same input and kernel arrays and centres the result with the
+saved means, so it sees the forward's bits.  By default the whole
 batch is one group.  Inside :func:`batch_norm_groups` the batch is split
 into equal runs of consecutive samples, one volume's slices each, and every
 run is normalized by its own moments and updates the running statistics
@@ -66,7 +71,9 @@ What a training step holds until backward reaches it, per conv-output
 element of a ``cnn5`` block: the conv output, centred in place, which batch
 norm's backward reads (4 bytes), the pool's tap masks (1 in all) and the
 quarter-size relu map (1, ``cnn5`` pooling before its relu), which relu's
-backward and the next conv read: 6 bytes.  The batch-norm output and the
+backward and the next conv read: 6 bytes.  The stem holds its input (the
+slices) instead of its conv output: 2 bytes per element, and 3.96 bytes
+over all five ``cnn5`` blocks at 32x32.  The batch-norm output and the
 pooled map are freed once the next op has run, since no backward rule
 reads them (see :mod:`sliceset.tensor`); in the resnets so are the
 batch-norm outputs and the residual sums.  ``CHANGES.md`` and README
@@ -366,7 +373,7 @@ def batch_norm_groups(groups: int):
 def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor,
                  running_mean: np.ndarray, running_var: np.ndarray,
                  training: bool, momentum: float = BN_MOMENTUM, eps: float = BN_EPS,
-                 overwrite_input: bool = False) -> Tensor:
+                 overwrite_input: bool = False, recompute=None) -> Tensor:
     """Per-channel batch normalization with running statistics.
 
     In training mode normalizes by batch moments and updates the running
@@ -378,11 +385,18 @@ def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor,
 
     ``overwrite_input`` is for the encoders' conv outputs, which nothing but
     this op reads: training mode then centres ``x`` in its own buffer instead
-    of a copy.  Without it ``x`` is never written.
+    of a copy, and backward writes the input gradient there.  Without it
+    ``x`` is never written.
+
+    ``recompute``, a callable that returns ``x``'s values again in ``x``'s
+    layout, is for the encoders' stems: the backward rule then keeps no
+    array of ``x``'s size.  Training mode writes the output into the centred
+    buffer and backward centres ``recompute()`` again with the saved means;
+    eval mode reads ``recompute()`` for γ's gradient instead of keeping ``x``.
     """
     n, c, h, w = x.shape
     if not training:
-        return _batch_norm_eval(x, gamma, beta, running_mean, running_var, eps)
+        return _batch_norm_eval(x, gamma, beta, running_mean, running_var, eps, recompute)
     groups = _bn_groups
     if n % groups:
         raise ValueError(f"batch norm cannot split {n} samples into {groups} equal groups")
@@ -418,11 +432,17 @@ def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor,
     # per-group factors.
     inv_std = 1.0 / np.sqrt(var + eps)
     scale = gamma.data.astype(np.float64)[:, None] * inv_std
-    out = centred * per_sample(scale)
+    out = np.multiply(centred, per_sample(scale), out=None if recompute is None else centred)
     out += beta.data[:, None, None]
     xn, gn, bn = x.node, gamma.node, beta.node
+    saved = centred if recompute is None else None
 
     def backward_fn(o):
+        if saved is None:       # the forward's exact bits: same conv, same subtraction
+            centred = recompute().transpose(1, 2, 3, 0).reshape(c, h * w, n)
+            np.subtract(centred, per_sample(mean), out=centred)
+        else:
+            centred = saved
         dy = o.grad.transpose(1, 2, 3, 0).reshape(c, h * w, n)
         sum_dy = per_group(dy.sum(axis=1, dtype=np.float64))
         sum_dy_xhat = per_group(np.einsum("cpn,cpn->cn", dy, centred, dtype=np.float64)) * inv_std
@@ -431,8 +451,9 @@ def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor,
         if bn is not None:
             bn.accumulate_grad(sum_dy.sum(axis=1).astype(bn.dtype))
         if xn is not None:
-            # dx = scale * (dy - mean(dy) - xhat * mean(dy * xhat)), per group
-            dx = centred * per_sample(inv_std * sum_dy_xhat / count)
+            # dx = scale * (dy - mean(dy) - xhat * mean(dy * xhat)), per group,
+            # written over the centred buffer, which nothing reads after this
+            dx = np.multiply(centred, per_sample(inv_std * sum_dy_xhat / count), out=centred)
             np.subtract(dy, dx, out=dx)
             dx -= per_sample(sum_dy / count)
             dx *= per_sample(scale)
@@ -442,9 +463,11 @@ def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor,
 
 
 def _batch_norm_eval(x: Tensor, gamma: Tensor, beta: Tensor,
-                     running_mean: np.ndarray, running_var: np.ndarray, eps: float) -> Tensor:
+                     running_mean: np.ndarray, running_var: np.ndarray, eps: float,
+                     recompute=None) -> Tensor:
     """Eval-mode batch norm: the running statistics and the affine map folded
-    into one per-channel scale and shift, applied in the input's layout."""
+    into one per-channel scale and shift, applied in the input's layout.
+    ``recompute``: see :func:`batch_norm2d`."""
     dtype = x.dtype
 
     def per_channel(a):
@@ -456,12 +479,12 @@ def _batch_norm_eval(x: Tensor, gamma: Tensor, beta: Tensor,
     out = x.data * per_channel(scale)
     out += per_channel(beta.data - mean * scale)
     xn, gn, bn = x.node, gamma.node, beta.node
-    xd = x.data if gn is not None else None          # read by the gamma gradient only
+    xd = x.data if gn is not None and recompute is None else None   # read by the gamma gradient only
 
     def backward_fn(o):
         dy = o.grad
         if gn is not None:
-            xc = xd - per_channel(mean)
+            xc = (xd if recompute is None else recompute()) - per_channel(mean)
             sum_dy_xhat = np.einsum("nchw,nchw->c", dy, xc, dtype=np.float64) * inv_std
             gn.accumulate_grad(sum_dy_xhat.astype(gn.dtype))
         if bn is not None:
@@ -618,8 +641,18 @@ class Module:
         for p in self.parameters():
             p.zero_grad()
 
+    def modules(self) -> list["Module"]:
+        """Every module of the tree in :meth:`named_modules` order, walked with
+        one explicit stack instead of a generator per level."""
+        order, stack = [], [self]
+        while stack:
+            mod = stack.pop()
+            order.append(mod)
+            stack.extend(reversed(mod._children.values()))
+        return order
+
     def train(self, mode: bool = True):
-        for _, mod in self.named_modules():
+        for mod in self.modules():
             object.__setattr__(mod, "training", mode)
         return self
 
@@ -710,13 +743,14 @@ class BatchNorm2d(Module):
         self.register_buffer("running_mean", np.zeros(num_features, dtype=np.float32))
         self.register_buffer("running_var", np.ones(num_features, dtype=np.float32))
 
-    def __call__(self, x: Tensor, overwrite_input: bool = False) -> Tensor:
-        """``overwrite_input``: see :func:`batch_norm2d`."""
+    def __call__(self, x: Tensor, overwrite_input: bool = False, recompute=None) -> Tensor:
+        """``overwrite_input`` and ``recompute``: see :func:`batch_norm2d`."""
         return batch_norm2d(
             x, self.weight, self.bias,
             self._buffers["running_mean"], self._buffers["running_var"],
             training=self.training and not self.freeze_stats,
             momentum=self.momentum, eps=self.eps, overwrite_input=overwrite_input,
+            recompute=recompute,
         )
 
 

@@ -153,7 +153,7 @@ def test_synth_gzip_flag_zips_every_volume(tmp_path):
     assert code == 0
     entries = read_manifest(out / "manifest.json")
     assert all(entry["path"].endswith(".nii.gz") for entry in entries)
-    assert (out / "synth-00000.nii.gz").exists()
+    assert (out / "synth-s0-00000.nii.gz").exists()
 
 
 def test_synth_memory_does_not_grow_with_count(tmp_path):
@@ -411,6 +411,21 @@ def test_train_rejects_a_volume_file_in_two_splits_before_writing(tmp_path, data
     assert code == 2
     assert err == (f"error: volume file {(train_dir / first['path']).resolve()} is in both "
                    f"the train manifest {data['train']} and the val manifest {val}\n")
+    assert not out.exists()
+
+
+def test_train_rejects_a_subject_in_two_splits_before_writing(tmp_path, data):
+    """Two files of one subject in two splits leak it as surely as one file.
+    ``synth`` puts the seed in each subject id, so the fixture's three seeds
+    pass, and a val cohort drawn with the training seed shares its ids."""
+    val = synth_dir(tmp_path, "val", count=2, seed=0) / "manifest.json"
+    out = tmp_path / "run"
+    code, _, err = run_cli(
+        "train", "--train-manifest", data["train"], "--val-manifest", str(val),
+        "--test-manifest", data["test"], "--output-dir", str(out), "--epochs", "1", *TRAIN_FLAGS)
+    assert code == 2
+    assert err == (f"error: subject id 'synth-s0-00000' is in both the train manifest "
+                   f"{data['train']} and the val manifest {val}\n")
     assert not out.exists()
 
 

@@ -5,7 +5,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from sliceset import nn
+from sliceset import encoders, nn
 from sliceset.data import Volume
 from sliceset.encoders import EncoderConfig, build_encoder
 from sliceset.model import (AggregatorConfig, ModelConfig, SliceSetModel,
@@ -300,6 +300,59 @@ def test_cnn5_pooling_before_relu_matches_relu_before_pooling_bit_for_bit():
         return got
 
     assert step(enc) == step(relu_first)
+
+
+@pytest.mark.parametrize("frozen", [False, True], ids=["training", "frozen-stats"])
+@pytest.mark.parametrize("kind", ["cnn5", "resnet18"])
+def test_stem_recompute_matches_keeping_the_conv_output_bit_for_bit(monkeypatch, kind, frozen):
+    """The stem's batch norm keeps no conv output and its backward runs the
+    conv once more.  Output, loss, every gradient and every running buffer
+    equal a stem that keeps the conv output, bit for bit, with per-group
+    moments (3 groups) in training mode and with frozen statistics."""
+    enc = build_encoder(EncoderConfig(kind=kind, width_multiplier=0.25, min_input=8))
+    he_init(enc, seed=2)
+    rng = np.random.default_rng(15)
+    for _, mod in enc.named_modules():
+        if isinstance(mod, nn.BatchNorm2d):
+            mod.freeze_stats = frozen
+            mod.running_mean[...] = rng.normal(0, 0.2, mod.running_mean.shape)
+            mod.running_var[...] = rng.uniform(0.5, 2.0, mod.running_var.shape)
+    x = rng.normal(0, 1, (6, 1, 20, 18)).astype(np.float32)
+    g = rng.normal(0, 1, (6, enc.embedding_dim)).astype(np.float32)
+    recomputes = []
+
+    def counting_conv2d(*args, **kwargs):
+        recomputes.append(args[0].shape)
+        return nn.conv2d(*args, **kwargs)
+
+    def step():
+        state = snapshot_state(enc)
+        enc.zero_grad()
+        with nn.batch_norm_groups(3):
+            y = enc(Tensor(x))
+        loss = (y * Tensor(g)).sum()
+        loss.backward()
+        got = ([y.numpy().tobytes(), loss.numpy().tobytes()]
+               + [p.grad.tobytes() for p in enc.parameters()]
+               + [b.tobytes() for _, b in enc.named_buffers()])
+        nn.load_state(enc, state)
+        return got
+
+    monkeypatch.setattr(encoders, "conv2d", counting_conv2d)   # only the stem's recompute calls it
+    recomputing = step()
+    assert len(recomputes) == 1
+    monkeypatch.setattr(encoders, "stem", lambda conv, bn, x: bn(conv(x), overwrite_input=True))
+    assert step() == recomputing
+
+
+@pytest.mark.parametrize("kind", ["cnn5", "resnet18", "resnet50"])
+def test_module_walk_and_mode_switch_follow_named_modules_order(kind):
+    model = build_model(small_config(kind=kind, aggregator="attention", positional=True), 4)
+    walked = model.modules()
+    assert len(walked) == len(list(model.named_modules()))
+    assert all(a is b for a, (_, b) in zip(walked, model.named_modules()))
+    assert not any(mod.training for mod in model.eval().modules())
+    assert all(mod.training for mod in model.train().modules())
 
 
 def test_encoder_pads_small_slices_to_min_input():

@@ -629,9 +629,10 @@ def test_grouped_batch_norm_rejects_unequal_groups_and_leaves_eval_alone():
 @pytest.mark.parametrize("groups", [1, 3])
 def test_batch_norm_overwriting_its_input_matches_the_copying_path_bit_for_bit(layout, groups):
     """``overwrite_input`` only moves the centred input into the input's own
-    buffer: output, gradients and running buffers keep every bit.  Without it
-    the input is never written, in training or eval mode; checks.py's
-    gradient suite reuses one input leaf across calls."""
+    buffer, where backward then writes the input gradient: output, gradients
+    and running buffers keep every bit.  Without it the input is never
+    written, in training or eval mode; checks.py's gradient suite reuses one
+    input leaf across calls."""
     k, c, h, w = 4, 3, 5, 6
     rng = np.random.default_rng(10 + groups)
     x = layout((rng.standard_normal((groups * k, c, h, w)) * 2.0 + 1.0).astype(np.float32))
@@ -645,19 +646,20 @@ def test_batch_norm_overwriting_its_input_matches_the_copying_path_bit_for_bit(l
         rm, rv = start_mean.astype(np.float32), start_var.astype(np.float32)
         with nn.batch_norm_groups(groups):
             y = nn.batch_norm2d(xt, gt, bt, rm, rv, training=training, overwrite_input=overwrite)
+        after_forward = xt.data.copy(order="K")
         (y * Tensor(g)).sum().backward()
-        return xt.data, [a.tobytes() for a in (y.numpy(), xt.grad, gt.grad, bt.grad, rm, rv)]
+        return after_forward, xt.data, [a.tobytes() for a in (y.numpy(), xt.grad, gt.grad, bt.grad, rm, rv)]
 
-    untouched, copying = run(False)
+    _, untouched, copying = run(False)
     assert untouched.tobytes() == x.tobytes()
-    overwritten, in_place = run(True)
+    overwritten, _, in_place = run(True)
     assert in_place == copying
     if layout is batch_innermost:                 # a conv output's memory: centred in place
         mean = x.reshape(groups, k, c, h * w).mean(axis=(1, 3), dtype=np.float64)
         want = x - np.repeat(mean, k, axis=0).astype(np.float32)[:, :, None, None]
         np.testing.assert_allclose(overwritten, want, rtol=1e-6, atol=1e-6)
     for overwrite in (False, True):               # eval mode's backward reads its input
-        untouched, _ = run(overwrite, training=False)
+        _, untouched, _ = run(overwrite, training=False)
         assert untouched.tobytes() == x.tobytes()
 
 

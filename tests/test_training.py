@@ -329,7 +329,8 @@ def test_cnn5_training_forward_holds_each_activation_once():
     Per conv-output element a block holds its conv output, which batch norm
     centres in place (4 bytes), the pool's four tap masks (1 in all) and the
     quarter-size relu map (1), which relu's backward and the next conv read:
-    6 bytes, of which the bound allows 6.5.  Neither the batch-norm output
+    6 bytes, of which the bound allows 6.5; the stem holds 2 (see the
+    transfer-config step test).  Neither the batch-norm output
     nor the pooled map is held, since no backward rule reads them.  A rule
     that keeps its input tensor, a separate centred copy, a padded conv
     input or a full-size relu map each break it."""
@@ -359,7 +360,8 @@ def test_resnet18_training_forward_holds_only_what_backward_reads():
     output in place and the graph holds that, the relu maps the convs and
     relu's backward read, and the stem pool's masks; batch-norm outputs and
     residual sums, which no rule reads, are freed as soon as the next op has
-    run.  18.7 MB held; a graph that kept them held 29.4 MB."""
+    run.  16.1 MB held (18.7 MB while the stem kept its conv output); a
+    graph that kept them held 29.4 MB."""
     cfg = ModelConfig(task="regression", axis="coronal",
                       encoder=EncoderConfig(kind="resnet18", width_multiplier=0.25),
                       aggregator=AggregatorConfig(kind="mean"))
@@ -376,6 +378,61 @@ def test_resnet18_training_forward_holds_only_what_backward_reads():
         tracemalloc.stop()
     assert loss.requires_grad
     assert held <= 22e6, held
+
+
+def traced_step(model, volumes, loss_kind, optimizer=None):
+    """Heap held after a training forward, and the traced peak of forward,
+    backward and the optimizer's step, both above what was allocated before."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        loss = batch_loss(model, volumes, loss_kind)
+        held = tracemalloc.get_traced_memory()[0] - base
+        loss.backward()
+        if optimizer is not None:
+            optimizer.step()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return held, peak
+
+
+def test_cnn5_training_step_keeps_the_stem_input_not_its_conv_output():
+    """One step at the benchmark's transfer config (cnn5 width 1, 8 volumes,
+    128 slices of 32x32).  The stem's batch norm writes its output over the
+    conv output, recomputes that from the 1-channel slices in backward, and
+    every batch norm's backward writes the input gradient over its centred
+    buffer.  The stem then holds its masks and quarter-size relu map (2 bytes
+    per conv-output element), the other blocks 6: 3.96 bytes, 31.2 MB, and
+    a 42.1 MB step peak.  Keeping the stem's conv output held 6.1 bytes
+    (48.0 MB) and peaked at 58.9 MB."""
+    cfg = ModelConfig(task="regression", axis="sagittal",
+                      encoder=EncoderConfig(kind="cnn5", width_multiplier=1.0),
+                      aggregator=AggregatorConfig(kind="attention"), positional_enabled=True)
+    model = build_model(cfg, slice_count=16)
+    he_init(model, seed=0)
+    optimizer = Adam(model.parameters(), OptimizerConfig(kind="adam", learning_rate=1e-3))
+    volumes = generate_synthetic(SyntheticSpec(extents=(16, 20, 16), task="regression",
+                                               count=8, seed=0))
+    conv_outputs = sum(c * (32 >> i) ** 2 * 8 * 16 for i, c in enumerate(CNN5_CHANNELS))
+    held, peak = traced_step(model, volumes, "mse", optimizer)
+    assert held <= 4.5 * conv_outputs, (held, conv_outputs)
+    assert peak <= 45e6, peak
+
+
+def test_resnet18_training_forward_keeps_the_stem_input_not_its_conv_output():
+    """The benchmark's resnet18 step (width 0.25, 8 volumes, 160 coronal
+    slices of 16x16 padded to 32x32): the stem's conv output is not held.
+    16.1 MB held; keeping it held 18.7 MB."""
+    cfg = ModelConfig(task="classification", axis="coronal",
+                      encoder=EncoderConfig(kind="resnet18", width_multiplier=0.25),
+                      aggregator=AggregatorConfig(kind="mean"))
+    model = build_model(cfg, slice_count=20)
+    he_init(model, seed=0)
+    volumes = generate_synthetic(SyntheticSpec(extents=(16, 20, 16), task="classification",
+                                               count=8, seed=0))
+    held, _ = traced_step(model, volumes, "cross_entropy")
+    assert held <= 17e6, held
 
 
 # ---------------------------------------------------------------------------
