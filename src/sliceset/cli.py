@@ -461,6 +461,8 @@ def cmd_export_weights(args) -> int:
 
 
 def cmd_import_weights(args) -> int:
+    if args.seed is not None and args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     config = load_run_config(args.config) if args.config else RunConfig()
     config = _apply_overrides(config, args)
     if config.task == "auto":
@@ -484,6 +486,8 @@ def cmd_import_weights(args) -> int:
 
 
 def cmd_check(args) -> int:
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
     ok = True
     for name in names:

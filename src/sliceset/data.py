@@ -99,6 +99,8 @@ class SyntheticSpec:
             raise ValueError(f"unknown task {self.task!r}; choose from {TASKS}")
         if self.count <= 0:
             raise ValueError("count must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         _check_noise_and_amplitude(self.noise_std, self.blob_amplitude)
         if self.blob_radius < 1:
             raise ValueError("blob_radius must be >= 1")

@@ -29,7 +29,7 @@ from .nn import (
     Conv2d,
     Module,
     ModuleList,
-    conv2d,
+    _conv2d,
     global_avg_pool2d,
     max_pool2d,
     pad2d,
@@ -92,16 +92,26 @@ def stem(conv: Conv2d, bn: BatchNorm2d, x: Tensor) -> Tensor:
     and kernel arrays (``recompute`` in :func:`~sliceset.nn.batch_norm2d`),
     in training mode and with frozen statistics alike.  So the graph keeps
     ``x``, which the conv's own backward reads anyway, and not the conv
-    output (32x the 1-channel slices at ``cnn5`` width 1); the recomputed
-    output has the forward's bits, and so do the gradients."""
+    output (32x the 1-channel slices at ``cnn5`` width 1).
+
+    With per-volume groups in training mode (``bn.groups`` > 1) the conv's
+    forward runs one volume at a time (``runs`` of ``nn._conv2d``), and batch
+    norm's backward recomputes one volume at a time with the same call and
+    writes that volume's input gradient over the output gradient: it holds
+    one volume's conv output at a time instead of the whole batch's.
+    Frozen statistics and one-group batches (pretraining, predict) run the
+    module's conv and recompute the whole batch.  Either way the recomputed
+    output has the forward's bits, and so do the gradients; the conv's own
+    backward, and with it the kernel gradient, stays one whole-batch pass."""
     xd, kd = x.data, conv.weight.data
     stride, padding = conv.stride, conv.padding
 
-    def recompute():
-        return conv2d(Tensor(xd, dtype=xd.dtype), Tensor(kd, dtype=kd.dtype),
-                      stride=stride, padding=padding).data
+    def recompute(samples):
+        return _conv2d(Tensor(xd[samples], dtype=xd.dtype), Tensor(kd, dtype=kd.dtype),
+                       None, stride, padding).data
 
-    return bn(conv(x), overwrite_input=True, recompute=recompute)
+    out = conv(x) if bn.groups == 1 else _conv2d(x, conv.weight, None, stride, padding, bn.groups)
+    return bn(out, overwrite_input=True, recompute=recompute)
 
 
 class _ConvBlock(Module):

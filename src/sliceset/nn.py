@@ -52,20 +52,31 @@ first and then over the samples of a group.  The encoders let it centre the
 conv output in that output's own buffer (``overwrite_input``), since nothing
 else reads a conv output; that spares allocating a fresh conv-output-sized
 array per batch norm.  Backward computes the input gradient in the centred
-buffer, which nothing reads after the rule has run.  An encoder's stem
-(``recompute``) goes further: batch norm writes its output over the centred
-buffer and keeps nothing of the conv output's size; backward runs the conv
-again on the same input and kernel arrays and centres the result with the
-saved means, so it sees the forward's bits.  By default the whole
+buffer, which nothing reads after the rule has run.  By default the whole
 batch is one group.  Inside :func:`batch_norm_groups` the batch is split
 into equal runs of consecutive samples, one volume's slices each, and every
 run is normalized by its own moments and updates the running statistics
 once, in order, exactly as if it had been a call of its own.  1/std is
 folded into per-group factors.  The backward pass computes Σdy and Σdy·xhat
 once each and shares them between the γ, β and x gradients.  Eval mode
-folds the running statistics into one per-channel scale and shift.
-Reductions inside the norm layers and losses accumulate in 64-bit and store
-results in 32-bit.
+folds the running statistics into one per-channel scale and shift; with
+``overwrite_input`` its backward centres the conv output in place for γ's
+gradient, and it writes dx over the output gradient.  Reductions inside
+the norm layers and losses accumulate in 64-bit and store results in
+32-bit.
+
+An encoder's stem (``recompute``) goes further: batch norm writes its
+output over the centred buffer and keeps nothing of the conv output's size;
+backward runs the conv again on the same input and kernel arrays and
+centres the result with the saved means, so it sees the forward's bits.
+With several groups in training mode the stem's conv makes its forward one
+group at a time (``runs`` of the private ``_conv2d``, which keeps
+:func:`conv2d`'s signature for callers that wrap it), and batch norm's
+backward recomputes one group at a time with the same call.  It computes
+that group's input gradient in the recomputed buffer and copies it over the
+group's columns of the output gradient, so beside the output gradient it
+holds one volume's conv output, not the batch's.  The conv's own backward,
+which makes the kernel gradient, stays one whole-batch pass.
 
 What a training step holds until backward reaches it, per conv-output
 element of a ``cnn5`` block: the conv output, centred in place, which batch
@@ -73,7 +84,10 @@ norm's backward reads (4 bytes), the pool's tap masks (1 in all) and the
 quarter-size relu map (1, ``cnn5`` pooling before its relu), which relu's
 backward and the next conv read: 6 bytes.  The stem holds its input (the
 slices) instead of its conv output: 2 bytes per element, and 3.96 bytes
-over all five ``cnn5`` blocks at 32x32.  The batch-norm output and the
+over all five ``cnn5`` blocks at 32x32.  Its batch-norm backward peaks at
+the output gradient plus one volume's recomputed conv output (1.17x the
+stem output at the ``transfer-cnn5`` step, 2.16x with a whole-batch
+recompute).  The batch-norm output and the
 pooled map are freed once the next op has run, since no backward rule
 reads them (see :mod:`sliceset.tensor`); in the resnets so are the
 batch-norm outputs and the residual sums.  ``CHANGES.md`` and README
@@ -208,6 +222,15 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
     for W).  Internally GEMMs over row tiles of a batch-innermost column
     matrix; see the module docstring.
     """
+    return _conv2d(x, kernel, bias, stride, padding)
+
+
+def _conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None, stride: int, padding: int,
+            runs: int = 1) -> Tensor:
+    """:func:`conv2d`, whose forward pass, not its backward, ``runs`` splits
+    into that many equal runs of consecutive samples, each computed exactly
+    as a call of its own would compute it (the encoders' stem, see
+    :func:`batch_norm2d`)."""
     if x.ndim != 4 or kernel.ndim != 4:
         raise ValueError(f"conv2d expects 4-D input and kernel, got {x.shape} and {kernel.shape}")
     n, c, h, w = x.shape
@@ -226,12 +249,12 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
 
     xt = x.data.transpose(1, 2, 3, 0)                    # (C, H, W, N)
 
-    def padded(top, bottom):
-        """Rows ``top:bottom`` of the zero-padded (C, Hp, Wp, N) input; a view
-        of the input when nothing is padded."""
+    def padded(xt, top, bottom):
+        """Rows ``top:bottom`` of the zero-padded (C, Hp, Wp, N') copy of the
+        batch-innermost input ``xt``; a view of it when nothing is padded."""
         if not padding:
             return xt[:, top:bottom]
-        xp = np.zeros((c, bottom - top, wp, n), dtype=xt.dtype)
+        xp = np.zeros((c, bottom - top, wp, xt.shape[3]), dtype=xt.dtype)
         lo, hi = max(top, padding), min(bottom, padding + h)
         if lo < hi:
             xp[:, lo - top:hi - top, padding:padding + w] = xt[:, lo - padding:hi - padding]
@@ -241,22 +264,35 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
         """Columns of ``t`` output rows from ``xp``, the padded input from the
         first row they read; copies unless 1x1, stride 1 and unpadded."""
         sc, sh, sw, sn = xp.strides
-        windows = as_strided(xp, shape=(c, kh, kw, t, ow, n),
+        windows = as_strided(xp, shape=(c, kh, kw, t, ow, xp.shape[3]),
                              strides=(sc, sh, sw, sh * stride, sw * stride, sn), writeable=False)
-        return windows.reshape(c * kh * kw, t * row_len)
+        return windows.reshape(c * kh * kw, -1)
 
-    wmat = kernel.data.reshape(f, c * kh * kw)
-    row_len = ow * n                                     # output columns per output row
-    tile_rows = max(1, CONV_TILE_BYTES // (c * kh * kw * row_len * xt.itemsize))
-    xp = padded(0, hp)                                   # not kept for backward
-    if tile_rows >= oh:
-        out = np.matmul(wmat, im2col(xp, oh))            # (F, oh*ow*N)
-    else:
+    def forward(xt):
+        """The (F, oh*ow*N') output of the batch-innermost (C, H, W, N') input."""
+        row_len = ow * xt.shape[3]                       # output columns per output row
+        tile_rows = max(1, CONV_TILE_BYTES // (c * kh * kw * row_len * xt.itemsize))
+        xp = padded(xt, 0, hp)                           # not kept for backward
+        if tile_rows >= oh:
+            return np.matmul(wmat, im2col(xp, oh))
         out = np.empty((f, oh * row_len), dtype=np.result_type(wmat, xt))
         for r in range(0, oh, tile_rows):
             t = min(tile_rows, oh - r)
             np.matmul(wmat, im2col(xp[:, stride * r:], t),
                       out=out[:, r * row_len:(r + t) * row_len])
+        return out
+
+    wmat = kernel.data.reshape(f, c * kh * kw)
+    if runs == 1:
+        out = forward(xt)                                # (F, oh*ow*N)
+    else:
+        k = n // runs
+        out = np.empty((f, oh, ow, n), dtype=np.result_type(wmat, xt))
+        for s in range(0, n, k):
+            out[..., s:s + k] = forward(xt[..., s:s + k]).reshape(f, oh, ow, k)
+        out = out.reshape(f, oh * ow * n)
+    row_len = ow * n
+    tile_rows = max(1, CONV_TILE_BYTES // (c * kh * kw * row_len * xt.itemsize))
     if bias is not None:
         out += bias.data[:, None]
     out = out.reshape(f, oh, ow, n).transpose(3, 0, 1, 2)
@@ -274,7 +310,7 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
             if kn is not None:
                 # cols @ dout.T, transposed once at the end, measured 14-23 %
                 # faster than dout @ cols.T over the cnn5 layers.
-                xp = padded(stride * r, stride * (r + t - 1) + kh)   # this tile's rows
+                xp = padded(xt, stride * r, stride * (r + t - 1) + kh)   # this tile's rows
                 part = np.matmul(im2col(xp, t), dout_t.T)
                 if dw_t is None:
                     dw_t = part
@@ -385,18 +421,24 @@ def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor,
 
     ``overwrite_input`` is for the encoders' conv outputs, which nothing but
     this op reads: training mode then centres ``x`` in its own buffer instead
-    of a copy, and backward writes the input gradient there.  Without it
-    ``x`` is never written.
+    of a copy, and backward writes the input gradient there; eval mode's
+    backward centres ``x`` there for γ's gradient.  Without it ``x`` is never
+    written.
 
-    ``recompute``, a callable that returns ``x``'s values again in ``x``'s
-    layout, is for the encoders' stems: the backward rule then keeps no
-    array of ``x``'s size.  Training mode writes the output into the centred
-    buffer and backward centres ``recompute()`` again with the saved means;
-    eval mode reads ``recompute()`` for γ's gradient instead of keeping ``x``.
+    ``recompute(samples)``, a callable that returns a fresh array of
+    ``x[samples]``'s values, bit for bit, in ``x``'s layout, is for the
+    encoders' stems: the backward rule then keeps no array of ``x``'s size.
+    Training mode writes the output into the centred buffer; backward takes
+    one group at a time, centres that group's ``recompute`` with the saved
+    mean and writes the group's input gradient over its columns of the output
+    gradient, so it holds one group's recompute beside the output gradient.
+    Eval mode reads ``recompute(slice(None))`` for γ's gradient instead of
+    keeping ``x``.
     """
     n, c, h, w = x.shape
     if not training:
-        return _batch_norm_eval(x, gamma, beta, running_mean, running_var, eps, recompute)
+        return _batch_norm_eval(x, gamma, beta, running_mean, running_var, eps,
+                                overwrite_input, recompute)
     groups = _bn_groups
     if n % groups:
         raise ValueError(f"batch norm cannot split {n} samples into {groups} equal groups")
@@ -405,8 +447,8 @@ def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor,
     dtype = x.dtype
 
     def per_group(a):
-        """(C, N) per-sample sums -> (C, G) per-group sums."""
-        return a.reshape(c, groups, k).sum(axis=2)
+        """(C, N') per-sample sums -> (C, N'/K) per-group sums."""
+        return a.reshape(c, -1, k).sum(axis=2)
 
     def per_sample(a):
         """(C, G) per-group values -> (C, 1, N), to scale the (C, H*W, N) maps."""
@@ -438,25 +480,43 @@ def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor,
     saved = centred if recompute is None else None
 
     def backward_fn(o):
-        if saved is None:       # the forward's exact bits: same conv, same subtraction
-            centred = recompute().transpose(1, 2, 3, 0).reshape(c, h * w, n)
-            np.subtract(centred, per_sample(mean), out=centred)
-        else:
-            centred = saved
         dy = o.grad.transpose(1, 2, 3, 0).reshape(c, h * w, n)
         sum_dy = per_group(dy.sum(axis=1, dtype=np.float64))
-        sum_dy_xhat = per_group(np.einsum("cpn,cpn->cn", dy, centred, dtype=np.float64)) * inv_std
+        sum_dy_xhat = np.empty((c, groups))
+
+        def block(gs, dy, centred, factor, dx):
+            """Σdy·xhat of the groups ``gs`` and, written to ``dx``, their
+            input gradient; ``factor`` spreads (C, G) per-group values over
+            the maps, and ``centred`` is overwritten."""
+            sum_dy_xhat[:, gs] = per_group(np.einsum("cpn,cpn->cn", dy, centred,
+                                                     dtype=np.float64)) * inv_std[:, gs]
+            if xn is not None:
+                # dx = scale * (dy - mean(dy) - xhat * mean(dy * xhat)), per group
+                np.multiply(centred, factor(inv_std[:, gs] * sum_dy_xhat[:, gs] / count), out=centred)
+                np.subtract(dy, centred, out=dx)
+                dx -= factor(sum_dy[:, gs] / count)
+                dx *= factor(scale[:, gs])
+
+        if saved is not None:   # dx over the centred buffer, which nothing reads after this
+            block(slice(None), dy, saved, per_sample, saved)
+        else:   # a group at a time, with the forward's bits: dx in the recompute, then over dy
+            def channel(a):
+                """(C, 1) values of one group -> (C, 1, 1)."""
+                return a.astype(dtype)[:, :, None]
+
+            for g in range(groups):
+                samples = slice(g * k, (g + 1) * k)
+                centred = recompute(samples).transpose(1, 2, 3, 0).reshape(c, h * w, k)
+                centred -= channel(mean[:, g:g + 1])
+                block(slice(g, g + 1), dy[:, :, samples], centred, channel, centred)
+                dy[:, :, samples] = centred
+                del centred     # before the next group's recompute
         if gn is not None:
             gn.accumulate_grad(sum_dy_xhat.sum(axis=1).astype(gn.dtype))
         if bn is not None:
             bn.accumulate_grad(sum_dy.sum(axis=1).astype(bn.dtype))
         if xn is not None:
-            # dx = scale * (dy - mean(dy) - xhat * mean(dy * xhat)), per group,
-            # written over the centred buffer, which nothing reads after this
-            dx = np.multiply(centred, per_sample(inv_std * sum_dy_xhat / count), out=centred)
-            np.subtract(dy, dx, out=dx)
-            dx -= per_sample(sum_dy / count)
-            dx *= per_sample(scale)
+            dx = dy if saved is None else saved
             xn.accumulate_grad(dx.reshape(c, h, w, n).transpose(3, 0, 1, 2), owned=True)
 
     return x._make(out.reshape(c, h, w, n).transpose(3, 0, 1, 2), (x, gamma, beta), backward_fn)
@@ -464,10 +524,12 @@ def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor,
 
 def _batch_norm_eval(x: Tensor, gamma: Tensor, beta: Tensor,
                      running_mean: np.ndarray, running_var: np.ndarray, eps: float,
-                     recompute=None) -> Tensor:
+                     overwrite_input: bool = False, recompute=None) -> Tensor:
     """Eval-mode batch norm: the running statistics and the affine map folded
     into one per-channel scale and shift, applied in the input's layout.
-    ``recompute``: see :func:`batch_norm2d`."""
+    ``overwrite_input`` and ``recompute``: see :func:`batch_norm2d`; backward
+    centres the input in its own buffer and writes dx over the output
+    gradient."""
     dtype = x.dtype
 
     def per_channel(a):
@@ -484,13 +546,14 @@ def _batch_norm_eval(x: Tensor, gamma: Tensor, beta: Tensor,
     def backward_fn(o):
         dy = o.grad
         if gn is not None:
-            xc = (xd if recompute is None else recompute()) - per_channel(mean)
+            xc = xd if recompute is None else recompute(slice(None))
+            xc = np.subtract(xc, per_channel(mean), out=xc if overwrite_input or recompute else None)
             sum_dy_xhat = np.einsum("nchw,nchw->c", dy, xc, dtype=np.float64) * inv_std
             gn.accumulate_grad(sum_dy_xhat.astype(gn.dtype))
         if bn is not None:
             bn.accumulate_grad(dy.sum(axis=(0, 2, 3), dtype=np.float64).astype(bn.dtype))
         if xn is not None:
-            xn.accumulate_grad(dy * per_channel(scale), owned=True)
+            xn.accumulate_grad(np.multiply(dy, per_channel(scale), out=dy), owned=True)
 
     return x._make(out, (x, gamma, beta), backward_fn)
 
@@ -742,6 +805,12 @@ class BatchNorm2d(Module):
         self.bias = Tensor(np.zeros(num_features), requires_grad=True)
         self.register_buffer("running_mean", np.zeros(num_features, dtype=np.float32))
         self.register_buffer("running_var", np.ones(num_features, dtype=np.float32))
+
+    @property
+    def groups(self) -> int:
+        """The groups a call splits its batch into: those of
+        :func:`batch_norm_groups` in training mode, else 1."""
+        return _bn_groups if self.training and not self.freeze_stats else 1
 
     def __call__(self, x: Tensor, overwrite_input: bool = False, recompute=None) -> Tensor:
         """``overwrite_input`` and ``recompute``: see :func:`batch_norm2d`."""

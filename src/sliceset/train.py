@@ -78,6 +78,8 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.loss is not None and self.loss not in LOSS_KINDS:
             raise ValueError(f"unknown loss {self.loss!r}; choose from {LOSS_KINDS}")
 

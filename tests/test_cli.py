@@ -208,6 +208,15 @@ def test_synth_rejects_non_finite_parameters_before_writing(tmp_path, flag, valu
     assert not out.exists()
 
 
+def test_synth_rejects_a_negative_seed_before_writing(tmp_path):
+    out = tmp_path / "bad"
+    code, _, err = run_cli("synth", "--out", str(out), "--count", "2",
+                           "--extents", EXTENTS, "--blob-radius", "2", "--seed", "-5")
+    assert code == 2
+    assert err == "error: seed must be >= 0, got -5\n"
+    assert not out.exists()
+
+
 def test_refused_allocation_is_one_error_line_not_a_traceback(tmp_path):
     # 40000³ float32 voxels are 233 TiB, more than the 128 TiB user address
     # space, so the allocation is refused up front and touches no memory
@@ -291,6 +300,14 @@ def train_into(out, data, *flags):
         "train", "--train-manifest", data["train"], "--val-manifest", data["val"],
         "--test-manifest", data["test"], "--output-dir", str(out),
         "--epochs", "1", *TRAIN_FLAGS, *flags)
+
+
+def test_train_rejects_a_negative_seed_before_writing(tmp_path, data):
+    out = tmp_path / "run"
+    code, _, err = train_into(out, data, "--seed", "-1")
+    assert code == 2
+    assert err == "error: seed must be >= 0, got -1\n"
+    assert not out.exists()
 
 
 def test_train_refuses_locked_output_dir(tmp_path, data):
@@ -1038,6 +1055,16 @@ def test_import_weights_rejects_non_positive_extents_before_writing(tmp_path, pr
     assert not target.exists()
 
 
+def test_import_weights_rejects_a_negative_seed_before_writing(tmp_path, pretrain_archive):
+    target = tmp_path / "x.ssnw"
+    code, _, err = run_cli(
+        "import-weights", "--task", "regression", "--extents", EXTENTS,
+        "--archive", pretrain_archive, "--out", str(target), "--seed", "-1")
+    assert code == 2
+    assert err == "error: --seed must be >= 0, got -1\n"
+    assert not target.exists()
+
+
 # ---------------------------------------------------------------------------
 # check
 # ---------------------------------------------------------------------------
@@ -1053,6 +1080,12 @@ def test_check_all_runs_every_suite():
     assert code == 0
     for name in ("gradients", "metrics", "permutation"):
         assert f"{name}: PASS" in stdout
+
+
+def test_check_rejects_a_negative_seed():
+    code, stdout, err = run_cli("check", "metrics", "--seed", "-1")
+    assert code == 2
+    assert (stdout, err) == ("", "error: --seed must be >= 0, got -1\n")
 
 
 def test_check_rejects_unknown_suite():

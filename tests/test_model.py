@@ -306,9 +306,11 @@ def test_cnn5_pooling_before_relu_matches_relu_before_pooling_bit_for_bit():
 @pytest.mark.parametrize("kind", ["cnn5", "resnet18"])
 def test_stem_recompute_matches_keeping_the_conv_output_bit_for_bit(monkeypatch, kind, frozen):
     """The stem's batch norm keeps no conv output and its backward runs the
-    conv once more.  Output, loss, every gradient and every running buffer
-    equal a stem that keeps the conv output, bit for bit, with per-group
-    moments (3 groups) in training mode and with frozen statistics."""
+    conv once more, per volume in training mode.  Output, loss, every
+    gradient and every running buffer equal a stem that keeps the conv
+    output, bit for bit, with per-group moments (3 groups) in training mode
+    and with frozen statistics.  The resnet18 stem's 10x9 maps give
+    180-column GEMMs per volume, not a multiple of 8 wide."""
     enc = build_encoder(EncoderConfig(kind=kind, width_multiplier=0.25, min_input=8))
     he_init(enc, seed=2)
     rng = np.random.default_rng(15)
@@ -319,11 +321,11 @@ def test_stem_recompute_matches_keeping_the_conv_output_bit_for_bit(monkeypatch,
             mod.running_var[...] = rng.uniform(0.5, 2.0, mod.running_var.shape)
     x = rng.normal(0, 1, (6, 1, 20, 18)).astype(np.float32)
     g = rng.normal(0, 1, (6, enc.embedding_dim)).astype(np.float32)
-    recomputes = []
+    calls = []
 
-    def counting_conv2d(*args, **kwargs):
-        recomputes.append(args[0].shape)
-        return nn.conv2d(*args, **kwargs)
+    def counting_conv2d(x, kernel, bias, stride, padding, runs=1):
+        calls.append((x.shape[0], runs))
+        return nn._conv2d(x, kernel, bias, stride, padding, runs)
 
     def step():
         state = snapshot_state(enc)
@@ -338,10 +340,17 @@ def test_stem_recompute_matches_keeping_the_conv_output_bit_for_bit(monkeypatch,
         nn.load_state(enc, state)
         return got
 
-    monkeypatch.setattr(encoders, "conv2d", counting_conv2d)   # only the stem's recompute calls it
+    monkeypatch.setattr(encoders, "_conv2d", counting_conv2d)   # only the stem calls it
     recomputing = step()
-    assert len(recomputes) == 1
-    monkeypatch.setattr(encoders, "stem", lambda conv, bn, x: bn(conv(x), overwrite_input=True))
+    # with frozen statistics the forward is the module's own conv and backward
+    # recomputes once; in training both run one volume at a time
+    assert calls == ([(6, 1)] if frozen else [(6, 3)] + [(2, 1)] * 3)
+
+    def keeping(conv, bn, x):
+        out = nn._conv2d(x, conv.weight, None, conv.stride, conv.padding, bn.groups)
+        return bn(out, overwrite_input=True)
+
+    monkeypatch.setattr(encoders, "stem", keeping)
     assert step() == recomputing
 
 

@@ -629,10 +629,11 @@ def test_grouped_batch_norm_rejects_unequal_groups_and_leaves_eval_alone():
 @pytest.mark.parametrize("groups", [1, 3])
 def test_batch_norm_overwriting_its_input_matches_the_copying_path_bit_for_bit(layout, groups):
     """``overwrite_input`` only moves the centred input into the input's own
-    buffer, where backward then writes the input gradient: output, gradients
-    and running buffers keep every bit.  Without it the input is never
-    written, in training or eval mode; checks.py's gradient suite reuses one
-    input leaf across calls."""
+    buffer, where training-mode backward then writes the input gradient and
+    eval-mode backward centres the input by the running mean: output,
+    gradients and running buffers keep every bit.  Without it the input is
+    never written, in training or eval mode; checks.py's gradient suite
+    reuses one input leaf across calls."""
     k, c, h, w = 4, 3, 5, 6
     rng = np.random.default_rng(10 + groups)
     x = layout((rng.standard_normal((groups * k, c, h, w)) * 2.0 + 1.0).astype(np.float32))
@@ -658,9 +659,13 @@ def test_batch_norm_overwriting_its_input_matches_the_copying_path_bit_for_bit(l
         mean = x.reshape(groups, k, c, h * w).mean(axis=(1, 3), dtype=np.float64)
         want = x - np.repeat(mean, k, axis=0).astype(np.float32)[:, :, None, None]
         np.testing.assert_allclose(overwritten, want, rtol=1e-6, atol=1e-6)
-    for overwrite in (False, True):               # eval mode's backward reads its input
-        _, untouched, _ = run(overwrite, training=False)
-        assert untouched.tobytes() == x.tobytes()
+    forward, untouched, copying = run(False, training=False)
+    assert forward.tobytes() == untouched.tobytes() == x.tobytes()
+    forward, centred, in_place = run(True, training=False)
+    assert in_place == copying
+    assert forward.tobytes() == x.tobytes()       # eval mode's forward reads its input only
+    want = x - start_mean.astype(np.float32)[None, :, None, None]
+    assert centred.tobytes() == want.tobytes()    # backward centres it for the gamma gradient
 
 
 def test_batch_norm_module_freeze_stats_pins_buffers():

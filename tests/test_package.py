@@ -1,5 +1,6 @@
-"""The package root: every exported name resolves, and the weight-archive
-module loads without the training loop."""
+"""The package root: every exported name resolves, the weight-archive
+module loads without the training loop, and the package loads nothing but
+the standard library and numpy."""
 
 import os
 import subprocess
@@ -38,3 +39,18 @@ def _run_fresh(code: str):
 ])
 def test_weights_loads_without_the_training_loop(code):
     _run_fresh(code)
+
+
+def test_every_module_loads_only_the_standard_library_and_numpy():
+    """The numpy-only stack: importing every ``sliceset`` module in a fresh
+    interpreter adds no top-level module outside the standard library,
+    ``numpy`` and ``sliceset`` to what the interpreter loaded at start-up."""
+    _run_fresh(
+        "import importlib, pkgutil, sys\n"
+        "before = set(sys.modules)\n"
+        "import sliceset\n"
+        "for info in pkgutil.iter_modules(sliceset.__path__):\n"
+        "    importlib.import_module('sliceset.' + info.name)\n"
+        "loaded = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
+        "others = loaded - set(sys.stdlib_module_names) - {'numpy', 'sliceset'}\n"
+        "assert 'sliceset.cli' in sys.modules and not others, sorted(others)\n")

@@ -10,7 +10,7 @@ import pytest
 from sliceset import nn, tensor
 from sliceset import train as train_mod
 from sliceset.data import SyntheticSpec, Volume, generate_synthetic, normalize
-from sliceset.encoders import CNN5_CHANNELS, EncoderConfig
+from sliceset.encoders import CNN5_CHANNELS, EncoderConfig, stem
 from sliceset.model import AggregatorConfig, ModelConfig, build_model
 from sliceset.tensor import Tensor, no_grad, stack
 from sliceset.train import (Adam, Checkpoint, OptimizerConfig, SGD, TrainConfig,
@@ -397,6 +397,19 @@ def traced_step(model, volumes, loss_kind, optimizer=None):
     return held, peak
 
 
+def transfer_cnn5_model():
+    """The benchmark's transfer-config model (cnn5 width 1, 16 sagittal
+    slices of 32x32 per volume) and 8 volumes for it."""
+    cfg = ModelConfig(task="regression", axis="sagittal",
+                      encoder=EncoderConfig(kind="cnn5", width_multiplier=1.0),
+                      aggregator=AggregatorConfig(kind="attention"), positional_enabled=True)
+    model = build_model(cfg, slice_count=16)
+    he_init(model, seed=0)
+    volumes = generate_synthetic(SyntheticSpec(extents=(16, 20, 16), task="regression",
+                                               count=8, seed=0))
+    return model, volumes
+
+
 def test_cnn5_training_step_keeps_the_stem_input_not_its_conv_output():
     """One step at the benchmark's transfer config (cnn5 width 1, 8 volumes,
     128 slices of 32x32).  The stem's batch norm writes its output over the
@@ -406,14 +419,8 @@ def test_cnn5_training_step_keeps_the_stem_input_not_its_conv_output():
     per conv-output element), the other blocks 6: 3.96 bytes, 31.2 MB, and
     a 42.1 MB step peak.  Keeping the stem's conv output held 6.1 bytes
     (48.0 MB) and peaked at 58.9 MB."""
-    cfg = ModelConfig(task="regression", axis="sagittal",
-                      encoder=EncoderConfig(kind="cnn5", width_multiplier=1.0),
-                      aggregator=AggregatorConfig(kind="attention"), positional_enabled=True)
-    model = build_model(cfg, slice_count=16)
-    he_init(model, seed=0)
+    model, volumes = transfer_cnn5_model()
     optimizer = Adam(model.parameters(), OptimizerConfig(kind="adam", learning_rate=1e-3))
-    volumes = generate_synthetic(SyntheticSpec(extents=(16, 20, 16), task="regression",
-                                               count=8, seed=0))
     conv_outputs = sum(c * (32 >> i) ** 2 * 8 * 16 for i, c in enumerate(CNN5_CHANNELS))
     held, peak = traced_step(model, volumes, "mse", optimizer)
     assert held <= 4.5 * conv_outputs, (held, conv_outputs)
@@ -433,6 +440,62 @@ def test_resnet18_training_forward_keeps_the_stem_input_not_its_conv_output():
                                                count=8, seed=0))
     held, _ = traced_step(model, volumes, "cross_entropy")
     assert held <= 17e6, held
+
+
+def test_stem_batch_norm_backward_recomputes_one_volume_at_a_time():
+    """The stem's batch-norm backward rule alone, at the transfer config (8
+    volumes of 16 slices, 32 channels of 32x32: a 16.8 MB stem output).  It
+    recomputes one volume's conv output at a time and writes that volume's
+    input gradient over the output gradient, so with the output gradient it
+    peaks at 1.17x one stem output (one volume's 2.1 MB recompute and its
+    columns); a whole-batch recompute beside the output gradient peaked at
+    2.16x."""
+    rng = np.random.default_rng(0)
+    conv, bn = nn.Conv2d(1, 32, 3, padding=1, bias=False), nn.BatchNorm2d(32)
+    conv.weight.data = rng.normal(0, 0.3, conv.weight.shape).astype(np.float32)
+    with nn.batch_norm_groups(8):
+        y = stem(conv, bn, Tensor(rng.normal(0, 1, (128, 1, 32, 32)).astype(np.float32)))
+    dy = np.empty((32, 32, 32, 128), np.float32).transpose(3, 0, 1, 2)   # max pool's layout
+    dy[...] = rng.standard_normal(dy.shape, dtype=np.float32)
+    node = y.node
+    node.grad, dy = dy, None
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        node.rule(node)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    stem_output = y.data.nbytes
+    assert stem_output == 32 * 32 * 32 * 128 * 4
+    assert stem_output + peak <= 1.3 * stem_output, (peak, stem_output)
+    assert conv.weight.grad is None and bn.weight.grad is not None
+
+
+def test_cnn5_frozen_statistics_backward_allocates_no_stem_sized_array():
+    """A step at the transfer config with every batch norm's statistics frozen
+    (``--freeze-bn-stats``): eval-mode batch norm's backward centres the
+    recomputed or saved conv output in its own buffer and writes dx over the
+    output gradient.  The backward then peaks 10.9 MB above the heap held
+    after the forward, 0.65x the 16.8 MB stem output; a centred copy and a
+    new dx per batch norm took it to 21.6 MB."""
+    model, volumes = transfer_cnn5_model()
+    for _, mod in model.named_modules():
+        if isinstance(mod, nn.BatchNorm2d):
+            mod.freeze_stats = True
+    stem_output = 32 * 32 * 32 * 8 * 16 * 4
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        loss = batch_loss(model, volumes, "mse")
+        held = tracemalloc.get_traced_memory()[0] - base
+        tracemalloc.reset_peak()
+        loss.backward()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak - held <= 0.8 * stem_output, (peak, held)
+    assert all(p.grad is not None for p in model.encoder.parameters())
 
 
 # ---------------------------------------------------------------------------
