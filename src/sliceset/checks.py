@@ -173,15 +173,14 @@ def _stem_case(frozen):
     """The encoders' stem, whose batch norm recomputes the conv in backward:
     per-group moments in training mode, or frozen running statistics."""
     def build(rng):
-        conv, bn = nn.Conv2d(1, 3, 3, padding=1, bias=False), _f64(nn.BatchNorm2d(3))
+        conv, bn = nn.Conv2d(1, 3, 3, padding=1), _f64(nn.BatchNorm2d(3))
         x, conv.weight, bn.weight = _t(rng, 4, 1, 5, 5), _t(rng, 3, 1, 3, 3), _t(rng, 3, scale=0.5)
         bn.weight.data = bn.weight.data + 1.0
-        bn.freeze_stats = frozen
+        bn.freeze_stats, bn.group_size = frozen, 2
         bn.running_mean[...], bn.running_var[...] = rng.normal(0, 0.3, 3), 1.0 + rng.uniform(0, 0.5, 3)
 
         def op(x, *_):          # the modules read their own parameters
-            with nn.batch_norm_groups(2):
-                return stem(conv, bn, x)
+            return stem(conv, bn, x)
         return _signed_sum(rng, op, x, conv.weight, bn.weight, bn.bias)
     return build
 

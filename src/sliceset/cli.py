@@ -6,8 +6,9 @@ the wrong JSON type are rejected by key (``model.build_dataclass``).  Each
 config flag's dest is its config path (``--epochs`` sets ``train.epochs``),
 so flags fold over config-file values generically, and the fully resolved
 config is echoed into the output directory for provenance.  Every split's
-manifest is checked against the run's task before its volumes load.  Training
-writes nothing outside its output directory and guards it with a lock file.
+manifest is checked against the run's task, and training's three splits
+against each other, before any volume loads.  Training writes nothing
+outside its output directory and guards it with a lock file.
 
 Set ``SLICESET_THREADS`` to cap the numeric libraries' worker threads; it is
 applied before numpy loads.
@@ -61,6 +62,7 @@ from .model import (  # noqa: E402
     slice_count_for,
 )
 from .nifti import save_nifti  # noqa: E402
+from .nn import BatchNorm2d  # noqa: E402
 from .train import (  # noqa: E402
     LOSS_KINDS,
     OPTIMIZER_KINDS,
@@ -255,8 +257,9 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _check_split(path, context, task):
-    """Reject a split whose manifest is missing or empty or holds other than ``task``'s targets."""
+def _check_split(path, context, task) -> list[dict]:
+    """The entries of a split's manifest; rejects a manifest that is missing
+    or empty or holds other than ``task``'s targets."""
     if path is None:
         raise ValueError(f"no {context} manifest configured (flag --{context}-manifest "
                          f"or config key {context}_manifest)")
@@ -266,20 +269,16 @@ def _check_split(path, context, task):
     if manifest_task(entries) != task:
         raise ValueError(f"{context} manifest {path} holds {manifest_task(entries)} targets, "
                          f"but the model is a {task} model")
+    return entries
 
 
-def _load_split(path, normalize, context, task):
-    """The volumes of a split that passes :func:`_check_split`."""
-    _check_split(path, context, task)
-    return load_manifest_volumes(path, normalize_volumes=normalize)
-
-
-def _check_disjoint_splits(manifests: dict):
+def _check_disjoint_splits(manifests: dict, entries: dict):
     """Reject a volume file or a subject id that the manifests of two splits
-    both name: either would leak a subject's scans across splits."""
+    both name: either would leak a subject's scans across splits.  Both
+    dicts are keyed by split: manifest paths and their entries."""
     files, subjects = {}, {}
     for split, manifest in manifests.items():
-        for entry in read_manifest(manifest):
+        for entry in entries[split]:
             file = (Path(manifest).parent / entry["path"]).resolve()
             subject = entry["subject_id"]
             for owners, key, what in ((files, file, f"volume file {file}"),
@@ -302,9 +301,10 @@ def cmd_train(args) -> int:
         config = replace(config, task=manifest_task(read_manifest(config.train_manifest)))
 
     manifests = {split: getattr(config, f"{split}_manifest") for split in ("train", "val", "test")}
-    train_vols, val_vols, test_vols = (_load_split(path, config.normalize, split, config.task)
+    entries = {split: _check_split(path, split, config.task) for split, path in manifests.items()}
+    _check_disjoint_splits(manifests, entries)
+    train_vols, val_vols, test_vols = (load_manifest_volumes(path, config.normalize, entries[split])
                                        for split, path in manifests.items())
-    _check_disjoint_splits(manifests)
     extents = _common_extents(train_vols + val_vols + test_vols, "dataset")
     slice_count = slice_count_for(extents, config.axis)
     model_config = config.model_config()
@@ -331,8 +331,10 @@ def cmd_train(args) -> int:
                 model = _new_model(model_config, slice_count)
             he_init(model, seed=seed)
             if archive is not None:
-                model, report = import_encoder(
-                    model, archive, freeze_batchnorm_stats=args.freeze_bn_stats)
+                model, report = import_encoder(model, archive)
+                for mod in model.encoder.modules():
+                    if isinstance(mod, BatchNorm2d):
+                        mod.freeze_stats = args.freeze_bn_stats
                 print(f"pretrained import from {args.pretrained}:")
                 print(report.summary())
             train_cfg = replace(config.train, seed=seed)
@@ -431,9 +433,9 @@ def cmd_eval(args) -> int:
     for ckpt in args.checkpoint:
         model, meta = _model_from_checkpoint(WeightArchive.load(ckpt))
         normalize = meta["normalize"] == "true"
-        _check_split(args.manifest, f"checkpoint {ckpt}: eval", model.config.task)
+        entries = _check_split(args.manifest, f"checkpoint {ckpt}: eval", model.config.task)
         if normalize not in volumes:
-            volumes[normalize] = load_manifest_volumes(args.manifest, normalize_volumes=normalize)
+            volumes[normalize] = load_manifest_volumes(args.manifest, normalize, entries)
         report = evaluate(model, volumes[normalize])
         print(f"{ckpt}: {report.summary()}")
         print(report.to_json())

@@ -305,13 +305,15 @@ def manifest_task(entries: list[dict]) -> str:
     return "regression"
 
 
-def load_manifest_volumes(path, normalize_volumes: bool = True) -> list[Volume]:
-    """Load every volume referenced by a manifest, resolving relative paths."""
+def load_manifest_volumes(path, normalize_volumes: bool = True,
+                          entries: list[dict] | None = None) -> list[Volume]:
+    """Load every volume referenced by a manifest, resolving relative paths;
+    ``entries`` are the manifest's, when the caller has read it already."""
     from .nifti import load_nifti
 
     base = Path(path).parent
     volumes = []
-    for e in read_manifest(path):
+    for e in read_manifest(path) if entries is None else entries:
         p = Path(e["path"])
         if not p.is_absolute():
             p = base / p

@@ -94,15 +94,16 @@ def stem(conv: Conv2d, bn: BatchNorm2d, x: Tensor) -> Tensor:
     ``x``, which the conv's own backward reads anyway, and not the conv
     output (32x the 1-channel slices at ``cnn5`` width 1).
 
-    With per-volume groups in training mode (``bn.groups`` > 1) the conv's
-    forward runs one volume at a time (``runs`` of ``nn._conv2d``), and batch
-    norm's backward recomputes one volume at a time with the same call and
-    writes that volume's input gradient over the output gradient: it holds
-    one volume's conv output at a time instead of the whole batch's.
-    Frozen statistics and one-group batches (pretraining, predict) run the
-    module's conv and recompute the whole batch.  Either way the recomputed
-    output has the forward's bits, and so do the gradients; the conv's own
-    backward, and with it the kernel gradient, stays one whole-batch pass."""
+    With several groups in training mode (``bn.groups(n)`` > 1: one per
+    volume in a slice-set model) the conv's forward runs one volume at a
+    time (``runs`` of ``nn._conv2d``), and batch norm's backward recomputes
+    one volume at a time with the same call and writes that volume's input
+    gradient over the output gradient: it holds one volume's conv output at
+    a time instead of the whole batch's.  Frozen statistics and one-group
+    batches (pretraining, predict) run the module's conv and recompute the
+    whole batch.  Either way the recomputed output has the forward's bits,
+    and so do the gradients; the conv's own backward, and with it the
+    kernel gradient, stays one whole-batch pass."""
     xd, kd = x.data, conv.weight.data
     stride, padding = conv.stride, conv.padding
 
@@ -110,8 +111,9 @@ def stem(conv: Conv2d, bn: BatchNorm2d, x: Tensor) -> Tensor:
         return _conv2d(Tensor(xd[samples], dtype=xd.dtype), Tensor(kd, dtype=kd.dtype),
                        None, stride, padding).data
 
-    out = conv(x) if bn.groups == 1 else _conv2d(x, conv.weight, None, stride, padding, bn.groups)
-    return bn(out, overwrite_input=True, recompute=recompute)
+    groups = bn.groups(x.shape[0])
+    out = conv(x) if groups == 1 else _conv2d(x, conv.weight, None, stride, padding, groups)
+    return bn(out, recompute=recompute)
 
 
 class _ConvBlock(Module):
@@ -120,11 +122,11 @@ class _ConvBlock(Module):
 
     def __init__(self, in_ch: int, out_ch: int):
         super().__init__()
-        self.conv = Conv2d(in_ch, out_ch, 3, padding=1, bias=False)
+        self.conv = Conv2d(in_ch, out_ch, 3, padding=1)
         self.bn = BatchNorm2d(out_ch)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return self.bn(self.conv(x), overwrite_input=True)
+        return self.bn(self.conv(x))
 
 
 class CNN5Encoder(Module):
@@ -171,7 +173,7 @@ class ResidualBlock(Module):
         self.pairs = []
         prev = in_ch
         for j, (out_ch, k, s) in enumerate(convs, start=1):
-            conv = Conv2d(prev, out_ch, k, stride=s, padding=k // 2, bias=False)
+            conv = Conv2d(prev, out_ch, k, stride=s, padding=k // 2)
             bn = BatchNorm2d(out_ch)
             setattr(self, f"conv{j}", conv)
             setattr(self, f"bn{j}", bn)
@@ -179,16 +181,16 @@ class ResidualBlock(Module):
             prev = out_ch
         self.out_channels = prev
         self.downsample = None if stride == 1 and in_ch == prev else ModuleList(
-            [Conv2d(in_ch, prev, 1, stride=stride, bias=False), BatchNorm2d(prev)])
+            [Conv2d(in_ch, prev, 1, stride=stride), BatchNorm2d(prev)])
 
     def __call__(self, x: Tensor) -> Tensor:
         *inner, (conv, bn) = self.pairs
         out = x
         for c, b in inner:
-            out = relu(b(c(out), overwrite_input=True))
-        out = bn(conv(out), overwrite_input=True)
+            out = relu(b(c(out)))
+        out = bn(conv(out))
         if self.downsample is not None:
-            x = self.downsample[1](self.downsample[0](x), overwrite_input=True)
+            x = self.downsample[1](self.downsample[0](x))
         return relu(out + x)
 
 
@@ -207,7 +209,7 @@ class ResNetEncoder(Module):
         counts = (3, 4, 6, 3) if bottleneck else (2, 2, 2, 2)
         base = config.scaled(64)
 
-        self.conv1 = Conv2d(config.input_channels, base, 7, stride=2, padding=3, bias=False)
+        self.conv1 = Conv2d(config.input_channels, base, 7, stride=2, padding=3)
         self.bn1 = BatchNorm2d(base)
 
         in_ch = base

@@ -28,7 +28,7 @@ import numpy as np
 
 from .data import TASKS, Volume, axis_index
 from .encoders import EncoderConfig, build_encoder
-from .nn import LayerNorm, Linear, Module, batch_norm_groups, relu, softmax
+from .nn import BatchNorm2d, LayerNorm, Linear, Module, relu, softmax
 from .tensor import Tensor, concat
 
 AGGREGATOR_KINDS = ("mean", "attention")
@@ -180,7 +180,8 @@ class SliceSetModel(Module):
     """Shared 2D encoder + positional table + aggregator + linear head.
 
     One encoder parameter set is shared by all K slices; only the K x d
-    positional table depends on the slice count.
+    positional table depends on the slice count.  The encoder's batch norms
+    normalize K slices, one volume, together in training mode.
     """
 
     def __init__(self, config: ModelConfig, slice_count: int):
@@ -190,6 +191,9 @@ class SliceSetModel(Module):
         self.config = config
         self.slice_count = slice_count
         self.encoder = build_encoder(config.encoder)
+        for mod in self.encoder.modules():
+            if isinstance(mod, BatchNorm2d):
+                mod.group_size = slice_count      # one volume's slices
         d = self.encoder.embedding_dim
         self.positional = PositionalTable(slice_count, d, enabled=config.positional_enabled)
         if config.aggregator.kind == "mean":
@@ -219,10 +223,11 @@ class SliceSetModel(Module):
 
         In training mode batch norm normalizes each volume's slices by their
         own moments and updates its running statistics once per volume, in
-        order (:func:`~sliceset.nn.batch_norm_groups`), so each output is what
-        the volume gives alone, up to GEMM roundoff.  The runs' embeddings are
-        joined in volume order (:func:`~sliceset.tensor.concat`) and go
-        through :meth:`forward_embeddings` once.
+        order (the encoder's batch norms have a ``group_size`` of K), so each
+        output is what the volume gives alone, up to GEMM roundoff.  The
+        runs' embeddings are joined in volume order
+        (:func:`~sliceset.tensor.concat`) and go through
+        :meth:`forward_embeddings` once.
         """
         for v in volumes:
             count = slice_count_for(v.extents, self.config.axis)
@@ -233,9 +238,7 @@ class SliceSetModel(Module):
                   for v in volumes]
         embeddings = []
         for _, run in groupby(stacks, key=lambda s: s.shape):
-            run = list(run)
-            with batch_norm_groups(len(run)):
-                embeddings.append(self.encoder(Tensor(np.concatenate(run))))
+            embeddings.append(self.encoder(Tensor(np.concatenate(list(run)))))
         return self.forward_embeddings(concat(embeddings))
 
     def forward_volume(self, volume: Volume) -> Tensor:

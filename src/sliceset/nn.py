@@ -48,20 +48,23 @@ Batch norm in training mode works on the (C, H·W, N) view of the conv
 output's batch-innermost memory.  It takes the mean with one float64 sum
 and the variance with one float64 sum of squared deviations of the centred
 input, which the backward pass reuses; each sum runs over the spatial axis
-first and then over the samples of a group.  The encoders let it centre the
-conv output in that output's own buffer (``overwrite_input``), since nothing
-else reads a conv output; that spares allocating a fresh conv-output-sized
-array per batch norm.  Backward computes the input gradient in the centred
-buffer, which nothing reads after the rule has run.  By default the whole
-batch is one group.  Inside :func:`batch_norm_groups` the batch is split
-into equal runs of consecutive samples, one volume's slices each, and every
-run is normalized by its own moments and updates the running statistics
-once, in order, exactly as if it had been a call of its own.  1/std is
-folded into per-group factors.  The backward pass computes Σdy and Σdy·xhat
-once each and shares them between the γ, β and x gradients.  Eval mode
-folds the running statistics into one per-channel scale and shift; with
-``overwrite_input`` its backward centres the conv output in place for γ's
-gradient, and it writes dx over the output gradient.  Reductions inside
+first and then over the samples of a group.  A :class:`BatchNorm2d` module
+centres its input, a conv output, in that output's own buffer
+(``overwrite_input``), since nothing else reads a conv output; that spares
+allocating a fresh conv-output-sized array per batch norm.  Backward
+computes the input gradient in the centred buffer, which nothing reads
+after the rule has run.  The functional op copies unless asked, for
+callers that pass an array something else reads.  By default the whole
+batch is one group.  A module with a ``group_size`` (a slice-set model's
+encoder sets it to the slices per volume) splits its training batch into
+``groups`` equal runs of consecutive samples, one volume's slices each, and
+every run is normalized by its own moments and updates the running
+statistics once, in order, exactly as if it had been a call of its own.
+1/std is folded into per-group factors.  The backward pass computes Σdy and
+Σdy·xhat once each and shares them between the γ, β and x gradients.  Eval
+mode folds the running statistics into one per-channel scale and shift;
+with ``overwrite_input`` its backward centres the conv output in place for
+γ's gradient, and it writes dx over the output gradient.  Reductions inside
 the norm layers and losses accumulate in 64-bit and store results in
 32-bit.
 
@@ -96,8 +99,6 @@ batch-norm outputs and the residual sums.  ``CHANGES.md`` and README
 
 from __future__ import annotations
 
-import contextlib
-
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
@@ -111,8 +112,6 @@ LN_EPS = 1e-5
 # output rows of at most this many bytes, at least one row each; see the
 # module docstring.
 CONV_TILE_BYTES = 2 * 1024 * 1024
-
-_bn_groups = 1   # set by batch_norm_groups
 
 
 # ---------------------------------------------------------------------------
@@ -393,37 +392,24 @@ def global_avg_pool2d(x: Tensor) -> Tensor:
     return x._make(data, (x,), backward_fn)
 
 
-@contextlib.contextmanager
-def batch_norm_groups(groups: int):
-    """Inside the context, training-mode batch norm splits its batch into
-    ``groups`` equal runs of consecutive samples and treats each run as a batch
-    of its own: see :func:`batch_norm2d`."""
-    global _bn_groups
-    prev, _bn_groups = _bn_groups, groups
-    try:
-        yield
-    finally:
-        _bn_groups = prev
-
-
 def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor,
                  running_mean: np.ndarray, running_var: np.ndarray,
                  training: bool, momentum: float = BN_MOMENTUM, eps: float = BN_EPS,
-                 overwrite_input: bool = False, recompute=None) -> Tensor:
+                 groups: int = 1, overwrite_input: bool = False, recompute=None) -> Tensor:
     """Per-channel batch normalization with running statistics.
 
     In training mode normalizes by batch moments and updates the running
     buffers in place (running variance uses the unbiased estimate); in eval
-    mode normalizes by the running buffers.  Inside :func:`batch_norm_groups`
-    training mode normalizes each group of consecutive samples by that
-    group's own moments and updates the running buffers once per group, in
-    order, as one call per group would.
+    mode normalizes by the running buffers.  With ``groups`` > 1 training
+    mode splits the batch into that many equal runs of consecutive samples,
+    normalizes each by its own moments and updates the running buffers once
+    per run, in order, as one call per run would; eval mode ignores it.
 
-    ``overwrite_input`` is for the encoders' conv outputs, which nothing but
-    this op reads: training mode then centres ``x`` in its own buffer instead
-    of a copy, and backward writes the input gradient there; eval mode's
-    backward centres ``x`` there for γ's gradient.  Without it ``x`` is never
-    written.
+    ``overwrite_input`` is for a conv output that nothing but this op reads
+    (:class:`BatchNorm2d` always passes it): training mode then centres ``x``
+    in its own buffer instead of a copy, and backward writes the input
+    gradient there; eval mode's backward centres ``x`` there for γ's
+    gradient.  Without it ``x`` is never written.
 
     ``recompute(samples)``, a callable that returns a fresh array of
     ``x[samples]``'s values, bit for bit, in ``x``'s layout, is for the
@@ -439,7 +425,6 @@ def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor,
     if not training:
         return _batch_norm_eval(x, gamma, beta, running_mean, running_var, eps,
                                 overwrite_input, recompute)
-    groups = _bn_groups
     if n % groups:
         raise ValueError(f"batch norm cannot split {n} samples into {groups} equal groups")
     k = n // groups
@@ -747,15 +732,12 @@ class ModuleList(Module):
 
 
 class Linear(Module):
-    def __init__(self, in_features: int, out_features: int, bias: bool = True):
+    def __init__(self, in_features: int, out_features: int):
         super().__init__()
         self.in_features = in_features
         self.out_features = out_features
         self.weight = Tensor(np.zeros((out_features, in_features)), requires_grad=True)
-        if bias:
-            self.bias = Tensor(np.zeros(out_features), requires_grad=True)
-        else:
-            self.bias = None
+        self.bias = Tensor(np.zeros(out_features), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
         return linear(x, self.weight, self.bias)
@@ -766,21 +748,20 @@ class Linear(Module):
 
 
 class Conv2d(Module):
+    """Bias-free convolution: every conv of the package feeds a batch norm,
+    whose shift would cancel a bias."""
+
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
-                 stride: int = 1, padding: int = 0, bias: bool = True):
+                 stride: int = 1, padding: int = 0):
         super().__init__()
         self.stride = stride
         self.padding = padding
         self.weight = Tensor(
             np.zeros((out_channels, in_channels, kernel_size, kernel_size)), requires_grad=True
         )
-        if bias:
-            self.bias = Tensor(np.zeros(out_channels), requires_grad=True)
-        else:
-            self.bias = None
 
     def __call__(self, x: Tensor) -> Tensor:
-        return conv2d(x, self.weight, self.bias, stride=self.stride, padding=self.padding)
+        return conv2d(x, self.weight, stride=self.stride, padding=self.padding)
 
     @property
     def fan_in(self) -> int:
@@ -789,49 +770,55 @@ class Conv2d(Module):
 
 
 class BatchNorm2d(Module):
-    """Per-channel batch normalization with running statistics.
+    """Per-channel batch normalization with running statistics, over the
+    output of the conv before it, which nothing else reads: every call
+    centres its input in that input's own buffer (``overwrite_input`` of
+    :func:`batch_norm2d`).
 
-    When ``freeze_stats`` is set (e.g. after importing pretrained weights)
-    the stored statistics are used even in training mode and never updated;
-    the affine scale/shift stays trainable either way.
+    ``group_size`` is the number of consecutive samples that training mode
+    normalizes together: one volume's slices in a slice-set model's encoder,
+    or ``None`` for the whole batch.  When ``freeze_stats`` is set (e.g. with
+    pretrained weights) the stored statistics are used even in training
+    mode and never updated; the affine scale/shift stays trainable either
+    way.
     """
 
-    def __init__(self, num_features: int, eps: float = BN_EPS, momentum: float = BN_MOMENTUM):
+    def __init__(self, num_features: int):
         super().__init__()
-        self.eps = eps
-        self.momentum = momentum
         self.freeze_stats = False
+        self.group_size = None
         self.weight = Tensor(np.ones(num_features), requires_grad=True)
         self.bias = Tensor(np.zeros(num_features), requires_grad=True)
         self.register_buffer("running_mean", np.zeros(num_features, dtype=np.float32))
         self.register_buffer("running_var", np.ones(num_features, dtype=np.float32))
 
-    @property
-    def groups(self) -> int:
-        """The groups a call splits its batch into: those of
-        :func:`batch_norm_groups` in training mode, else 1."""
-        return _bn_groups if self.training and not self.freeze_stats else 1
+    def groups(self, n: int) -> int:
+        """The groups a call on ``n`` samples splits its batch into: runs of
+        ``group_size`` in training mode, else 1."""
+        if not self.training or self.freeze_stats or self.group_size is None:
+            return 1
+        if n % self.group_size:
+            raise ValueError(f"batch norm cannot split {n} samples into groups of {self.group_size}")
+        return n // self.group_size
 
-    def __call__(self, x: Tensor, overwrite_input: bool = False, recompute=None) -> Tensor:
-        """``overwrite_input`` and ``recompute``: see :func:`batch_norm2d`."""
+    def __call__(self, x: Tensor, recompute=None) -> Tensor:
+        """``recompute``: see :func:`batch_norm2d`."""
         return batch_norm2d(
             x, self.weight, self.bias,
             self._buffers["running_mean"], self._buffers["running_var"],
-            training=self.training and not self.freeze_stats,
-            momentum=self.momentum, eps=self.eps, overwrite_input=overwrite_input,
-            recompute=recompute,
+            training=self.training and not self.freeze_stats, groups=self.groups(x.shape[0]),
+            overwrite_input=True, recompute=recompute,
         )
 
 
 class LayerNorm(Module):
-    def __init__(self, dim: int, eps: float = LN_EPS):
+    def __init__(self, dim: int):
         super().__init__()
-        self.eps = eps
         self.weight = Tensor(np.ones(dim), requires_grad=True)
         self.bias = Tensor(np.zeros(dim), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return layer_norm(x, self.weight, self.bias, eps=self.eps)
+        return layer_norm(x, self.weight, self.bias)
 
 
 def load_state(module: Module, state: dict[str, np.ndarray]):

@@ -3,10 +3,11 @@ pretraining on that loop; archives and imports live in :mod:`sliceset.weights`.
 
 Each training batch goes through :meth:`SliceSetModel.forward_volumes`,
 which returns the batch's (R,) or (R, 2) output from one encoder call per
-run of same-shape volumes and one tail call; batch norm normalizes each
-volume's slices by that volume's own moments and updates its running
-statistics once per volume, in batch order, so a batch trains as per-volume
-forward passes would.  The loop
+run of same-shape volumes and one tail call; the encoder's batch norms,
+whose group size is the model's slice count, normalize each volume's slices
+by that volume's own moments and update their running statistics once per
+volume, in batch order, so a batch trains as per-volume forward passes
+would.  The loop
 validates after every epoch and keeps the checkpoint that optimizes the
 task's selection metric (lowest mean absolute error for regression,
 highest balanced accuracy for classification), breaking ties toward the
@@ -125,7 +126,7 @@ def he_init(model: nn.Module, seed: int = 0) -> nn.Module:
         if isinstance(module, (nn.Conv2d, nn.Linear)):
             std = math.sqrt(2.0 / module.fan_in)
             module.weight.data = rng.normal(0.0, std, module.weight.shape).astype(np.float32)
-            if getattr(module, "bias", None) is not None:
+            if isinstance(module, nn.Linear):      # convs have no bias
                 module.bias.data = np.zeros(module.bias.shape, dtype=np.float32)
     return model
 

@@ -13,7 +13,8 @@ Partial import (``import_encoder``) carries a pretrained 2D encoder into a
 slice-set model by name, skipping whatever else the archive holds (e.g. a
 pretraining classification head) and reporting exactly which model tensors
 were matched, which archive entries were skipped, and which model tensors
-keep their fresh initialization.
+keep their fresh initialization.  What the model does with the imported
+tensors, such as freezing batch-norm statistics, is the caller's choice.
 
 No training code lives here, and nothing is loaded from :mod:`sliceset.train`,
 which owns the epoch loop and 2D pretraining (``train.pretrain_2d``).
@@ -53,7 +54,6 @@ class WeightArchive:
 
     entries: dict[str, np.ndarray]
     metadata: dict[str, str] = field(default_factory=dict)
-    version: int = FORMAT_VERSION
 
     def __post_init__(self):
         self.entries = {str(k): np.ascontiguousarray(v, dtype=np.float32)
@@ -81,7 +81,7 @@ class WeightArchive:
                                    "length": arr.nbytes}
             payloads.append(memoryview(arr))   # joined below without a copy of its own
             offset += arr.nbytes
-        index = {"version": self.version, "entries": index_entries,
+        index = {"version": FORMAT_VERSION, "entries": index_entries,
                  "metadata": dict(sorted(self.metadata.items()))}
         index_bytes = json.dumps(index, sort_keys=True, separators=(",", ":")).encode()
         return b"".join([MAGIC, struct.pack("<Q", len(index_bytes)), index_bytes, *payloads])
@@ -105,9 +105,8 @@ class WeightArchive:
         if set(index) != INDEX_KEYS:
             raise WeightArchiveError(f"archive index keys must be exactly {sorted(INDEX_KEYS)}, "
                                      f"got {sorted(index)}")
-        version = index["version"]
-        if version != FORMAT_VERSION:
-            raise WeightArchiveError(f"unsupported archive version {version!r}")
+        if index["version"] != FORMAT_VERSION:
+            raise WeightArchiveError(f"unsupported archive version {index['version']!r}")
         index_entries = index["entries"]
         metadata = index["metadata"]
         if not isinstance(index_entries, dict) or not isinstance(metadata, dict):
@@ -131,7 +130,7 @@ class WeightArchive:
                 raise WeightArchiveError(f"entry {name!r}: payload out of bounds")
             arr = np.frombuffer(payload, dtype="<f4", count=count, offset=offset)
             entries[name] = arr.reshape(shape).astype(np.float32)
-        return cls(entries=entries, metadata=dict(metadata), version=version)
+        return cls(entries=entries, metadata=dict(metadata))
 
     def save(self, path):
         """Write the archive to ``path`` atomically (see ``write_atomic``)."""
@@ -221,8 +220,7 @@ def _adapt_channels(src: np.ndarray, target_shape: tuple) -> np.ndarray | None:
     return src.sum(axis=1, keepdims=True).astype(np.float32)
 
 
-def import_encoder(model: SliceSetModel, archive: WeightArchive,
-                   freeze_batchnorm_stats: bool = False) -> tuple[SliceSetModel, LoadReport]:
+def import_encoder(model: SliceSetModel, archive: WeightArchive) -> tuple[SliceSetModel, LoadReport]:
     """Load pretrained 2D-encoder tensors into a slice-set model by name.
 
     Archive entries outside the encoder (e.g. a pretraining head) are
@@ -256,11 +254,6 @@ def import_encoder(model: SliceSetModel, archive: WeightArchive,
         raise WeightArchiveError(
             f"archive incompatible with encoder: only {encoder_params_matched} of "
             f"{encoder_params} encoder parameters matched (need at least half)")
-
-    if freeze_batchnorm_stats:
-        for _, module in model.encoder.named_modules():
-            if isinstance(module, nn.BatchNorm2d):
-                module.freeze_stats = True
 
     return model, report
 

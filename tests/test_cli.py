@@ -446,6 +446,32 @@ def test_train_rejects_a_subject_in_two_splits_before_writing(tmp_path, data):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("fault", ["subject-in-train-and-test", "classification-val"])
+def test_train_checks_every_split_before_decoding_a_volume(tmp_path, data, cls_data, monkeypatch,
+                                                           fault):
+    """The three manifests are read and checked, each against the task and
+    against each other, before any NIfTI volume is decoded."""
+    manifests = dict(data)
+    if fault == "subject-in-train-and-test":
+        manifests["test"] = str(synth_dir(tmp_path, "test", count=2, seed=0) / "manifest.json")
+        want = (f"error: subject id 'synth-s0-00000' is in both the train manifest "
+                f"{data['train']} and the test manifest {manifests['test']}\n")
+    else:
+        manifests["val"] = cls_data["val"]
+        want = (f"error: val manifest {cls_data['val']} holds classification targets, "
+                f"but the model is a regression model\n")
+    calls = []
+    load_nifti = sliceset.nifti.load_nifti
+    monkeypatch.setattr(sliceset.nifti, "load_nifti",
+                        lambda path: calls.append(path) or load_nifti(path))
+    code, _, err = run_cli(
+        "train", "--train-manifest", manifests["train"], "--val-manifest", manifests["val"],
+        "--test-manifest", manifests["test"], "--output-dir", str(tmp_path / "run"),
+        "--epochs", "1", *TRAIN_FLAGS)
+    assert (code, err) == (2, want)
+    assert calls == []
+
+
 @pytest.mark.parametrize("min_input", ["0", "-3"])
 def test_train_rejects_min_input_below_one_before_writing(tmp_path, data, min_input):
     out = tmp_path / "run"

@@ -316,7 +316,7 @@ def test_stem_recompute_matches_keeping_the_conv_output_bit_for_bit(monkeypatch,
     rng = np.random.default_rng(15)
     for _, mod in enc.named_modules():
         if isinstance(mod, nn.BatchNorm2d):
-            mod.freeze_stats = frozen
+            mod.freeze_stats, mod.group_size = frozen, 2
             mod.running_mean[...] = rng.normal(0, 0.2, mod.running_mean.shape)
             mod.running_var[...] = rng.uniform(0.5, 2.0, mod.running_var.shape)
     x = rng.normal(0, 1, (6, 1, 20, 18)).astype(np.float32)
@@ -330,8 +330,7 @@ def test_stem_recompute_matches_keeping_the_conv_output_bit_for_bit(monkeypatch,
     def step():
         state = snapshot_state(enc)
         enc.zero_grad()
-        with nn.batch_norm_groups(3):
-            y = enc(Tensor(x))
+        y = enc(Tensor(x))
         loss = (y * Tensor(g)).sum()
         loss.backward()
         got = ([y.numpy().tobytes(), loss.numpy().tobytes()]
@@ -347,11 +346,45 @@ def test_stem_recompute_matches_keeping_the_conv_output_bit_for_bit(monkeypatch,
     assert calls == ([(6, 1)] if frozen else [(6, 3)] + [(2, 1)] * 3)
 
     def keeping(conv, bn, x):
-        out = nn._conv2d(x, conv.weight, None, conv.stride, conv.padding, bn.groups)
-        return bn(out, overwrite_input=True)
+        out = nn._conv2d(x, conv.weight, None, conv.stride, conv.padding, bn.groups(x.shape[0]))
+        return bn(out)
 
     monkeypatch.setattr(encoders, "stem", keeping)
     assert step() == recomputing
+
+
+@pytest.mark.parametrize("kind", ["cnn5", "resnet18"])
+def test_model_encoder_normalizes_each_volume_by_its_own_moments(kind):
+    """A slice-set model's encoder batch-norms one volume's K slices together
+    in training mode, however it is called: one direct call on two volumes'
+    slices gives what two one-volume calls give, outputs, gradients and the
+    running buffers after both, the first volume's update first."""
+    model = build_model(small_config(kind=kind), slice_count=4)
+    he_init(model, seed=6)
+    enc = model.encoder
+    rng = np.random.default_rng(8)
+    x = rng.normal(0, 1, (8, 1, 10, 9)).astype(np.float32)
+    x[4:] = 3.0 * x[4:] + 2.0                 # the volumes' moments differ
+    g = rng.normal(0, 1, (8, enc.embedding_dim)).astype(np.float32)
+    start = snapshot_state(enc)
+
+    def step(lo, hi):
+        y = enc(Tensor(x[lo:hi]))
+        (y * Tensor(g[lo:hi])).sum().backward()
+        return y.numpy()
+
+    enc.zero_grad()
+    together = step(0, 8)
+    grads = [p.grad.copy() for p in enc.parameters()]
+    buffers = [b.copy() for _, b in enc.named_buffers()]
+    nn.load_state(enc, start)
+    enc.zero_grad()
+    alone = np.concatenate([step(0, 4), step(4, 8)])
+    pairs = [(together, alone)]
+    pairs += zip(grads, [p.grad for p in enc.parameters()])
+    pairs += zip(buffers, [b for _, b in enc.named_buffers()])
+    for got, want in pairs:       # up to float32 GEMM roundoff, which varies with the batch
+        np.testing.assert_allclose(got, want, rtol=1e-4, atol=1e-5 * np.abs(want).max())
 
 
 @pytest.mark.parametrize("kind", ["cnn5", "resnet18", "resnet50"])

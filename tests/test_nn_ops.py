@@ -584,15 +584,14 @@ def test_grouped_batch_norm_matches_one_call_per_group(layout, groups):
     g = rng.standard_normal(x.shape)
     start_mean, start_var = rng.standard_normal(c), rng.uniform(0.5, 2.0, c)
 
-    def run(lo, hi, rm, rv):
+    def run(lo, hi, rm, rv, groups=1):
         xt, gt, bt = t64(x[lo:hi], True), t64(gamma, True), t64(beta, True)
-        y = nn.batch_norm2d(xt, gt, bt, rm, rv, training=True)
+        y = nn.batch_norm2d(xt, gt, bt, rm, rv, training=True, groups=groups)
         (y * t64(g[lo:hi])).sum().backward()
         return y.numpy(), xt.grad, gt.grad, bt.grad
 
     rm, rv = start_mean.copy(), start_var.copy()
-    with nn.batch_norm_groups(groups):
-        y, dx, dgamma, dbeta = run(0, groups * k, rm, rv)
+    y, dx, dgamma, dbeta = run(0, groups * k, rm, rv, groups)
     want_mean, want_var = start_mean.copy(), start_var.copy()
     dgamma_want, dbeta_want = np.zeros(c), np.zeros(c)
     for lo in range(0, groups * k, k):
@@ -615,11 +614,11 @@ def test_grouped_batch_norm_matches_one_call_per_group(layout, groups):
 
 def test_grouped_batch_norm_rejects_unequal_groups_and_leaves_eval_alone():
     x, gamma, beta = bn_case(n=4)
-    with nn.batch_norm_groups(3):
-        with pytest.raises(ValueError, match="cannot split 4 samples into 3 equal groups"):
-            nn.batch_norm2d(t64(x), t64(gamma), t64(beta), np.zeros(3), np.ones(3), training=True)
-        grouped = nn.batch_norm2d(t64(x), t64(gamma), t64(beta), np.zeros(3), np.ones(3),
-                                  training=False).numpy()
+    with pytest.raises(ValueError, match="cannot split 4 samples into 3 equal groups"):
+        nn.batch_norm2d(t64(x), t64(gamma), t64(beta), np.zeros(3), np.ones(3), training=True,
+                        groups=3)
+    grouped = nn.batch_norm2d(t64(x), t64(gamma), t64(beta), np.zeros(3), np.ones(3),
+                              training=False, groups=3).numpy()
     plain = nn.batch_norm2d(t64(x), t64(gamma), t64(beta), np.zeros(3), np.ones(3),
                             training=False).numpy()
     assert grouped.tobytes() == plain.tobytes()
@@ -645,8 +644,8 @@ def test_batch_norm_overwriting_its_input_matches_the_copying_path_bit_for_bit(l
         xt = Tensor(x.copy(order="K"), requires_grad=True)
         gt, bt = Tensor(gamma, requires_grad=True), Tensor(beta, requires_grad=True)
         rm, rv = start_mean.astype(np.float32), start_var.astype(np.float32)
-        with nn.batch_norm_groups(groups):
-            y = nn.batch_norm2d(xt, gt, bt, rm, rv, training=training, overwrite_input=overwrite)
+        y = nn.batch_norm2d(xt, gt, bt, rm, rv, training=training, groups=groups,
+                            overwrite_input=overwrite)
         after_forward = xt.data.copy(order="K")
         (y * Tensor(g)).sum().backward()
         return after_forward, xt.data, [a.tobytes() for a in (y.numpy(), xt.grad, gt.grad, bt.grad, rm, rv)]
@@ -666,6 +665,70 @@ def test_batch_norm_overwriting_its_input_matches_the_copying_path_bit_for_bit(l
     assert forward.tobytes() == x.tobytes()       # eval mode's forward reads its input only
     want = x - start_mean.astype(np.float32)[None, :, None, None]
     assert centred.tobytes() == want.tobytes()    # backward centres it for the gamma gradient
+
+
+@pytest.mark.parametrize("mode", ["training", "eval"])
+def test_batch_norm_module_centres_its_conv_output_in_place_bit_for_bit(mode):
+    """A BatchNorm2d module owns its input, a conv output that nothing else
+    reads: in training mode its forward centres that output in the output's
+    own buffer (per group of ``group_size`` samples), and output, running
+    buffers and every gradient equal the functional op's copying path bit
+    for bit."""
+    rng = np.random.default_rng(23)
+    x = rng.standard_normal((6, 2, 7, 5)).astype(np.float32)
+    g = rng.standard_normal((6, 3, 7, 5)).astype(np.float32)
+    conv, bn = nn.Conv2d(2, 3, 3, padding=1), nn.BatchNorm2d(3)
+    conv.weight.data = rng.normal(0, 0.3, conv.weight.shape).astype(np.float32)
+    bn.weight.data = rng.uniform(0.5, 1.5, 3).astype(np.float32)
+    bn.bias.data = rng.normal(0, 0.5, 3).astype(np.float32)
+    start = rng.normal(0, 0.2, 3).astype(np.float32), rng.uniform(0.5, 2.0, 3).astype(np.float32)
+    bn.group_size = 2
+    bn.train(mode == "training")
+
+    def step(norm):
+        conv.zero_grad()
+        bn.zero_grad()
+        bn.running_mean[...], bn.running_var[...] = start
+        xt = Tensor(x, requires_grad=True)
+        out = conv(xt)
+        conv_output = out.data.copy(order="K")
+        y = norm(out)
+        after_forward = out.data.copy(order="K")
+        (y * Tensor(g)).sum().backward()
+        return conv_output, after_forward, [a.tobytes() for a in (
+            y.numpy(), xt.grad, conv.weight.grad, bn.weight.grad, bn.bias.grad,
+            bn.running_mean, bn.running_var)]
+
+    def copying(out):
+        return nn.batch_norm2d(out, bn.weight, bn.bias, bn.running_mean, bn.running_var,
+                               training=bn.training, groups=bn.groups(out.shape[0]))
+
+    conv_output, untouched, want = step(copying)
+    assert untouched.tobytes() == conv_output.tobytes()
+    _, centred, got = step(bn)
+    assert got == want
+    if mode == "training":
+        mean = conv_output.reshape(3, 2, 3, -1).mean(axis=(1, 3), dtype=np.float64)
+        np.testing.assert_allclose(
+            centred, conv_output - np.repeat(mean, 2, axis=0).astype(np.float32)[:, :, None, None],
+            rtol=1e-6, atol=1e-6)
+        assert np.abs(centred - conv_output).max() > 1e-3
+    else:                               # eval mode's forward only reads its input
+        assert centred.tobytes() == conv_output.tobytes()
+
+
+def test_batch_norm_module_rejects_a_training_batch_of_partial_groups():
+    bn = nn.BatchNorm2d(3)
+    bn.group_size = 4
+    x = bn_case(n=6)[0]
+    with pytest.raises(ValueError, match="cannot split 6 samples into groups of 4"):
+        bn(t64(x))
+    assert bn.groups(8) == 2
+    bn.freeze_stats = True                  # frozen statistics and eval mode normalize
+    assert bn.groups(6) == 1                # the batch as one group
+    bn.freeze_stats = False
+    assert bn.eval().groups(6) == 1
+    bn(t64(x))
 
 
 def test_batch_norm_module_freeze_stats_pins_buffers():

@@ -451,10 +451,10 @@ def test_stem_batch_norm_backward_recomputes_one_volume_at_a_time():
     columns); a whole-batch recompute beside the output gradient peaked at
     2.16x."""
     rng = np.random.default_rng(0)
-    conv, bn = nn.Conv2d(1, 32, 3, padding=1, bias=False), nn.BatchNorm2d(32)
+    conv, bn = nn.Conv2d(1, 32, 3, padding=1), nn.BatchNorm2d(32)
     conv.weight.data = rng.normal(0, 0.3, conv.weight.shape).astype(np.float32)
-    with nn.batch_norm_groups(8):
-        y = stem(conv, bn, Tensor(rng.normal(0, 1, (128, 1, 32, 32)).astype(np.float32)))
+    bn.group_size = 16
+    y = stem(conv, bn, Tensor(rng.normal(0, 1, (128, 1, 32, 32)).astype(np.float32)))
     dy = np.empty((32, 32, 32, 128), np.float32).transpose(3, 0, 1, 2)   # max pool's layout
     dy[...] = rng.standard_normal(dy.shape, dtype=np.float32)
     node = y.node

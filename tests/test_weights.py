@@ -316,11 +316,14 @@ def test_import_encoder_rejects_incompatible_archive():
         import_encoder(make_model(), export_weights(other))
 
 
-def test_import_encoder_freeze_flag_pins_running_stats():
+def test_freezing_statistics_after_import_encoder_pins_running_stats():
     imgs, labels = generate_synthetic_images(20, size=(8, 8), seed=14)
     result = pretrain_2d(ENC, imgs, labels, epochs=1, batch_size=10, seed=14)
     model = make_model(seed=15)
-    model, _ = import_encoder(model, result.archive, freeze_batchnorm_stats=True)
+    model, _ = import_encoder(model, result.archive)
+    for mod in model.encoder.modules():
+        if isinstance(mod, nn.BatchNorm2d):
+            mod.freeze_stats = True
 
     bn = model.encoder.block1.bn
     assert bn.freeze_stats
