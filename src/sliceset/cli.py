@@ -10,8 +10,9 @@ manifest is checked against the run's task, and training's three splits
 against each other, before any volume loads.  Training writes nothing
 outside its output directory and guards it with a lock file.
 
-Set ``SLICESET_THREADS`` to cap the numeric libraries' worker threads; it is
-applied before numpy loads.
+Set ``SLICESET_THREADS`` to a positive integer to cap the numeric
+libraries' worker threads; it is applied before numpy loads.  Any other
+value is an error, since OpenBLAS reads 0 or a negative count as no cap.
 """
 
 from __future__ import annotations
@@ -20,14 +21,23 @@ import os
 
 
 def _cap_threads():
+    """Copy ``SLICESET_THREADS`` into the numeric libraries' thread settings
+    that are not set yet, or raise ``ValueError`` when it is set but is not
+    a positive integer."""
     cap = os.environ.get("SLICESET_THREADS")
-    if cap:
-        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                    "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-            os.environ.setdefault(var, cap)
+    if not cap:
+        return
+    if not (cap.isascii() and cap.isdigit() and int(cap) > 0):
+        raise ValueError(f"SLICESET_THREADS must be a positive integer, got {cap!r}")
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
+        os.environ.setdefault(var, cap)
 
 
-_cap_threads()
+try:
+    _cap_threads()
+except ValueError:
+    pass        # main() reports it before it reads or writes anything
 
 import argparse  # noqa: E402
 import contextlib  # noqa: E402
@@ -598,6 +608,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _cap_threads()
         # A diverging run overflows in the conv GEMMs and the batch-norm
         # moments before its loss is checked; the typed loss, gradient and
         # parameter checks report it, so numpy's warnings would only repeat

@@ -198,7 +198,8 @@ class ResNetEncoder(Module):
     """Residual network trunk without a classification head.
 
     resnet18 uses basic blocks [2, 2, 2, 2]; resnet50 bottlenecks
-    [3, 4, 6, 3].  ``conv1`` and ``bn1`` are the :func:`stem`.  The
+    [3, 4, 6, 3].  ``conv1`` and ``bn1`` are the :func:`stem`, whose output
+    is max-pooled before its relu, so relu keeps a quarter-size map.  The
     embedding is the global average pool of the final stage.
     """
 
@@ -224,8 +225,9 @@ class ResNetEncoder(Module):
 
     def __call__(self, x: Tensor) -> Tensor:
         x = prepare_slices(x, self.config.min_input, self.config.pad_to_min)
-        x = relu(stem(self.conv1, self.bn1, x))
-        x = max_pool2d(x, 3, 2, padding=1)
+        # relu after the pool, as in CNN5Encoder: the pool's zero padding is
+        # relu's fixed point too.
+        x = relu(max_pool2d(stem(self.conv1, self.bn1, x), 3, 2, padding=1))
         for stage in range(1, 5):
             for blk in self._children[f"layer{stage}"]:
                 x = blk(x)

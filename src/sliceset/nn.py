@@ -18,31 +18,34 @@ pads again, each tile's input rows (the whole buffer for a single tile),
 rebuilds the tile's columns and multiplies them by the tile's output
 gradient, and the products are summed into dW; each tile's column gradient,
 ``W.T @ dout``, is scattered back into the padded input gradient with one
-add per kernel tap, over rows of ow·N contiguous floats.  A tile that fits
-in the L2 cache is still there when its GEMM reads it, and the transient
-columns, and backward's padded rows and column gradients, stay bounded
-however many slices one call carries; when the whole matrix fits in one
-tile each pass makes a single GEMM per product.  The output is handed back
-as an (N, F, oh, ow) view of the (F, oh, ow, N) result, so the batch stays
-innermost from layer to layer and the next convolution's copy reads
-contiguous memory.  The backward pass keeps only the input, which in the
-encoders is a relu map that relu's own backward reads anyway: no padded
-copy and no column matrix (kh·kw times larger).  The slices of one call
-share the
-GEMMs: ``train.batch_loss`` and ``train.predict`` send the slices of several
-volumes through one encoder call.  Each output column is its own dot
+add per kernel tap, over rows of ow·N contiguous floats.  Each tile's
+padded rows, columns and partial dW are dropped before its column-gradient
+GEMM, and that product once it is scattered, so no two tiles' temporaries
+are alive at once.  A tile that fits in the L2 cache is still there when
+its GEMM reads it, and the transient columns, and backward's padded rows
+and column gradients, stay bounded however many slices one call carries;
+when the whole matrix fits in one tile each pass makes a single GEMM per
+product.  The output is handed back as an (N, F, oh, ow) view of the (F,
+oh, ow, N) result, so the batch stays innermost from layer to layer and the
+next convolution's copy reads contiguous memory.  The backward pass keeps
+only the input, which in the encoders is a relu map that relu's own
+backward reads anyway: no padded copy and no column matrix (kh·kw times
+larger).  The slices of one call share the GEMMs: ``train.batch_loss`` and
+``train.predict`` send the slices of several volumes through one encoder
+call.  Each output column is its own dot
 product, but OpenBLAS picks its kernels by matrix width, so a slice's output
 can differ by float32 roundoff with the batch it came in and with the tile
 widths.
 
 Max pooling takes the elementwise maximum over the kernel² strided window
-views.  When the input needs a gradient it also records, per tap, a boolean
-mask of the windows whose first maximum in row-major order sits at that tap;
-the backward pass adds the output gradient through those masks into a
-zeroed input-sized buffer.  Its output, padding and input gradient keep the
-input's memory layout, as numpy's element-wise ops do; backward lays out the
-gradient from the input's recorded axis order, not from the input, which it
-does not keep.
+views.  When the input needs a gradient it also keeps, per output, the
+index of the window's first maximal tap in row-major order: one byte while
+a window has at most 255 taps (a wider unsigned integer beyond).  The
+backward pass compares that index with each tap in turn and adds the
+output gradient where they agree into a zeroed input-sized buffer.  Its
+output, padding and input gradient keep the input's memory layout, as
+numpy's element-wise ops do; backward lays out the gradient from the
+input's recorded axis order, not from the input, which it does not keep.
 
 Batch norm in training mode works on the (C, H·W, N) view of the conv
 output's batch-innermost memory.  It takes the mean with one float64 sum
@@ -83,17 +86,17 @@ which makes the kernel gradient, stays one whole-batch pass.
 
 What a training step holds until backward reaches it, per conv-output
 element of a ``cnn5`` block: the conv output, centred in place, which batch
-norm's backward reads (4 bytes), the pool's tap masks (1 in all) and the
-quarter-size relu map (1, ``cnn5`` pooling before its relu), which relu's
-backward and the next conv read: 6 bytes.  The stem holds its input (the
-slices) instead of its conv output: 2 bytes per element, and 3.96 bytes
-over all five ``cnn5`` blocks at 32x32.  Its batch-norm backward peaks at
-the output gradient plus one volume's recomputed conv output (1.17x the
-stem output at the ``transfer-cnn5`` step, 2.16x with a whole-batch
-recompute).  The batch-norm output and the
-pooled map are freed once the next op has run, since no backward rule
-reads them (see :mod:`sliceset.tensor`); in the resnets so are the
-batch-norm outputs and the residual sums.  ``CHANGES.md`` and README
+norm's backward reads (4 bytes), the pool's tap index (one byte per pooled
+output, 0.25) and the quarter-size relu map (1: ``cnn5`` pools before its
+relu, as the resnets' stems do), which relu's backward and the next conv
+read: 5.25 bytes.  The stem holds its input (the slices) instead of its conv
+output: 1.25 bytes per element, and 3.22 bytes over all five ``cnn5``
+blocks at 32x32.  Its batch-norm backward peaks at the output gradient
+plus one volume's recomputed conv output (1.17x the stem output at the
+``transfer-cnn5`` step, 2.16x with a whole-batch recompute).  The
+batch-norm output and the pooled map are freed once the next op has run,
+since no backward rule reads them (see :mod:`sliceset.tensor`); in the
+resnets so are the batch-norm outputs and the residual sums.  ``CHANGES.md`` and README
 "Memory" have the ``perfbench`` peak RSS.
 """
 
@@ -315,10 +318,12 @@ def _conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None, stride: int, padding
                     dw_t = part
                 else:
                     dw_t += part
+                del xp, part            # before the input-gradient GEMM
             if dxp is not None:
                 per_tap = np.matmul(wmat.T, dout_t).reshape(c, kh * kw, t, ow, n)
                 for m, (rows, columns) in enumerate(_taps(kh, kw, stride, t, ow, r)):
                     dxp[:, rows, columns] += per_tap[:, m]
+                del per_tap             # before the next tile's columns
         if dw_t is not None:
             kn.accumulate_grad(dw_t.T.reshape(kn.shape))
         if dxp is not None:
@@ -330,10 +335,14 @@ def _conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None, stride: int, padding
 
 
 def max_pool2d(x: Tensor, kernel: int = 2, stride: int | None = None, padding: int = 0) -> Tensor:
-    """Max over kernel x kernel windows; zero padding (intended for post-relu maps).
+    """Max over kernel x kernel windows; zero padding (post-relu maps, or maps
+    whose relu follows the pool, since zero is relu's fixed point).
 
     Ties within a window route the gradient to the first maximal element in
-    row-major window order.  A NaN in a window gives a NaN output.
+    row-major window order.  A NaN in a window gives a NaN output and routes
+    no gradient.  For backward the op keeps one index per output, that
+    first maximal tap (``uint8`` up to 255 taps), and its input's axis
+    order, not the input.
     """
     if stride is None:
         stride = kernel
@@ -358,22 +367,22 @@ def max_pool2d(x: Tensor, kernel: int = 2, stride: int | None = None, padding: i
     if not (grad_enabled() and a is not None):
         return x._make(out, (x,), None)
 
-    # First maximum in row-major window order: a tap takes the windows whose
-    # maximum no earlier tap has taken.
-    taken = np.zeros_like(out, dtype=bool)
-    masks = []
-    for view in views:
-        hit = view == out
-        hit &= ~taken
-        taken |= hit
-        masks.append(hit)
+    # The first maximal tap in row-major window order: walking the taps
+    # backwards, each tap equal to the maximum takes its windows over, by an
+    # arithmetic select (first -= (first - m) * hit).  A window no tap equals
+    # (a NaN maximum) keeps len(taps), which backward matches with no tap.
+    first = np.full_like(out, len(taps), dtype=np.min_scalar_type(len(taps)))
+    for m in range(len(taps) - 1, -1, -1):
+        d = first - m
+        d *= views[m] == out
+        first -= d
 
     order = memory_order(x.data)     # the gradient's layout; the input itself is not kept
 
     def backward_fn(o):
         dxp = zeros_in(order, (n, c, hp, wp), a.dtype)        # keeps no padded copy alive
-        for (rows, cols), hit in zip(taps, masks):
-            dxp[:, :, rows, cols] += o.grad * hit
+        for m, (rows, cols) in enumerate(taps):
+            dxp[:, :, rows, cols] += o.grad * (first == m)
         a.accumulate_grad(dxp[:, :, padding:padding + h, padding:padding + w], owned=True)
 
     return x._make(out, (x,), backward_fn)

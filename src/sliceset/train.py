@@ -35,6 +35,10 @@ from .tensor import Tensor, no_grad
 from .weights import WeightArchive
 
 OPTIMIZER_KINDS = ("adam", "sgd")
+# The optimizers run their float64 arithmetic in runs of at most this many
+# elements of a parameter, so their work arrays stay small however large the
+# parameter.
+OPTIMIZER_CHUNK = 2 ** 15
 LOSS_KINDS = ("l1", "mse", "cross_entropy")
 
 
@@ -135,14 +139,12 @@ def he_init(model: nn.Module, seed: int = 0) -> nn.Module:
 # optimizers
 # ---------------------------------------------------------------------------
 
-def _scratch(params, count: int) -> list[np.ndarray]:
-    """``count`` float64 work arrays, each as large as the largest parameter."""
-    size = max((p.size for p in params), default=0)
-    return [np.empty(size, dtype=np.float64) for _ in range(count)]
-
-
-def _view(buffer: np.ndarray, p: Tensor) -> np.ndarray:
-    return buffer[:p.size].reshape(p.shape)
+def _buffers(params, count: int) -> tuple[list[np.ndarray], np.ndarray]:
+    """``count`` float64 work arrays of one chunk each, and a byte buffer as
+    large as the largest parameter, which stages a parameter's new values."""
+    size = min(max((p.size for p in params), default=0), OPTIMIZER_CHUNK)
+    staging = np.empty(max((p.data.nbytes for p in params), default=0), dtype=np.uint8)
+    return [np.empty(size, dtype=np.float64) for _ in range(count)], staging
 
 
 def _named(parameters) -> tuple[list[str], list[Tensor]]:
@@ -161,26 +163,34 @@ def _check_gradients(names: list[str], params: list[Tensor]):
             raise TrainingDivergedError(f"non-finite gradient in parameter {name}")
 
 
-def _write_parameter(name: str, p: Tensor, value: np.ndarray):
-    """Round ``value`` to ``p``'s dtype and write it into ``p``, or raise
+def _update(name: str, p: Tensor, state: list[np.ndarray], staging: np.ndarray, new_value):
+    """Write ``p``'s new value, made ``OPTIMIZER_CHUNK`` elements at a time.
+    ``new_value(x, g, *state)`` takes runs of ``p``'s data, its gradient and
+    its ``state`` arrays (updated in place) and returns the run's float64
+    value, which is rounded to ``p``'s dtype in ``staging``.  Raise
     :class:`TrainingDivergedError` naming the parameter, without writing it,
-    when the rounded value holds a NaN or an infinity."""
+    when a rounded value is a NaN or an infinity."""
+    staged = staging[:p.data.nbytes].view(p.dtype)
+    flat = [a.reshape(-1) for a in (p.data, p.grad, *state)]
     with np.errstate(over="ignore"):
-        rounded = value.astype(p.dtype, copy=False)
-    if not np.isfinite(rounded).all():
+        for s in range(0, p.size, OPTIMIZER_CHUNK):
+            run = slice(s, s + OPTIMIZER_CHUNK)
+            staged[run] = new_value(*(a[run] for a in flat))
+    if not np.isfinite(staged).all():
         raise TrainingDivergedError(f"non-finite value for parameter {name}")
-    p.data[...] = rounded
+    p.data[...] = staged.reshape(p.shape)
 
 
 class SGD:
     """Momentum SGD; update math in float64, parameters stored float32.
 
-    The update runs in preallocated float64 buffers and is written back into
-    each parameter array in place, rounded to its dtype.  ``parameters`` are
-    tensors or (name, tensor) pairs; a non-finite gradient stops the step
-    before any parameter is written, and a new value that is non-finite in the
-    parameter's dtype stops it before that parameter is written, each with an
-    error that names the parameter.
+    The update runs through float64 work arrays ``OPTIMIZER_CHUNK`` elements
+    at a time and is written back into each parameter array in place,
+    rounded to its dtype.  ``parameters`` are tensors or (name, tensor)
+    pairs; a non-finite gradient stops the step before any parameter is
+    written, and a new value that is non-finite in the parameter's dtype
+    stops it before that parameter is written, each with an error that names
+    the parameter.
     """
 
     def __init__(self, parameters, config: OptimizerConfig):
@@ -188,7 +198,7 @@ class SGD:
         self.lr = float(config.learning_rate)
         self.momentum = float(config.momentum)
         self.velocity = [np.zeros(p.shape, dtype=np.float64) for p in self.params]
-        (self._update,) = _scratch(self.params, 1)
+        (self._work,), self._staging = _buffers(self.params, 1)
 
     def zero_grad(self):
         for p in self.params:
@@ -196,23 +206,26 @@ class SGD:
 
     def step(self):
         _check_gradients(self.names, self.params)
-        for name, p, v in zip(self.names, self.params, self.velocity):
-            if p.grad is None:
-                continue
-            update = _view(self._update, p)
+
+        def new_value(x, g, v):
+            update = self._work[:x.size]
             v *= self.momentum
-            v += p.grad
+            v += g
             np.multiply(v, self.lr, out=update)
-            np.subtract(p.data, update, out=update)
-            _write_parameter(name, p, update)
+            return np.subtract(x, update, out=update)
+
+        for name, p, v in zip(self.names, self.params, self.velocity):
+            if p.grad is not None:
+                _update(name, p, [v], self._staging, new_value)
 
 
 class Adam:
     """Adam with bias-corrected first/second moments kept in float64.
 
     Like :class:`SGD`, it takes tensors or (name, tensor) pairs, checks every
-    gradient first, updates through preallocated float64 buffers and writes
-    each parameter in place once its new value is known to be finite.
+    gradient first, updates through float64 work arrays a chunk at a time
+    and writes each parameter in place once its new value is known to be
+    finite.
     """
 
     def __init__(self, parameters, config: OptimizerConfig):
@@ -224,7 +237,7 @@ class Adam:
         self.t = 0
         self.m = [np.zeros(p.shape, dtype=np.float64) for p in self.params]
         self.v = [np.zeros(p.shape, dtype=np.float64) for p in self.params]
-        self._step, self._denom = _scratch(self.params, 2)
+        (self._step, self._denom), self._staging = _buffers(self.params, 2)
 
     def zero_grad(self):
         for p in self.params:
@@ -235,11 +248,9 @@ class Adam:
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
-        for name, p, m, v in zip(self.names, self.params, self.m, self.v):
-            if p.grad is None:
-                continue
-            g = p.grad
-            step, denom = _view(self._step, p), _view(self._denom, p)
+
+        def new_value(x, g, m, v):
+            step, denom = self._step[:x.size], self._denom[:x.size]
             m *= self.beta1
             np.multiply(g, 1.0 - self.beta1, out=step, dtype=np.float64)
             m += step
@@ -253,8 +264,11 @@ class Adam:
             denom += self.epsilon
             step *= self.lr
             step /= denom
-            np.subtract(p.data, step, out=step)
-            _write_parameter(name, p, step)
+            return np.subtract(x, step, out=step)
+
+        for name, p, m, v in zip(self.names, self.params, self.m, self.v):
+            if p.grad is not None:
+                _update(name, p, [m, v], self._staging, new_value)
 
 
 def build_optimizer(parameters, config: OptimizerConfig):

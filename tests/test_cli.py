@@ -1141,3 +1141,24 @@ def test_thread_cap_respects_existing_settings(monkeypatch):
     monkeypatch.setenv("OMP_NUM_THREADS", "8")
     _cap_threads()
     assert os.environ["OMP_NUM_THREADS"] == "8"
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "abc", "2.5", " 2"])
+def test_thread_cap_rejects_anything_but_a_positive_integer(monkeypatch, value):
+    """OpenBLAS reads 0 or a negative count as no cap at all."""
+    monkeypatch.setenv("SLICESET_THREADS", value)
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    with pytest.raises(ValueError, match=f"SLICESET_THREADS must be a positive integer, got '{value}'$"):
+        _cap_threads()
+    assert "OPENBLAS_NUM_THREADS" not in os.environ
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "abc"])
+def test_invalid_thread_cap_exits_2_before_writing(tmp_path, monkeypatch, value):
+    monkeypatch.setenv("SLICESET_THREADS", value)
+    out = tmp_path / "data"
+    code, _, err = run_cli("synth", "--out", str(out), "--count", "2",
+                           "--extents", EXTENTS, "--blob-radius", "2")
+    assert code == 2
+    assert err == f"error: SLICESET_THREADS must be a positive integer, got '{value}'\n"
+    assert not out.exists()

@@ -302,6 +302,45 @@ def test_cnn5_pooling_before_relu_matches_relu_before_pooling_bit_for_bit():
     assert step(enc) == step(relu_first)
 
 
+def test_resnet_pooling_before_relu_matches_relu_before_pooling_bit_for_bit():
+    """ResNetEncoder max-pools its stem's batch-norm output before the relu.
+    Output, the input gradient, every parameter gradient and every buffer
+    equal the relu -> pool order, bit for bit.  Slices of constant 10x10
+    patches make tied stem outputs and windows with no positive entry, and
+    the 3x3 stride-2 pool's padding reaches into every border window."""
+    enc = build_encoder(EncoderConfig(kind="resnet18", width_multiplier=0.25, min_input=8))
+    he_init(enc, seed=3)
+    rng = np.random.default_rng(16)
+    x = np.kron(rng.choice([-1.0, 0.0, 0.0, 1.0], (6, 1, 2, 2)), np.ones((10, 10))).astype(np.float32)
+    g = rng.normal(0, 1, (6, enc.embedding_dim)).astype(np.float32)
+
+    def relu_first(x):
+        y = nn.max_pool2d(nn.relu(encoders.stem(enc.conv1, enc.bn1, x)), 3, 2, padding=1)
+        for stage in range(1, 5):
+            for blk in enc._children[f"layer{stage}"]:
+                y = blk(y)
+        return nn.global_avg_pool2d(y)
+
+    def step(forward):
+        state = snapshot_state(enc)
+        enc.zero_grad()
+        xt = Tensor(x, requires_grad=True)
+        y = forward(xt)
+        (y * Tensor(g)).sum().backward()
+        got = ([y.numpy().tobytes(), xt.grad.tobytes()] + [p.grad.tobytes() for p in enc.parameters()]
+               + [b.tobytes() for _, b in enc.named_buffers()])
+        nn.load_state(enc, state)
+        return got
+
+    state = snapshot_state(enc)
+    with no_grad():
+        stem_out = encoders.stem(enc.conv1, enc.bn1, Tensor(x)).numpy()
+    nn.load_state(enc, state)
+    windows = nn.max_pool2d(Tensor(stem_out), 3, 2, padding=1).numpy()
+    assert (windows < 0).any() and np.unique(stem_out).size < stem_out.size // 2
+    assert step(enc) == step(relu_first)
+
+
 @pytest.mark.parametrize("frozen", [False, True], ids=["training", "frozen-stats"])
 @pytest.mark.parametrize("kind", ["cnn5", "resnet18"])
 def test_stem_recompute_matches_keeping_the_conv_output_bit_for_bit(monkeypatch, kind, frozen):

@@ -99,7 +99,9 @@ def max_pool_loop_oracle(x, kernel, stride, padding):
 
 
 def max_pool_grad_loop_oracle(x, g, kernel, stride, padding):
-    """Route each output gradient to its window's first maximum in row-major order."""
+    """Route each output gradient to its window's first maximum in row-major
+    order.  A window holding a NaN has a NaN maximum, which no element
+    equals: it routes nothing."""
     n, c, h, w = x.shape
     xp = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
     xp[:, :, padding:padding + h, padding:padding + w] = x
@@ -108,6 +110,10 @@ def max_pool_grad_loop_oracle(x, g, kernel, stride, padding):
         for ci in range(c):
             for oi in range(g.shape[2]):
                 for oj in range(g.shape[3]):
+                    window = xp[ni, ci, oi * stride:oi * stride + kernel,
+                                oj * stride:oj * stride + kernel]
+                    if np.isnan(window).any():
+                        continue
                     best, at = None, None
                     for ki in range(kernel):
                         for kj in range(kernel):
@@ -391,6 +397,51 @@ def test_max_pool2d_nan_input_gives_nan_output():
     assert np.isnan(y.sum().item())
 
 
+def test_max_pool2d_nan_at_a_windows_first_tap_routes_no_gradient_to_it():
+    """A window whose maximum is NaN matches no tap, so its "no tap" index
+    must not be the first tap's."""
+    x = np.abs(np.random.default_rng(4).standard_normal((2, 2, 6, 6))) + 0.1
+    x[0, 0, 0, 0] = np.nan          # first tap of the first window
+    x[1, 1, 2, 2] = np.nan          # first tap of a middle window
+    y, grad, want = _pool_grad_case(x, 2, 2, 0)
+    np.testing.assert_array_equal(y, max_pool_loop_oracle(x, 2, 2, 0))
+    np.testing.assert_array_equal(grad, want)
+    assert not grad[0, 0, :2, :2].any() and not grad[1, 1, 2:4, 2:4].any()
+    assert np.count_nonzero(grad) == y.size - 2
+
+
+def test_max_pool2d_kernel_16_indexes_more_taps_than_a_byte_holds():
+    """256 taps per window: first maxima at taps 0, 200, 254, 255 and past
+    them, on overlapping windows, agree with the loop oracles."""
+    rng = np.random.default_rng(5)
+    x = rng.integers(0, 4, (1, 2, 40, 36)).astype(np.float64)
+    x[0, 0, :16, :16] = 9.0                  # a tie over the whole window: tap 0
+    x[0, 1, 12, 8] = x[0, 1, 15, 14] = 9.0   # taps 200 and 254 of window (0, 0)
+    x[0, 1, 15, 15] = 10.0                   # tap 255 of window (0, 0)
+    x[0, 1, 39, 35] = 11.0                   # the last tap of the last window
+    y, grad, want = _pool_grad_case(x, 16, 4, 0)
+    np.testing.assert_array_equal(y, max_pool_loop_oracle(x, 16, 4, 0))
+    np.testing.assert_allclose(grad, want, rtol=1e-12, atol=0)
+    assert grad[0, 1, 15, 15] != 0 and grad[0, 1, 39, 35] != 0
+
+
+def test_max_pool2d_keeps_one_byte_per_pooled_output():
+    """A training forward on a (128, 32, 32, 32) batch-innermost input holds
+    its output and one tap index per pooled output for backward (boolean
+    masks, one per tap, held 4 bytes)."""
+    data = np.empty((32, 32, 32, 128), dtype=np.float32).transpose(3, 0, 1, 2)
+    data[...] = np.random.default_rng(6).standard_normal(data.shape, dtype=np.float32)
+    x = Tensor(data, requires_grad=True)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        y = nn.max_pool2d(x, 2, 2)
+        held = tracemalloc.get_traced_memory()[0] - base - y.data.nbytes
+    finally:
+        tracemalloc.stop()
+    assert held <= 1.1 * y.data.size, held / y.data.size
+
+
 def test_global_avg_pool2d_values_and_gradient():
     x = t64(np.arange(8, dtype=np.float64).reshape(1, 2, 2, 2), requires_grad=True)
     y = nn.global_avg_pool2d(x)
@@ -516,6 +567,39 @@ def test_relu_after_max_pool_matches_relu_before_it():
     y_want, dx_want = run(pool_first=False)
     assert y.tobytes() == y_want.tobytes()
     np.testing.assert_array_equal(dx, dx_want)
+
+
+def test_relu_after_padded_max_pool_matches_relu_before_it():
+    """The resnet stem's 3x3 stride-2 pool with zero padding 1, before its
+    relu: output bits and input-gradient values equal relu then pool, on
+    border windows that reach into the padding, all-negative windows (whose
+    maximum is a padding zero or a negative), ties and ±0.0, in the loop
+    oracles' order too."""
+    rng = np.random.default_rng(1)
+    values = np.array([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0], dtype=np.float32)
+    x = rng.choice(values, size=(3, 2, 8, 9))
+    x[0, 0, :3, :] = -1.0                          # border windows with no positive entry
+    x[0, 1, 2:5, 2:5] = -2.0                       # an inner window with no positive entry
+    x[1, 0, :4, :4] = np.tile([[-0.0, 0.0], [0.0, -0.0]], (2, 2))
+    x[2, 0, 1:4, 1:4] = 2.0                        # ties at a positive maximum
+    g = rng.standard_normal((3, 2, 4, 5)).astype(np.float32)
+
+    def run(pool_first):
+        xt = Tensor(x, requires_grad=True)
+        if pool_first:
+            y = nn.relu(nn.max_pool2d(xt, 3, 2, padding=1))
+        else:
+            y = nn.max_pool2d(nn.relu(xt), 3, 2, padding=1)
+        (y * Tensor(g)).sum().backward()
+        return y.numpy(), xt.grad
+
+    y, dx = run(pool_first=True)
+    y_want, dx_want = run(pool_first=False)
+    relu_x = np.maximum(x, 0)
+    assert y.tobytes() == y_want.tobytes()
+    np.testing.assert_array_equal(y, max_pool_loop_oracle(relu_x, 3, 2, 1))
+    np.testing.assert_array_equal(dx, dx_want)
+    np.testing.assert_array_equal(dx, max_pool_grad_loop_oracle(relu_x, g, 3, 2, 1) * (x > 0))
 
 
 # ---------------------------------------------------------------------------
