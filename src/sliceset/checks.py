@@ -25,7 +25,7 @@ import numpy as np
 
 from . import nn
 from .data import Volume
-from .encoders import EncoderConfig, stem
+from .encoders import EncoderConfig
 from .metrics import average_precision, balanced_accuracy, f1, mae, rmse
 from .model import (
     AGGREGATOR_KINDS,
@@ -169,18 +169,42 @@ def _batch_norm_case(training):
     return build
 
 
-def _stem_case(frozen):
-    """The encoders' stem, whose batch norm recomputes the conv in backward:
-    per-group moments in training mode, or frozen running statistics."""
+def _pool_margin(y, pool, stride, padding):
+    """The smallest gap, over the max-pool windows of ``y``, between a
+    window's two largest entries, counting zero (relu's kink, and the value
+    of any padding) as an entry of every window."""
+    top, bottom, left, right = (padding,) * 4 if isinstance(padding, int) else padding
+    yp = np.pad(y, ((0, 0), (0, 0), (top, bottom), (left, right)), constant_values=-np.inf)
+    oh, ow = (yp.shape[2] - pool) // stride + 1, (yp.shape[3] - pool) // stride + 1
+    taps = [yp[:, :, rows, cols] for rows, cols in nn._taps(pool, pool, stride, oh, ow)]
+    ranked = np.sort(np.stack(taps + [np.zeros_like(taps[0])]), axis=0)
+    return float((ranked[-1] - ranked[-2]).min())
+
+
+def _stem_case(frozen, pool=2, stride=2, padding=(0, 1, 0, 1), conv_stride=1, extent=5):
+    """The encoders' stem op, conv -> batch norm -> max pool -> relu, whose
+    backward recomputes the conv one group at a time: per-group moments in
+    training mode, or frozen running statistics.  The default pool is
+    cnn5's, with the odd map padded to even.  Inputs are drawn again until
+    every pool window's maximum stands 0.02 clear of its runner-up and of
+    relu's kink, so no finite-difference step crosses either."""
     def build(rng):
-        conv, bn = nn.Conv2d(1, 3, 3, padding=1), _f64(nn.BatchNorm2d(3))
-        x, conv.weight, bn.weight = _t(rng, 4, 1, 5, 5), _t(rng, 3, 1, 3, 3), _t(rng, 3, scale=0.5)
-        bn.weight.data = bn.weight.data + 1.0
+        conv = nn.Conv2d(1, 3, 3, stride=conv_stride, padding=1)
+        bn = _f64(nn.BatchNorm2d(3))
         bn.freeze_stats, bn.group_size = frozen, 2
-        bn.running_mean[...], bn.running_var[...] = rng.normal(0, 0.3, 3), 1.0 + rng.uniform(0, 0.5, 3)
+        margin = 0.0
+        while margin < 0.02:
+            x, conv.weight, bn.weight = (_t(rng, 4, 1, extent, extent), _t(rng, 3, 1, 3, 3),
+                                         _t(rng, 3, scale=0.5))
+            bn.weight.data = bn.weight.data + 1.0
+            bn.running_mean[...], bn.running_var[...] = rng.normal(0, 0.3, 3), 1.0 + rng.uniform(0, 0.5, 3)
+            with no_grad():
+                y = nn.batch_norm2d(conv(x), bn.weight, bn.bias, bn.running_mean.copy(),
+                                    bn.running_var.copy(), not frozen, groups=bn.groups(4))
+            margin = _pool_margin(y.data, pool, stride, padding)
 
         def op(x, *_):          # the modules read their own parameters
-            return stem(conv, bn, x)
+            return nn.conv_bn_pool_relu(x, conv, bn, pool, stride, padding)
         return _signed_sum(rng, op, x, conv.weight, bn.weight, bn.bias)
     return build
 
@@ -244,6 +268,8 @@ _OP_CASES = [
     ("pow", lambda rng: _signed_sum(rng, lambda x: x ** 3, _t(rng, 3, 4, kink_safe=True))),
     ("stem.train", _stem_case(frozen=False)),
     ("stem.frozen_stats", _stem_case(frozen=True)),
+    ("stem.resnet_pool", _stem_case(frozen=False, pool=3, stride=2, padding=1, conv_stride=2,
+                                    extent=7)),
 ]
 
 

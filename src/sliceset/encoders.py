@@ -11,6 +11,13 @@ to it (centered) when ``pad_to_min`` is set, otherwise rejected.  Odd
 intermediate extents are zero-padded to even before each pooling stage, so
 any padded input size is safe.
 
+Each encoder's stem, its first conv, batch norm, max pool and relu, whose
+input is the slices themselves, runs as one op,
+:func:`~sliceset.nn.conv_bn_pool_relu`: one volume at a time in slice-set
+training, where batch norm takes one volume's moments, and on the whole
+batch otherwise.  It keeps the slices and the pool's tap index, not the
+conv output, and recomputes that in backward.
+
 Residual-network parameter names mirror the usual torchvision layout
 (``conv1.weight``, ``layer1.0.bn2.running_mean``, ``layer2.0.downsample.0.weight``)
 so externally converted pretrained weights can target them by name.
@@ -29,7 +36,7 @@ from .nn import (
     Conv2d,
     Module,
     ModuleList,
-    _conv2d,
+    conv_bn_pool_relu,
     global_avg_pool2d,
     max_pool2d,
     pad2d,
@@ -85,40 +92,9 @@ def prepare_slices(x: Tensor, min_input: int, pad_to_min: bool) -> Tensor:
     return pad2d(x, (ph // 2, ph - ph // 2, pw // 2, pw - pw // 2))
 
 
-def stem(conv: Conv2d, bn: BatchNorm2d, x: Tensor) -> Tensor:
-    """An encoder's first, bias-free conv and its batch norm, the pair whose
-    input is the slices themselves.  Batch norm writes its output over the
-    conv output, and its backward rule runs the conv again on the same input
-    and kernel arrays (``recompute`` in :func:`~sliceset.nn.batch_norm2d`),
-    in training mode and with frozen statistics alike.  So the graph keeps
-    ``x``, which the conv's own backward reads anyway, and not the conv
-    output (32x the 1-channel slices at ``cnn5`` width 1).
-
-    With several groups in training mode (``bn.groups(n)`` > 1: one per
-    volume in a slice-set model) the conv's forward runs one volume at a
-    time (``runs`` of ``nn._conv2d``), and batch norm's backward recomputes
-    one volume at a time with the same call and writes that volume's input
-    gradient over the output gradient: it holds one volume's conv output at
-    a time instead of the whole batch's.  Frozen statistics and one-group
-    batches (pretraining, predict) run the module's conv and recompute the
-    whole batch.  Either way the recomputed output has the forward's bits,
-    and so do the gradients; the conv's own backward, and with it the
-    kernel gradient, stays one whole-batch pass."""
-    xd, kd = x.data, conv.weight.data
-    stride, padding = conv.stride, conv.padding
-
-    def recompute(samples):
-        return _conv2d(Tensor(xd[samples], dtype=xd.dtype), Tensor(kd, dtype=kd.dtype),
-                       None, stride, padding).data
-
-    groups = bn.groups(x.shape[0])
-    out = conv(x) if groups == 1 else _conv2d(x, conv.weight, None, stride, padding, groups)
-    return bn(out, recompute=recompute)
-
-
 class _ConvBlock(Module):
     """conv 3x3 -> batch norm, which centres the conv output in place (relu
-    applied by the caller); ``block1`` runs as the :func:`stem`."""
+    applied by the caller); ``block1`` runs as the stem op instead."""
 
     def __init__(self, in_ch: int, out_ch: int):
         super().__init__()
@@ -133,8 +109,8 @@ class CNN5Encoder(Module):
     """Five blocks of [3x3 conv, batch norm, relu, 2x2 max pool], then GAP.
 
     Channel progression 32-64-128-256-32 at full width; the final channel
-    count is the embedding dimension.  ``block1``, whose input is the
-    slices, is the :func:`stem`.
+    count is the embedding dimension.  ``block1`` with its pool and relu
+    is the stem op.
     """
 
     def __init__(self, config: EncoderConfig):
@@ -149,13 +125,14 @@ class CNN5Encoder(Module):
 
     def __call__(self, x: Tensor) -> Tensor:
         x = prepare_slices(x, self.config.min_input, self.config.pad_to_min)
-        for i in range(1, 6):
-            block = self._children[f"block{i}"]
-            x = stem(block.conv, block.bn, x) if i == 1 else block(x)
-            # relu after the pool: relu and max commute, and the zero padding
-            # is relu's fixed point, so values match relu-then-pool exactly
-            # while relu works on a quarter of the map.
-            x = relu(max_pool2d(_pad_to_even(x), 2, 2))
+        # relu after the pool: relu and max commute, and the zero padding is
+        # relu's fixed point, so values match relu-then-pool exactly while
+        # relu works on a quarter of the map.  The stem's 3x3 conv keeps the
+        # slices' extent, which its pool pads to even.
+        h, w = x.shape[2], x.shape[3]
+        x = conv_bn_pool_relu(x, self.block1.conv, self.block1.bn, 2, 2, (0, h % 2, 0, w % 2))
+        for i in range(2, 6):
+            x = relu(max_pool2d(_pad_to_even(self._children[f"block{i}"](x)), 2, 2))
         return global_avg_pool2d(x)
 
 
@@ -198,9 +175,10 @@ class ResNetEncoder(Module):
     """Residual network trunk without a classification head.
 
     resnet18 uses basic blocks [2, 2, 2, 2]; resnet50 bottlenecks
-    [3, 4, 6, 3].  ``conv1`` and ``bn1`` are the :func:`stem`, whose output
-    is max-pooled before its relu, so relu keeps a quarter-size map.  The
-    embedding is the global average pool of the final stage.
+    [3, 4, 6, 3].  ``conv1``, ``bn1``, the 3x3 stride-2 max pool and relu
+    are the stem, one op (:func:`~sliceset.nn.conv_bn_pool_relu`) that
+    pools before its relu, so relu keeps a quarter-size map.  The embedding
+    is the global average pool of the final stage.
     """
 
     def __init__(self, config: EncoderConfig):
@@ -227,7 +205,7 @@ class ResNetEncoder(Module):
         x = prepare_slices(x, self.config.min_input, self.config.pad_to_min)
         # relu after the pool, as in CNN5Encoder: the pool's zero padding is
         # relu's fixed point too.
-        x = relu(max_pool2d(stem(self.conv1, self.bn1, x), 3, 2, padding=1))
+        x = conv_bn_pool_relu(x, self.conv1, self.bn1, 3, 2, padding=1)
         for stage in range(1, 5):
             for blk in self._children[f"layer{stage}"]:
                 x = blk(x)

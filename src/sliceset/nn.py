@@ -71,33 +71,39 @@ with ``overwrite_input`` its backward centres the conv output in place for
 the norm layers and losses accumulate in 64-bit and store results in
 32-bit.
 
-An encoder's stem (``recompute``) goes further: batch norm writes its
-output over the centred buffer and keeps nothing of the conv output's size;
-backward runs the conv again on the same input and kernel arrays and
-centres the result with the saved means, so it sees the forward's bits.
-With several groups in training mode the stem's conv makes its forward one
-group at a time (``runs`` of the private ``_conv2d``, which keeps
-:func:`conv2d`'s signature for callers that wrap it), and batch norm's
-backward recomputes one group at a time with the same call.  It computes
-that group's input gradient in the recomputed buffer and copies it over the
-group's columns of the output gradient, so beside the output gradient it
-holds one volume's conv output, not the batch's.  The conv's own backward,
-which makes the kernel gradient, stays one whole-batch pass.
+An encoder's stem, conv -> batch norm -> max pool -> relu over the slices
+themselves, is one op, :func:`conv_bn_pool_relu`, that runs both passes
+one batch-norm group at a time: one volume's slices in slice-set training,
+the whole batch in 2D pretraining, with frozen statistics and in eval.
+Forward normalizes each group's conv output in its own buffer, pools it
+into the batch's output and drops it; the rule keeps the slices, each
+group's moments and the pool's tap index.  Backward routes a group's
+output gradient through relu and the pool into a group-sized buffer, runs
+the group's conv again (the forward's bits), applies batch norm's backward
+in the recomputed buffer and adds the group's kernel gradient with conv's
+own tile loop.  So no array of the stem's conv-output size outlives one
+volume in training; the kernel gradient is then a float32 sum of
+per-volume products, and everything else keeps the separate ops' bits.
+Batch norm's and max pool's arithmetic lives in helpers that the generic
+ops and the stem share, and the stem's conv goes through :func:`conv2d`.
 
 What a training step holds until backward reaches it, per conv-output
 element of a ``cnn5`` block: the conv output, centred in place, which batch
 norm's backward reads (4 bytes), the pool's tap index (one byte per pooled
 output, 0.25) and the quarter-size relu map (1: ``cnn5`` pools before its
 relu, as the resnets' stems do), which relu's backward and the next conv
-read: 5.25 bytes.  The stem holds its input (the slices) instead of its conv
-output: 1.25 bytes per element, and 3.22 bytes over all five ``cnn5``
-blocks at 32x32.  Its batch-norm backward peaks at the output gradient
-plus one volume's recomputed conv output (1.17x the stem output at the
-``transfer-cnn5`` step, 2.16x with a whole-batch recompute).  The
-batch-norm output and the pooled map are freed once the next op has run,
-since no backward rule reads them (see :mod:`sliceset.tensor`); in the
-resnets so are the batch-norm outputs and the residual sums.  ``CHANGES.md`` and README
-"Memory" have the ``perfbench`` peak RSS.
+read: 5.25 bytes.  The stem holds the slices and its tap index instead of
+its conv output, and its quarter-size output is the next conv's input: 3.21
+bytes per element over all five ``cnn5`` blocks at 32x32.  The stem's
+backward rule peaks 4.9 MB above its 4.2 MB output gradient at the
+``transfer-cnn5`` step, a volume's padded gradient and recomputed conv
+output, the same for 2 or 8 volumes (0.54x the 16.8 MB conv output with
+the output gradient; 1.17x when batch norm recomputed one volume at a time
+beside a conv-output-sized gradient, 2.16x with a whole-batch recompute).
+The batch-norm output and the pooled map are freed once the next op has
+run, since no backward rule reads them (see :mod:`sliceset.tensor`); in
+the resnets so are the batch-norm outputs and the residual sums.
+``CHANGES.md`` and README "Memory" have the ``perfbench`` peak RSS.
 """
 
 from __future__ import annotations
@@ -216,6 +222,62 @@ def _taps(kh: int, kw: int, stride: int, oh: int, ow: int, first_row: int = 0):
             for i in range(kh) for j in range(kw)]
 
 
+def _padded_rows(xt: np.ndarray, top: int, bottom: int, padding: int) -> np.ndarray:
+    """Rows ``top:bottom`` of the zero-padded (C, Hp, Wp, N) copy of the
+    batch-innermost input ``xt``; a view of it when nothing is padded."""
+    if not padding:
+        return xt[:, top:bottom]
+    c, h, w, n = xt.shape
+    xp = np.zeros((c, bottom - top, w + 2 * padding, n), dtype=xt.dtype)
+    lo, hi = max(top, padding), min(bottom, padding + h)
+    if lo < hi:
+        xp[:, lo - top:hi - top, padding:padding + w] = xt[:, lo - padding:hi - padding]
+    return xp
+
+
+def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, rows: int, ow: int) -> np.ndarray:
+    """Columns of ``rows`` output rows from ``xp``, the padded input from the
+    first row they read; copies unless 1x1, stride 1 and unpadded."""
+    c, n = xp.shape[0], xp.shape[3]
+    sc, sh, sw, sn = xp.strides
+    windows = as_strided(xp, shape=(c, kh, kw, rows, ow, n),
+                         strides=(sc, sh, sw, sh * stride, sw * stride, sn), writeable=False)
+    return windows.reshape(c * kh * kw, -1)
+
+
+def _conv_backward(xt: np.ndarray, wmat: np.ndarray, dout: np.ndarray, kh: int, kw: int,
+                   stride: int, padding: int, kernel_grad: bool, input_grad: bool):
+    """dW.T, (C*kh*kw, F), and the zero-padded (C, Hp, Wp, N) input gradient
+    of the (F, oh*ow*N) output gradient ``dout``, each None unless asked;
+    both are built row tile by row tile, see the module docstring."""
+    c, h, w, n = xt.shape
+    ow = (w + 2 * padding - kw) // stride + 1
+    row_len = ow * n
+    oh = dout.shape[1] // row_len
+    tile_rows = max(1, CONV_TILE_BYTES // (wmat.shape[1] * row_len * xt.itemsize))
+    dw_t = None
+    dxp = np.zeros((c, h + 2 * padding, w + 2 * padding, n), dtype=dout.dtype) if input_grad else None
+    for r in range(0, oh, tile_rows):
+        t = min(tile_rows, oh - r)
+        dout_t = dout[:, r * row_len:(r + t) * row_len]
+        if kernel_grad:
+            # cols @ dout.T, transposed once at the end, measured 14-23 %
+            # faster than dout @ cols.T over the cnn5 layers.
+            xp = _padded_rows(xt, stride * r, stride * (r + t - 1) + kh, padding)   # this tile's rows
+            part = np.matmul(_im2col(xp, kh, kw, stride, t, ow), dout_t.T)
+            if dw_t is None:
+                dw_t = part
+            else:
+                dw_t += part
+            del xp, part            # before the input-gradient GEMM
+        if input_grad:
+            per_tap = np.matmul(wmat.T, dout_t).reshape(c, kh * kw, t, ow, n)
+            for m, (rows, columns) in enumerate(_taps(kh, kw, stride, t, ow, r)):
+                dxp[:, rows, columns] += per_tap[:, m]
+            del per_tap             # before the next tile's columns
+    return dw_t, dxp
+
+
 def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
            stride: int = 1, padding: int = 0) -> Tensor:
     """2-D cross-correlation of (N, C, H, W) input with an (F, C, kh, kw) kernel.
@@ -224,15 +286,6 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
     for W).  Internally GEMMs over row tiles of a batch-innermost column
     matrix; see the module docstring.
     """
-    return _conv2d(x, kernel, bias, stride, padding)
-
-
-def _conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None, stride: int, padding: int,
-            runs: int = 1) -> Tensor:
-    """:func:`conv2d`, whose forward pass, not its backward, ``runs`` splits
-    into that many equal runs of consecutive samples, each computed exactly
-    as a call of its own would compute it (the encoders' stem, see
-    :func:`batch_norm2d`)."""
     if x.ndim != 4 or kernel.ndim != 4:
         raise ValueError(f"conv2d expects 4-D input and kernel, got {x.shape} and {kernel.shape}")
     n, c, h, w = x.shape
@@ -250,80 +303,29 @@ def _conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None, stride: int, padding
     ow = (wp - kw) // stride + 1
 
     xt = x.data.transpose(1, 2, 3, 0)                    # (C, H, W, N)
-
-    def padded(xt, top, bottom):
-        """Rows ``top:bottom`` of the zero-padded (C, Hp, Wp, N') copy of the
-        batch-innermost input ``xt``; a view of it when nothing is padded."""
-        if not padding:
-            return xt[:, top:bottom]
-        xp = np.zeros((c, bottom - top, wp, xt.shape[3]), dtype=xt.dtype)
-        lo, hi = max(top, padding), min(bottom, padding + h)
-        if lo < hi:
-            xp[:, lo - top:hi - top, padding:padding + w] = xt[:, lo - padding:hi - padding]
-        return xp
-
-    def im2col(xp, t):
-        """Columns of ``t`` output rows from ``xp``, the padded input from the
-        first row they read; copies unless 1x1, stride 1 and unpadded."""
-        sc, sh, sw, sn = xp.strides
-        windows = as_strided(xp, shape=(c, kh, kw, t, ow, xp.shape[3]),
-                             strides=(sc, sh, sw, sh * stride, sw * stride, sn), writeable=False)
-        return windows.reshape(c * kh * kw, -1)
-
-    def forward(xt):
-        """The (F, oh*ow*N') output of the batch-innermost (C, H, W, N') input."""
-        row_len = ow * xt.shape[3]                       # output columns per output row
-        tile_rows = max(1, CONV_TILE_BYTES // (c * kh * kw * row_len * xt.itemsize))
-        xp = padded(xt, 0, hp)                           # not kept for backward
-        if tile_rows >= oh:
-            return np.matmul(wmat, im2col(xp, oh))
+    wmat = kernel.data.reshape(f, c * kh * kw)
+    row_len = ow * n                                     # output columns per output row
+    tile_rows = max(1, CONV_TILE_BYTES // (c * kh * kw * row_len * xt.itemsize))
+    xp = _padded_rows(xt, 0, hp, padding)                # not kept for backward
+    if tile_rows >= oh:
+        out = np.matmul(wmat, _im2col(xp, kh, kw, stride, oh, ow))   # (F, oh*ow*N)
+    else:
         out = np.empty((f, oh * row_len), dtype=np.result_type(wmat, xt))
         for r in range(0, oh, tile_rows):
             t = min(tile_rows, oh - r)
-            np.matmul(wmat, im2col(xp[:, stride * r:], t),
+            np.matmul(wmat, _im2col(xp[:, stride * r:], kh, kw, stride, t, ow),
                       out=out[:, r * row_len:(r + t) * row_len])
-        return out
-
-    wmat = kernel.data.reshape(f, c * kh * kw)
-    if runs == 1:
-        out = forward(xt)                                # (F, oh*ow*N)
-    else:
-        k = n // runs
-        out = np.empty((f, oh, ow, n), dtype=np.result_type(wmat, xt))
-        for s in range(0, n, k):
-            out[..., s:s + k] = forward(xt[..., s:s + k]).reshape(f, oh, ow, k)
-        out = out.reshape(f, oh * ow * n)
-    row_len = ow * n
-    tile_rows = max(1, CONV_TILE_BYTES // (c * kh * kw * row_len * xt.itemsize))
     if bias is not None:
         out += bias.data[:, None]
     out = out.reshape(f, oh, ow, n).transpose(3, 0, 1, 2)
     xn, kn, bn = x.node, kernel.node, bias.node if bias is not None else None
 
     def backward_fn(o):
-        dout = o.grad.transpose(1, 2, 3, 0).reshape(f, oh * row_len)
+        dout = o.grad.transpose(1, 2, 3, 0).reshape(f, oh * ow * n)
         if bn is not None:
             bn.accumulate_grad(dout.sum(axis=1, dtype=np.float64).astype(bn.dtype))
-        dw_t = None                                      # dW.T, (C*kh*kw, F)
-        dxp = np.zeros((c, hp, wp, n), dtype=dout.dtype) if xn is not None else None
-        for r in range(0, oh, tile_rows):
-            t = min(tile_rows, oh - r)
-            dout_t = dout[:, r * row_len:(r + t) * row_len]
-            if kn is not None:
-                # cols @ dout.T, transposed once at the end, measured 14-23 %
-                # faster than dout @ cols.T over the cnn5 layers.
-                xp = padded(xt, stride * r, stride * (r + t - 1) + kh)   # this tile's rows
-                part = np.matmul(im2col(xp, t), dout_t.T)
-                if dw_t is None:
-                    dw_t = part
-                else:
-                    dw_t += part
-                del xp, part            # before the input-gradient GEMM
-            if dxp is not None:
-                per_tap = np.matmul(wmat.T, dout_t).reshape(c, kh * kw, t, ow, n)
-                for m, (rows, columns) in enumerate(_taps(kh, kw, stride, t, ow, r)):
-                    dxp[:, rows, columns] += per_tap[:, m]
-                del per_tap             # before the next tile's columns
+        dw_t, dxp = _conv_backward(xt, wmat, dout, kh, kw, stride, padding,
+                                   kn is not None, xn is not None)
         if dw_t is not None:
             kn.accumulate_grad(dw_t.T.reshape(kn.shape))
         if dxp is not None:
@@ -332,6 +334,35 @@ def _conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None, stride: int, padding
 
     parents = (x, kernel) if bias is None else (x, kernel, bias)
     return x._make(out, parents, backward_fn)
+
+
+def _max_pool(xp: np.ndarray, kernel: int, stride: int, out: np.ndarray,
+              first: np.ndarray | None = None):
+    """Max over the kernel x kernel windows of the padded (N, C, Hp, Wp) map
+    ``xp``, written to ``out``, and, when ``first`` is given, the index of
+    each window's first maximal tap in row-major order written to it: walking
+    the taps backwards, each tap equal to the maximum takes its windows over,
+    by an arithmetic select (first -= (first - m) * hit).  A window no tap
+    equals (a NaN maximum) keeps the tap count, which matches no tap."""
+    taps = _taps(kernel, kernel, stride, out.shape[2], out.shape[3])
+    views = [xp[:, :, rows, cols] for rows, cols in taps]
+    np.copyto(out, views[0])
+    for view in views[1:]:
+        np.maximum(out, view, out=out)
+    if first is not None:
+        first[...] = len(taps)
+        for m in range(len(taps) - 1, -1, -1):
+            d = first - m
+            d *= views[m] == out
+            first -= d
+
+
+def _max_pool_backward(g: np.ndarray, first: np.ndarray, kernel: int, stride: int,
+                       dxp: np.ndarray):
+    """Adds the output gradient ``g`` into ``dxp``, the padded input's
+    gradient, at each window's first maximal tap, one tap at a time."""
+    for m, (rows, cols) in enumerate(_taps(kernel, kernel, stride, g.shape[2], g.shape[3])):
+        dxp[:, :, rows, cols] += g * (first == m)
 
 
 def max_pool2d(x: Tensor, kernel: int = 2, stride: int | None = None, padding: int = 0) -> Tensor:
@@ -357,32 +388,19 @@ def max_pool2d(x: Tensor, kernel: int = 2, stride: int | None = None, padding: i
         xp = x.data
     oh = (hp - kernel) // stride + 1
     ow = (wp - kernel) // stride + 1
-    taps = _taps(kernel, kernel, stride, oh, ow)
-    views = [xp[:, :, rows, cols] for rows, cols in taps]
-    out = views[0].copy(order="K")                          # keeps the input's memory layout
-    for view in views[1:]:
-        np.maximum(out, view, out=out)
-
+    out = np.empty_like(xp[:, :, :oh, :ow])                 # keeps the input's memory layout
     a = x.node
     if not (grad_enabled() and a is not None):
+        _max_pool(xp, kernel, stride, out)
         return x._make(out, (x,), None)
 
-    # The first maximal tap in row-major window order: walking the taps
-    # backwards, each tap equal to the maximum takes its windows over, by an
-    # arithmetic select (first -= (first - m) * hit).  A window no tap equals
-    # (a NaN maximum) keeps len(taps), which backward matches with no tap.
-    first = np.full_like(out, len(taps), dtype=np.min_scalar_type(len(taps)))
-    for m in range(len(taps) - 1, -1, -1):
-        d = first - m
-        d *= views[m] == out
-        first -= d
-
+    first = np.empty_like(out, dtype=np.min_scalar_type(kernel * kernel))
+    _max_pool(xp, kernel, stride, out, first)
     order = memory_order(x.data)     # the gradient's layout; the input itself is not kept
 
     def backward_fn(o):
         dxp = zeros_in(order, (n, c, hp, wp), a.dtype)        # keeps no padded copy alive
-        for m, (rows, cols) in enumerate(taps):
-            dxp[:, :, rows, cols] += o.grad * (first == m)
+        _max_pool_backward(o.grad, first, kernel, stride, dxp)
         a.accumulate_grad(dxp[:, :, padding:padding + h, padding:padding + w], owned=True)
 
     return x._make(out, (x,), backward_fn)
@@ -401,10 +419,108 @@ def global_avg_pool2d(x: Tensor) -> Tensor:
     return x._make(data, (x,), backward_fn)
 
 
+def _per_group(a: np.ndarray, k: int) -> np.ndarray:
+    """(C, N) per-sample values -> (C, N/k) sums over each group of k samples."""
+    return a.reshape(a.shape[0], -1, k).sum(axis=2)
+
+
+def _per_sample(a: np.ndarray, k: int, dtype) -> np.ndarray:
+    """(C, G) per-group values -> (C, 1, G*k), to scale the (C, H*W, N) maps;
+    (C, 1, 1) for one group, which numpy broadcasts over whole channels."""
+    a = a.astype(dtype)
+    return a[:, :, None] if a.shape[1] == 1 else np.repeat(a, k, axis=1)[:, None, :]
+
+
+def _spatial_sums(a: np.ndarray) -> np.ndarray:
+    """(C, N) float64 sums of the (C, H*W, N) maps ``a`` over the spatial
+    axis, each a sequential sum.  einsum adds in ``sum(axis=1)``'s order
+    and measured 2x faster on one volume's 16 slices; for one sample
+    ``sum`` adds pairwise instead, and that is kept."""
+    if a.shape[2] == 1:
+        return a.sum(axis=1, dtype=np.float64)
+    return np.einsum("cpn->cn", a, dtype=np.float64)
+
+
+def _bn_moments(xt: np.ndarray, k: int, out: np.ndarray | None = None):
+    """Per-group mean and (biased) variance, each (C, N/k) in float64, of the
+    (C, H*W, N) maps ``xt`` in groups of ``k`` consecutive samples, and the
+    maps centred by their group's mean, written to ``out`` when given.
+    Each sum runs over the spatial axis first, then over the group's
+    samples; reducing the (C, H*W, G, K) view in one call measured 2.5x
+    slower (C=32, 32x32, N=128)."""
+    count = k * xt.shape[1]
+    mean = _per_group(_spatial_sums(xt), k) / count
+    centred = np.subtract(xt, _per_sample(mean, k, xt.dtype), out=out)
+    var = _per_group(np.einsum("cpn,cpn->cn", centred, centred, dtype=np.float64), k) / count
+    return mean, var, centred
+
+
+def _bn_update_running(running_mean: np.ndarray, running_var: np.ndarray, mean: np.ndarray,
+                       var: np.ndarray, count: int, momentum: float):
+    """One running-statistics update per group (a column of ``mean`` and
+    ``var``), in order; the variance enters unbiased."""
+    with np.errstate(invalid="ignore"):
+        unbiased = var * count / max(count - 1, 1)
+    for g in range(mean.shape[1]):
+        running_mean *= 1.0 - momentum
+        running_mean += momentum * mean[:, g].astype(running_mean.dtype)
+        running_var *= 1.0 - momentum
+        running_var += momentum * unbiased[:, g].astype(running_var.dtype)
+
+
+def _bn_backward(dy: np.ndarray, centred: np.ndarray, k: int, inv_std: np.ndarray,
+                 scale: np.ndarray, input_grad: bool):
+    """Per-group Σdy and Σdy·xhat, (C, N/k) each, of training-mode batch norm
+    from the (C, H*W, N) output gradient ``dy`` and centred input; with
+    ``input_grad`` the input gradient is written over ``centred``.  xhat =
+    centred * inv_std is never stored: inv_std is folded into the per-group
+    factors."""
+    count = k * dy.shape[1]
+    sum_dy = _per_group(_spatial_sums(dy), k)
+    sum_dy_xhat = _per_group(np.einsum("cpn,cpn->cn", dy, centred, dtype=np.float64), k) * inv_std
+    if input_grad:
+        # dx = scale * (dy - mean(dy) - xhat * mean(dy * xhat)), per group
+        np.multiply(centred, _per_sample(inv_std * sum_dy_xhat / count, k, dy.dtype), out=centred)
+        np.subtract(dy, centred, out=centred)
+        centred -= _per_sample(sum_dy / count, k, dy.dtype)
+        centred *= _per_sample(scale, k, dy.dtype)
+    return sum_dy, sum_dy_xhat
+
+
+def _bn_eval_affine(gamma: np.ndarray, beta: np.ndarray, running_mean: np.ndarray,
+                    running_var: np.ndarray, eps: float):
+    """Eval-mode batch norm's per-channel mean, 1/std, scale and shift, in
+    float64: the running statistics and the affine map folded together."""
+    mean = running_mean.astype(np.float64)
+    inv_std = 1.0 / np.sqrt(running_var.astype(np.float64) + eps)
+    scale = gamma.astype(np.float64) * inv_std
+    return mean, inv_std, scale, beta - mean * scale
+
+
+def _per_channel(a: np.ndarray, dtype) -> np.ndarray:
+    """(C,) values -> (1, C, 1, 1), to scale (N, C, H, W) maps."""
+    return a.astype(dtype)[None, :, None, None]
+
+
+def _bn_eval_backward(dy: np.ndarray, x: np.ndarray | None, mean: np.ndarray,
+                      inv_std: np.ndarray, scale: np.ndarray, gn, bn, overwrite: bool):
+    """Eval-mode batch norm's backward from the (N, C, H, W) output gradient
+    ``dy``: γ's gradient from ``x`` centred by the running mean (in ``x``'s
+    own buffer with ``overwrite``), β's, and the input gradient, dy * scale,
+    written over ``dy`` and returned."""
+    if gn is not None:
+        xc = np.subtract(x, _per_channel(mean, x.dtype), out=x if overwrite else None)
+        sum_dy_xhat = np.einsum("nchw,nchw->c", dy, xc, dtype=np.float64) * inv_std
+        gn.accumulate_grad(sum_dy_xhat.astype(gn.dtype))
+    if bn is not None:
+        bn.accumulate_grad(dy.sum(axis=(0, 2, 3), dtype=np.float64).astype(bn.dtype))
+    return np.multiply(dy, _per_channel(scale, dy.dtype), out=dy)
+
+
 def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor,
                  running_mean: np.ndarray, running_var: np.ndarray,
                  training: bool, momentum: float = BN_MOMENTUM, eps: float = BN_EPS,
-                 groups: int = 1, overwrite_input: bool = False, recompute=None) -> Tensor:
+                 groups: int = 1, overwrite_input: bool = False) -> Tensor:
     """Per-channel batch normalization with running statistics.
 
     In training mode normalizes by batch moments and updates the running
@@ -419,137 +535,209 @@ def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor,
     in its own buffer instead of a copy, and backward writes the input
     gradient there; eval mode's backward centres ``x`` there for γ's
     gradient.  Without it ``x`` is never written.
-
-    ``recompute(samples)``, a callable that returns a fresh array of
-    ``x[samples]``'s values, bit for bit, in ``x``'s layout, is for the
-    encoders' stems: the backward rule then keeps no array of ``x``'s size.
-    Training mode writes the output into the centred buffer; backward takes
-    one group at a time, centres that group's ``recompute`` with the saved
-    mean and writes the group's input gradient over its columns of the output
-    gradient, so it holds one group's recompute beside the output gradient.
-    Eval mode reads ``recompute(slice(None))`` for γ's gradient instead of
-    keeping ``x``.
     """
     n, c, h, w = x.shape
     if not training:
-        return _batch_norm_eval(x, gamma, beta, running_mean, running_var, eps,
-                                overwrite_input, recompute)
+        return _batch_norm_eval(x, gamma, beta, running_mean, running_var, eps, overwrite_input)
     if n % groups:
         raise ValueError(f"batch norm cannot split {n} samples into {groups} equal groups")
     k = n // groups
-    count = k * h * w
-    dtype = x.dtype
-
-    def per_group(a):
-        """(C, N') per-sample sums -> (C, N'/K) per-group sums."""
-        return a.reshape(c, -1, k).sum(axis=2)
-
-    def per_sample(a):
-        """(C, G) per-group values -> (C, 1, N), to scale the (C, H*W, N) maps."""
-        return np.repeat(a.astype(dtype), k, axis=1)[:, None, :]
-
     # Every map is read and written as (C, H*W, N), a view of the conv
-    # output's batch-innermost memory.  Each reduction runs over the spatial
-    # axis first, then folds the K samples of each group; reducing the
-    # (C, H*W, G, K) view in one call measured 2.5x slower (C=32, 32x32, N=128).
+    # output's batch-innermost memory.
     xt = x.data.transpose(1, 2, 3, 0).reshape(c, h * w, n)
-    mean = per_group(xt.sum(axis=1, dtype=np.float64)) / count
-    centred = np.subtract(xt, per_sample(mean), out=xt if overwrite_input else None)
-    var = per_group(np.einsum("cpn,cpn->cn", centred, centred, dtype=np.float64)) / count
-    with np.errstate(invalid="ignore"):
-        unbiased = var * count / max(count - 1, 1)
-    for g in range(groups):
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * mean[:, g].astype(running_mean.dtype)
-        running_var *= 1.0 - momentum
-        running_var += momentum * unbiased[:, g].astype(running_var.dtype)
-
-    # xhat = centred * inv_std is never stored: inv_std is folded into the
-    # per-group factors.
+    mean, var, centred = _bn_moments(xt, k, out=xt if overwrite_input else None)
+    _bn_update_running(running_mean, running_var, mean, var, k * h * w, momentum)
     inv_std = 1.0 / np.sqrt(var + eps)
     scale = gamma.data.astype(np.float64)[:, None] * inv_std
-    out = np.multiply(centred, per_sample(scale), out=None if recompute is None else centred)
+    out = centred * _per_sample(scale, k, x.dtype)
     out += beta.data[:, None, None]
     xn, gn, bn = x.node, gamma.node, beta.node
-    saved = centred if recompute is None else None
 
     def backward_fn(o):
         dy = o.grad.transpose(1, 2, 3, 0).reshape(c, h * w, n)
-        sum_dy = per_group(dy.sum(axis=1, dtype=np.float64))
-        sum_dy_xhat = np.empty((c, groups))
-
-        def block(gs, dy, centred, factor, dx):
-            """Σdy·xhat of the groups ``gs`` and, written to ``dx``, their
-            input gradient; ``factor`` spreads (C, G) per-group values over
-            the maps, and ``centred`` is overwritten."""
-            sum_dy_xhat[:, gs] = per_group(np.einsum("cpn,cpn->cn", dy, centred,
-                                                     dtype=np.float64)) * inv_std[:, gs]
-            if xn is not None:
-                # dx = scale * (dy - mean(dy) - xhat * mean(dy * xhat)), per group
-                np.multiply(centred, factor(inv_std[:, gs] * sum_dy_xhat[:, gs] / count), out=centred)
-                np.subtract(dy, centred, out=dx)
-                dx -= factor(sum_dy[:, gs] / count)
-                dx *= factor(scale[:, gs])
-
-        if saved is not None:   # dx over the centred buffer, which nothing reads after this
-            block(slice(None), dy, saved, per_sample, saved)
-        else:   # a group at a time, with the forward's bits: dx in the recompute, then over dy
-            def channel(a):
-                """(C, 1) values of one group -> (C, 1, 1)."""
-                return a.astype(dtype)[:, :, None]
-
-            for g in range(groups):
-                samples = slice(g * k, (g + 1) * k)
-                centred = recompute(samples).transpose(1, 2, 3, 0).reshape(c, h * w, k)
-                centred -= channel(mean[:, g:g + 1])
-                block(slice(g, g + 1), dy[:, :, samples], centred, channel, centred)
-                dy[:, :, samples] = centred
-                del centred     # before the next group's recompute
+        # dx over the centred buffer, which nothing reads after this
+        sum_dy, sum_dy_xhat = _bn_backward(dy, centred, k, inv_std, scale, xn is not None)
         if gn is not None:
             gn.accumulate_grad(sum_dy_xhat.sum(axis=1).astype(gn.dtype))
         if bn is not None:
             bn.accumulate_grad(sum_dy.sum(axis=1).astype(bn.dtype))
         if xn is not None:
-            dx = dy if saved is None else saved
-            xn.accumulate_grad(dx.reshape(c, h, w, n).transpose(3, 0, 1, 2), owned=True)
+            xn.accumulate_grad(centred.reshape(c, h, w, n).transpose(3, 0, 1, 2), owned=True)
 
     return x._make(out.reshape(c, h, w, n).transpose(3, 0, 1, 2), (x, gamma, beta), backward_fn)
 
 
 def _batch_norm_eval(x: Tensor, gamma: Tensor, beta: Tensor,
                      running_mean: np.ndarray, running_var: np.ndarray, eps: float,
-                     overwrite_input: bool = False, recompute=None) -> Tensor:
+                     overwrite_input: bool = False) -> Tensor:
     """Eval-mode batch norm: the running statistics and the affine map folded
     into one per-channel scale and shift, applied in the input's layout.
-    ``overwrite_input`` and ``recompute``: see :func:`batch_norm2d`; backward
-    centres the input in its own buffer and writes dx over the output
-    gradient."""
-    dtype = x.dtype
-
-    def per_channel(a):
-        return a.astype(dtype)[None, :, None, None]
-
-    mean = running_mean.astype(np.float64)
-    inv_std = 1.0 / np.sqrt(running_var.astype(np.float64) + eps)
-    scale = gamma.data.astype(np.float64) * inv_std
-    out = x.data * per_channel(scale)
-    out += per_channel(beta.data - mean * scale)
+    ``overwrite_input``: see :func:`batch_norm2d`; backward centres the
+    input in its own buffer and writes dx over the output gradient."""
+    mean, inv_std, scale, shift = _bn_eval_affine(gamma.data, beta.data, running_mean,
+                                                  running_var, eps)
+    out = x.data * _per_channel(scale, x.dtype)
+    out += _per_channel(shift, x.dtype)
     xn, gn, bn = x.node, gamma.node, beta.node
-    xd = x.data if gn is not None and recompute is None else None   # read by the gamma gradient only
+    xd = x.data if gn is not None else None          # read by the gamma gradient only
 
     def backward_fn(o):
-        dy = o.grad
-        if gn is not None:
-            xc = xd if recompute is None else recompute(slice(None))
-            xc = np.subtract(xc, per_channel(mean), out=xc if overwrite_input or recompute else None)
-            sum_dy_xhat = np.einsum("nchw,nchw->c", dy, xc, dtype=np.float64) * inv_std
-            gn.accumulate_grad(sum_dy_xhat.astype(gn.dtype))
-        if bn is not None:
-            bn.accumulate_grad(dy.sum(axis=(0, 2, 3), dtype=np.float64).astype(bn.dtype))
+        dx = _bn_eval_backward(o.grad, xd, mean, inv_std, scale, gn, bn, overwrite_input)
         if xn is not None:
-            xn.accumulate_grad(np.multiply(dy, per_channel(scale), out=dy), owned=True)
+            xn.accumulate_grad(dx, owned=True)
 
     return x._make(out, (x, gamma, beta), backward_fn)
+
+
+def conv_bn_pool_relu(x: Tensor, conv: "Conv2d", bn: "BatchNorm2d", pool: int, stride: int,
+                      padding: int | tuple[int, int, int, int] = 0) -> Tensor:
+    """relu(max_pool2d(bn(conv(x)))) as one op: an encoder's stem, whose
+    input is the slices themselves.  ``padding`` is the pool's: an int pads
+    every side, as :func:`max_pool2d` does, and (top, bottom, left, right)
+    pads the batch-norm output first, as :func:`pad2d` does.  The modules'
+    parameters, running statistics and modes are read as their own calls
+    would read them.
+
+    Both passes run one batch-norm group at a time (``bn.groups(n)``: one
+    volume's slices in slice-set training, the whole batch otherwise), so
+    no array of the conv output's size outlives one group.  Forward runs
+    the group's conv through :func:`conv2d`, normalizes it in the conv
+    output's buffer (training mode updates the running statistics once per
+    group, in order), pools it and applies relu to the pooled map.  The rule
+    keeps the slices, each group's mean, 1/std and scale, and the pool's
+    one-byte tap index, with relu's mask folded in: a window whose maximum
+    is not positive routes to no tap.  Backward routes each group's output
+    gradient through relu and the pool, runs the group's conv again with
+    :func:`conv2d` (the forward's bits), applies batch norm's backward in
+    that buffer and adds the group's kernel gradient with conv's own tile
+    loop.  Values, running statistics, γ's and β's gradients and the input
+    gradient equal the separate ops' on each group bit for bit; with several
+    groups the kernel gradient is the float32 sum of the groups'.
+    """
+    kernel, gamma, beta = conv.weight, bn.weight, bn.bias
+    running_mean, running_var = bn._buffers["running_mean"], bn._buffers["running_var"]
+    training = bn.training and not bn.freeze_stats
+    top, bottom, left, right = (padding,) * 4 if isinstance(padding, int) else padding
+    xd, kd, conv_stride, conv_padding = x.data, kernel.data, conv.stride, conv.padding
+    n = x.shape[0]
+    k = n // bn.groups(n)
+    groups = [slice(s, s + k) for s in range(0, n, k)]
+
+    def conv_out(samples):
+        """The conv output of ``samples``, a (K, F, oh, ow) view of (F, oh, ow, K) memory."""
+        return conv2d(Tensor(xd[samples], dtype=xd.dtype), Tensor(kd, dtype=kd.dtype),
+                      stride=conv_stride, padding=conv_padding).data
+
+    def centred_maps(y):
+        """The (F, oh*ow, K) view of a conv output's memory."""
+        return y.transpose(1, 2, 3, 0).reshape(y.shape[1], -1, y.shape[0])
+
+    record = grad_enabled() and any(t.node is not None for t in (x, kernel, gamma, beta))
+    mean, inv_std, scale, shift = (None,) * 4 if training else _bn_eval_affine(
+        gamma.data, beta.data, running_mean, running_var, BN_EPS)
+    stats, out, first = [], None, None
+    for samples in groups:
+        y = conv_out(samples)
+        _, f, oh, ow = y.shape
+        hp, wp = oh + top + bottom, ow + left + right
+        if out is None:
+            if pool > hp or pool > wp:
+                raise ValueError(f"max_pool2d window {pool} exceeds padded input {hp}x{wp}")
+            ph, pw = (hp - pool) // stride + 1, (wp - pool) // stride + 1
+            out = np.empty((f, ph, pw, n), dtype=y.dtype).transpose(3, 0, 1, 2)
+            if record:
+                first = np.empty_like(out, dtype=np.min_scalar_type(pool * pool))
+        if training:
+            yt = centred_maps(y)
+            group_mean, var, _ = _bn_moments(yt, k, out=yt)
+            _bn_update_running(running_mean, running_var, group_mean, var, yt.size // f,
+                               BN_MOMENTUM)
+            group_inv_std = 1.0 / np.sqrt(var + BN_EPS)
+            group_scale = gamma.data.astype(np.float64)[:, None] * group_inv_std
+            yt *= _per_sample(group_scale, k, y.dtype)
+            yt += beta.data[:, None, None]
+            stats.append((group_mean, group_inv_std, group_scale))
+        else:
+            y *= _per_channel(scale, y.dtype)
+            y += _per_channel(shift, y.dtype)
+        if top or bottom or left or right:
+            yp = np.zeros((f, hp, wp, k), dtype=y.dtype).transpose(3, 0, 1, 2)
+            yp[:, :, top:top + oh, left:left + ow] = y
+        else:
+            yp = y
+        del y
+        # Pooled into a group-sized buffer first: numpy's ops on the batch's
+        # strided columns measured 1.6x slower than on it, plus the copy.
+        pooled = np.empty((f, ph, pw, k), dtype=yp.dtype).transpose(3, 0, 1, 2)
+        taps = None if first is None else np.empty_like(pooled, dtype=first.dtype)
+        _max_pool(yp, pool, stride, pooled, taps)
+        del yp
+        if taps is not None:     # relu's backward mask, folded in: no tap where out <= 0
+            np.copyto(taps, pool * pool, where=pooled <= 0)
+            first[samples] = taps
+        out[samples] = np.maximum(pooled, 0, out=pooled)
+    if not record:
+        return x._make(out, (x, kernel, gamma, beta), None)
+
+    xn, kn, gn, bn_node = x.node, kernel.node, gamma.node, beta.node
+    c, h, w = x.shape[1:]
+    # Eval-mode batch norm's γ gradient sums in memory order, so the pool's
+    # input gradient keeps the layout the separate ops gave it: (N, C, H, W)
+    # memory behind pad2d, a conv output's (C, H, W, N) otherwise.
+    order = (0, 1, 2, 3) if not isinstance(padding, int) and any(padding) else (1, 2, 3, 0)
+    wmat = kd.reshape(kd.shape[0], -1)
+
+    sums = np.empty((2, f, len(groups)))            # training mode: per group Σdy, Σdy·xhat
+
+    def conv_output_grad(dyp, i, samples):
+        """Group ``i``'s (F, oh*ow*K) conv-output gradient from ``dyp``, its
+        padded batch-norm output's gradient, in its recomputed conv output's
+        buffer in training mode; γ's and β's gradients go to ``sums`` or, in
+        eval mode, to their nodes."""
+        dy = dyp[:, :, top:top + oh, left:left + ow]
+        y = conv_out(samples)
+        if not training:
+            dy = _bn_eval_backward(dy, y, mean, inv_std, scale, gn, bn_node, True)
+            return dy.transpose(1, 2, 3, 0).reshape(f, -1)
+        group_mean, group_inv_std, group_scale = stats[i]
+        yt = centred_maps(y)
+        yt -= _per_sample(group_mean, k, y.dtype)
+        sums[0, :, i:i + 1], sums[1, :, i:i + 1] = _bn_backward(
+            centred_maps(dy), yt, k, group_inv_std, group_scale, True)
+        return yt.reshape(f, -1)                         # dx, written over yt
+
+    def backward_fn(o):
+        nonlocal first
+        dx = np.empty((c, h, w, n), dtype=xd.dtype) if xn is not None else None
+        for i, samples in enumerate(groups):
+            dyp = zeros_in(order, (k, f, hp, wp), o.grad.dtype)
+            _max_pool_backward(o.grad[samples], first[samples], pool, stride, dyp)
+            if i == len(groups) - 1:
+                # Nothing reads them again: freed before the last (or only)
+                # group's recompute instead of once the rule has run.
+                o.grad = first = None
+            dout = conv_output_grad(dyp, i, samples)
+            del dyp
+            if kn is None and xn is None:
+                continue
+            dw_t, dxp = _conv_backward(xd[samples].transpose(1, 2, 3, 0), wmat, dout,
+                                       *kd.shape[2:], conv_stride, conv_padding,
+                                       kn is not None, xn is not None)
+            del dout
+            if dw_t is not None:
+                kn.accumulate_grad(dw_t.T.reshape(kn.shape))
+            if dxp is not None:
+                p = conv_padding
+                dx[..., samples] = dxp[:, p:p + h, p:p + w]
+        if training:
+            if gn is not None:
+                gn.accumulate_grad(sums[1].sum(axis=1).astype(gn.dtype))
+            if bn_node is not None:
+                bn_node.accumulate_grad(sums[0].sum(axis=1).astype(bn_node.dtype))
+        if dx is not None:
+            xn.accumulate_grad(dx.transpose(3, 0, 1, 2), owned=True)
+
+    return x._make(out, (x, kernel, gamma, beta), backward_fn)
 
 
 def layer_norm(x: Tensor, gain: Tensor, offset: Tensor, eps: float = LN_EPS) -> Tensor:
@@ -810,13 +998,12 @@ class BatchNorm2d(Module):
             raise ValueError(f"batch norm cannot split {n} samples into groups of {self.group_size}")
         return n // self.group_size
 
-    def __call__(self, x: Tensor, recompute=None) -> Tensor:
-        """``recompute``: see :func:`batch_norm2d`."""
+    def __call__(self, x: Tensor) -> Tensor:
         return batch_norm2d(
             x, self.weight, self.bias,
             self._buffers["running_mean"], self._buffers["running_var"],
             training=self.training and not self.freeze_stats, groups=self.groups(x.shape[0]),
-            overwrite_input=True, recompute=recompute,
+            overwrite_input=True,
         )
 
 

@@ -9,9 +9,10 @@ the nodes once in reverse topological order and accumulates
 What the graph holds.  A node keeps its gradient, its input nodes, the op's
 backward rule and the shape and dtype of the data, never the data itself;
 a rule captures input nodes and only the arrays it reads (relu its own
-output, max pool its tap masks, batch norm its centred input, conv its
-input; an encoder stem's batch norm recomputes its input instead).  So an activation's array is freed as soon as the caller drops its
-tensor, unless a rule reads it.  No node is made under :func:`no_grad`, or
+output, max pool its tap indices, batch norm its centred input, conv its
+input; an encoder's stem op keeps the slices and recomputes its conv
+output instead).  So an activation's array is freed as soon as the caller
+drops its tensor, unless a rule reads it.  No node is made under :func:`no_grad`, or
 for an op none of whose inputs needs a gradient.  The walk releases the
 graph as it goes: once an op's rule has run, its node drops its gradient,
 its rule and with it the arrays the rule saved, so a training step holds

@@ -67,6 +67,9 @@ class OptimizerConfig:
             raise ValueError("learning_rate must be positive")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must lie in [0, 1)")
+        if self.kind == "adam" and self.momentum != 0.0:
+            raise ValueError(f"momentum {self.momentum} is for optimizer 'sgd'; "
+                             "optimizer 'adam' takes beta1 instead")
 
 
 @dataclass(frozen=True)

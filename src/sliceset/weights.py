@@ -71,7 +71,9 @@ class WeightArchive:
     def __getitem__(self, name) -> np.ndarray:
         return self.entries[name]
 
-    def to_bytes(self) -> bytes:
+    def _chunks(self) -> list:
+        """The archive's bytes in order: magic, index length, index and each
+        entry's buffer, a view of the entry when it is contiguous float32."""
         index_entries = {}
         payloads = []
         offset = 0
@@ -79,12 +81,15 @@ class WeightArchive:
             arr = np.ascontiguousarray(self.entries[name], dtype="<f4")
             index_entries[name] = {"shape": list(arr.shape), "offset": offset,
                                    "length": arr.nbytes}
-            payloads.append(memoryview(arr))   # joined below without a copy of its own
+            payloads.append(memoryview(arr))
             offset += arr.nbytes
         index = {"version": FORMAT_VERSION, "entries": index_entries,
                  "metadata": dict(sorted(self.metadata.items()))}
         index_bytes = json.dumps(index, sort_keys=True, separators=(",", ":")).encode()
-        return b"".join([MAGIC, struct.pack("<Q", len(index_bytes)), index_bytes, *payloads])
+        return [MAGIC, struct.pack("<Q", len(index_bytes)), index_bytes, *payloads]
+
+    def to_bytes(self) -> bytes:
+        return b"".join(self._chunks())
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "WeightArchive":
@@ -133,8 +138,9 @@ class WeightArchive:
         return cls(entries=entries, metadata=dict(metadata))
 
     def save(self, path):
-        """Write the archive to ``path`` atomically (see ``write_atomic``)."""
-        write_atomic(path, self.to_bytes())
+        """Write the archive to ``path`` atomically (see ``write_atomic``), a
+        chunk at a time: no copy of the payload is made."""
+        write_atomic(path, self._chunks())
 
     @classmethod
     def load(cls, path) -> "WeightArchive":

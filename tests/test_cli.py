@@ -310,6 +310,14 @@ def test_train_rejects_a_negative_seed_before_writing(tmp_path, data):
     assert not out.exists()
 
 
+def test_train_rejects_momentum_with_adam_before_writing(tmp_path, data):
+    out = tmp_path / "run"
+    code, _, err = train_into(out, data, "--optimizer", "adam", "--momentum", "0.5")
+    assert code == 2
+    assert err == "error: momentum 0.5 is for optimizer 'sgd'; optimizer 'adam' takes beta1 instead\n"
+    assert not out.exists()
+
+
 def test_train_refuses_locked_output_dir(tmp_path, data):
     out = tmp_path / "locked"
     out.mkdir()

@@ -97,3 +97,13 @@ def test_fuzz_run_config_builds_or_raises_value_error(mapping):
     except ValueError:
         return
     assert isinstance(config, RunConfig)
+
+
+def test_optimizer_config_rejects_momentum_with_adam():
+    """Adam has no momentum field of its own, so a momentum meant for SGD
+    would be ignored without a word."""
+    with pytest.raises(ValueError, match=r"^momentum 0\.5 is for optimizer 'sgd'; "
+                                         r"optimizer 'adam' takes beta1 instead$"):
+        OptimizerConfig(kind="adam", momentum=0.5)
+    assert OptimizerConfig(kind="adam", momentum=0.0).momentum == 0.0
+    assert OptimizerConfig(kind="sgd", momentum=0.5).momentum == 0.5

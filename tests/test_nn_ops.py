@@ -8,7 +8,7 @@ import pytest
 
 from sliceset import nn
 from sliceset.encoders import CNN5_CHANNELS
-from sliceset.tensor import Tensor, no_grad
+from sliceset.tensor import Tensor, concat, no_grad
 
 
 def t64(arr, requires_grad=False):
@@ -903,3 +903,112 @@ def test_softmax_gradient_matches_central_differences():
             numeric = (fp - fm) / (2 * h)
             rel = abs(float(g[idx]) - numeric) / (abs(float(g[idx])) + 1e-6)
             assert rel < 1e-3
+
+
+# ---------------------------------------------------------------------------
+# the encoders' stem op against the separate ops it replaces
+# ---------------------------------------------------------------------------
+
+# (conv kernel, stride, padding; pool, stride, padding; slice extent)
+STEMS = {
+    "cnn5": ((3, 1, 1), (2, 2, (0, 1, 0, 1)), (9, 7)),    # odd maps padded to even
+    "resnet": ((7, 2, 3), (3, 2, 1), (11, 10)),
+}
+
+
+def stem_modules(kind, mode, rng):
+    (k, stride, padding), _, _ = STEMS[kind]
+    conv, bn = nn.Conv2d(1, 4, k, stride=stride, padding=padding), nn.BatchNorm2d(4)
+    conv.weight.data = rng.normal(0, 0.3, conv.weight.shape).astype(np.float32)
+    bn.weight.data = rng.uniform(0.5, 1.5, 4).astype(np.float32)
+    bn.bias.data = rng.normal(0, 0.5, 4).astype(np.float32)
+    bn.running_mean[...] = rng.normal(0, 0.2, 4)
+    bn.running_var[...] = rng.uniform(0.5, 2.0, 4)
+    bn.group_size = 2                          # slices per volume
+    bn.freeze_stats = mode == "frozen"
+    bn.train(mode != "eval")
+    return conv, bn
+
+
+def separate_stem(pieces, kernels, conv, bn, pool):
+    """relu(max_pool2d(pad(batch_norm2d(conv2d(x))))) with one conv call per
+    (input, kernel) pair, joined, and the functional, copying batch norm."""
+    k, stride, padding = pool
+    outs = [nn.conv2d(x, w, stride=conv.stride, padding=conv.padding)
+            for x, w in zip(pieces, kernels)]
+    y = concat(outs)
+    y = nn.batch_norm2d(y, bn.weight, bn.bias, bn.running_mean, bn.running_var,
+                        training=bn.training and not bn.freeze_stats, groups=bn.groups(y.shape[0]))
+    if not isinstance(padding, int):
+        y, padding = nn.pad2d(y, padding), 0
+    return nn.relu(nn.max_pool2d(y, k, stride, padding))
+
+
+@pytest.mark.parametrize("volumes", [1, 3])
+@pytest.mark.parametrize("mode", ["training", "frozen", "eval"])
+@pytest.mark.parametrize("kind", ["cnn5", "resnet"])
+def test_stem_op_matches_the_separate_ops_per_volume(kind, mode, volumes):
+    """The stem op against per-group conv calls, grouped ``batch_norm2d``,
+    padding, ``max_pool2d`` and ``relu``: output, running statistics, γ's,
+    β's and the slices' gradients are bit-equal, and the kernel gradient is
+    the float32 sum of the per-group kernel gradients, in order, bit for
+    bit; it stays within 1e-6 of one whole-batch conv's.  With one
+    batch-norm group (one volume, frozen statistics or eval mode) the
+    whole-batch composition matches every bit."""
+    _, pool, (h, w) = STEMS[kind]
+    rng = np.random.default_rng(7)
+    x = rng.normal(0, 1, (2 * volumes, 1, h, w)).astype(np.float32)
+    g = None
+    seed = int(rng.integers(1 << 30))
+
+    def run(split):
+        """Output bytes and the kernels' gradients of the op (split None) or
+        of the separate ops with ``split`` conv calls."""
+        nonlocal g
+        conv, bn = stem_modules(kind, mode, np.random.default_rng(seed))
+        share = x.shape[0] // (split or 1)
+        pieces = [Tensor(x[s:s + share], requires_grad=True) for s in range(0, x.shape[0], share)]
+        if split is None:
+            kernels = [conv.weight]
+            y = nn.conv_bn_pool_relu(pieces[0], conv, bn, *pool)
+        else:
+            kernels = [Tensor(conv.weight.data.copy(), requires_grad=True) for _ in pieces]
+            y = separate_stem(pieces, kernels, conv, bn, pool)
+        if g is None:
+            g = rng.normal(0, 1, y.shape).astype(np.float32)
+        (y * Tensor(g)).sum().backward()
+        got = {"y": y.numpy(), "dx": np.concatenate([p.grad for p in pieces]),
+               "dgamma": bn.weight.grad, "dbeta": bn.bias.grad,
+               "mean": bn.running_mean, "var": bn.running_var}
+        return {k: v.tobytes() for k, v in got.items()}, [w.grad for w in kernels]
+
+    op, (kernel_grad,) = run(None)
+    groups = volumes if mode == "training" else 1
+    separate, group_grads = run(groups)
+    assert op == separate
+    summed = group_grads[0].copy()
+    for grad in group_grads[1:]:
+        summed += grad
+    assert kernel_grad.tobytes() == summed.tobytes()
+    whole, (whole_kernel_grad,) = run(1)
+    if groups == 1:
+        assert whole == op and whole_kernel_grad.tobytes() == kernel_grad.tobytes()
+    else:
+        np.testing.assert_allclose(kernel_grad, whole_kernel_grad, rtol=1e-6,
+                                   atol=1e-6 * np.abs(whole_kernel_grad).max())
+
+
+def test_stem_op_routes_no_gradient_through_a_zero_maximum():
+    """Relu's mask lives in the stem op's tap index: a window whose maximum
+    is exactly zero routes nothing, as relu's own mask (``out > 0``) does.
+    Zero slices with a zero shift in eval mode make every window's maximum
+    a real zero."""
+    conv, bn = stem_modules("cnn5", "eval", np.random.default_rng(0))
+    bn.bias.data[...] = 0.0
+    bn.running_mean[...] = 0.0
+    x = Tensor(np.zeros((2, 1, 9, 7), np.float32), requires_grad=True)
+    y = nn.conv_bn_pool_relu(x, conv, bn, *STEMS["cnn5"][1])
+    (y * Tensor(np.ones(y.shape, np.float32))).sum().backward()
+    assert not y.numpy().any()
+    for grad in (x.grad, conv.weight.grad, bn.weight.grad, bn.bias.grad):
+        assert not grad.any()

@@ -334,7 +334,7 @@ def test_no_backward_rule_captures_a_tensor():
                 rules += 1
                 leaked = [v for v in captured(node.rule, set()) if isinstance(v, Tensor)]
                 assert not leaked, (kind, node.rule.__qualname__, leaked)
-        assert rules > 30, (kind, rules)
+        assert rules >= 30, (kind, rules)
 
 
 def test_relu_gradient_from_output_sign_matches_input_sign():

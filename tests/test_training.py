@@ -10,7 +10,7 @@ import pytest
 from sliceset import nn, tensor
 from sliceset import train as train_mod
 from sliceset.data import SyntheticSpec, Volume, generate_synthetic, normalize
-from sliceset.encoders import CNN5_CHANNELS, EncoderConfig, stem
+from sliceset.encoders import CNN5_CHANNELS, EncoderConfig
 from sliceset.model import AggregatorConfig, ModelConfig, build_model
 from sliceset.tensor import Tensor, no_grad, stack
 from sliceset.train import (Adam, Checkpoint, OptimizerConfig, SGD, TrainConfig,
@@ -506,20 +506,17 @@ def test_resnet18_training_forward_keeps_the_stem_input_not_its_conv_output():
     assert held <= 13.5e6, held
 
 
-def test_stem_batch_norm_backward_recomputes_one_volume_at_a_time():
-    """The stem's batch-norm backward rule alone, at the transfer config (8
-    volumes of 16 slices, 32 channels of 32x32: a 16.8 MB stem output).  It
-    recomputes one volume's conv output at a time and writes that volume's
-    input gradient over the output gradient, so with the output gradient it
-    peaks at 1.17x one stem output (one volume's 2.1 MB recompute and its
-    columns); a whole-batch recompute beside the output gradient peaked at
-    2.16x."""
+def stem_rule_peak(volumes):
+    """Traced peak of the cnn5 stem op's backward rule alone at the transfer
+    config (volumes of 16 slices, 32 channels of 32x32), above the output
+    gradient it is handed; with that gradient's and one conv output's bytes."""
     rng = np.random.default_rng(0)
     conv, bn = nn.Conv2d(1, 32, 3, padding=1), nn.BatchNorm2d(32)
     conv.weight.data = rng.normal(0, 0.3, conv.weight.shape).astype(np.float32)
     bn.group_size = 16
-    y = stem(conv, bn, Tensor(rng.normal(0, 1, (128, 1, 32, 32)).astype(np.float32)))
-    dy = np.empty((32, 32, 32, 128), np.float32).transpose(3, 0, 1, 2)   # max pool's layout
+    x = Tensor(rng.normal(0, 1, (16 * volumes, 1, 32, 32)).astype(np.float32))
+    y = nn.conv_bn_pool_relu(x, conv, bn, 2, 2, (0, 0, 0, 0))
+    dy = np.empty((32, 16, 16, 16 * volumes), np.float32).transpose(3, 0, 1, 2)   # a conv's dx layout
     dy[...] = rng.standard_normal(dy.shape, dtype=np.float32)
     node = y.node
     node.grad, dy = dy, None
@@ -530,10 +527,26 @@ def test_stem_batch_norm_backward_recomputes_one_volume_at_a_time():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    stem_output = y.data.nbytes
-    assert stem_output == 32 * 32 * 32 * 128 * 4
-    assert stem_output + peak <= 1.3 * stem_output, (peak, stem_output)
-    assert conv.weight.grad is None and bn.weight.grad is not None
+    assert conv.weight.grad is not None and bn.weight.grad is not None
+    return peak, y.data.nbytes, 32 * 32 * 32 * 16 * volumes * 4
+
+
+def test_stem_batch_norm_backward_recomputes_one_volume_at_a_time():
+    """The stem op's backward rule alone at the transfer config (8 volumes:
+    a 16.8 MB conv output, a 4.2 MB pooled output gradient).  It routes one
+    volume's gradient through relu and the pool into a 2.1 MB buffer,
+    recomputes that volume's 2.1 MB conv output, writes batch norm's input
+    gradient there and adds the volume's kernel gradient: it peaks 4.9 MB
+    above the output gradient, 0.29x the conv output, the same for 2 and
+    for 8 volumes.  Batch norm's rule alone once peaked at 0.17x beside a
+    conv-output-sized output gradient (1.17x in all, 0.54x now), and a
+    whole-batch recompute at 1.16x beside it."""
+    peak2, _, _ = stem_rule_peak(2)
+    peak, out_grad, conv_output = stem_rule_peak(8)
+    assert out_grad == conv_output // 4
+    assert peak <= 0.3 * conv_output, (peak, conv_output)
+    assert out_grad + peak <= 0.6 * conv_output, (out_grad, peak, conv_output)
+    assert abs(peak - peak2) <= 0.1 * peak2, (peak, peak2)
 
 
 def test_cnn5_frozen_statistics_backward_allocates_no_stem_sized_array():

@@ -126,6 +126,20 @@ def test_archive_save_and_load_hold_one_copy_of_the_payload(tmp_path):
     assert loaded <= 2.1 * payload, (loaded, payload)   # the file's bytes and the entries
 
 
+def test_archive_save_writes_to_bytes_in_chunks_without_a_payload_copy(tmp_path):
+    """``save`` hands the magic, the index and each entry's buffer to the
+    atomic writer one chunk at a time: the file is ``to_bytes()`` exactly,
+    and saving never holds a copy of the payload (it joined one before)."""
+    rng = np.random.default_rng(1)
+    archive = WeightArchive({f"layer{i}.w": rng.normal(size=(64, 64, 3, 3)) for i in range(8)},
+                            metadata={"kind": "cnn5"})
+    path = tmp_path / "w.ssnw"
+    raw = archive.to_bytes()
+    saved = traced_peak(lambda: archive.save(path))
+    assert path.read_bytes() == raw
+    assert saved < 0.5 * len(raw), (saved, len(raw))
+
+
 def archive_with_index(index, payload=b"\0" * 16) -> bytes:
     """Archive bytes around an arbitrary JSON index, for schema tests."""
     raw_index = json.dumps(index).encode()
