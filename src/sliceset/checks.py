@@ -2,12 +2,13 @@
 
 Three independent lines of defense, runnable from the CLI:
 
-* ``gradient_suite`` — central finite differences (step 1e-3) against the
-  engine's reverse-mode gradients for every operation and for end-to-end
-  slice-set models.  Checks run on float64 graphs through the very same op
-  implementations, so the difference quotient is not drowned by storage
-  rounding; pass threshold is max relative error < 1e-3 with the error
-  measured as |analytic − numeric| / (|analytic| + 1e-6).
+* ``gradient_suite`` — central finite differences (step 1e-3, 1e-4 for the
+  encoder stem op and the whole models) against the engine's reverse-mode
+  gradients for every operation and for end-to-end slice-set models.
+  Checks run on float64 graphs through the very same op implementations,
+  so the difference quotient is not drowned by storage rounding; pass
+  threshold is max relative error < 1e-3 with the error measured as
+  |analytic − numeric| / (|analytic| + 1e-6).
 * ``permutation_suite`` — re-ordering slices must not move predictions when
   the positional table is disabled, and a zero-initialized table must be
   indistinguishable from no table at all.
@@ -238,10 +239,10 @@ _OP_CASES = [
     ("layer_norm", lambda rng: _signed_sum(
         rng, nn.layer_norm, _t(rng, 5, 8), _t(rng, 8), _t(rng, 8))),
     ("conv2d.basic", lambda rng: _signed_sum(
-        rng, nn.conv2d, _t(rng, 2, 2, 6, 5), _t(rng, 3, 2, 3, 3, scale=0.5), _t(rng, 3))),
+        rng, nn.conv2d, _t(rng, 2, 2, 6, 5), _t(rng, 3, 2, 3, 3, scale=0.5))),
     ("conv2d.stride2pad1", lambda rng: _signed_sum(
-        rng, lambda x, k, b: nn.conv2d(x, k, b, stride=2, padding=1),
-        _t(rng, 1, 2, 5, 5), _t(rng, 3, 2, 3, 3, scale=0.5), _t(rng, 3))),
+        rng, lambda x, k: nn.conv2d(x, k, stride=2, padding=1),
+        _t(rng, 1, 2, 5, 5), _t(rng, 3, 2, 3, 3, scale=0.5))),
     ("conv2d.nobias", lambda rng: _signed_sum(
         rng, nn.conv2d, _t(rng, 2, 3, 4, 4), _t(rng, 2, 3, 2, 2, scale=0.5))),
     ("max_pool2d.2x2", lambda rng: _signed_sum(
@@ -344,7 +345,12 @@ def gradient_suite(seed: int = 0, samples_per_tensor: int = 6) -> SuiteReport:
     for i, (name, build) in enumerate(_OP_CASES):
         rng = np.random.default_rng(seed * 1000 + i)
         objective, params = build(rng)
-        err = gradient_error(objective, params, rng, samples_per_tensor=samples_per_tensor)
+        # Batch norm makes the stem's loss invariant to its kernel's scale, so
+        # some kernel-gradient entries sit near zero, where the truncation
+        # error of a 1e-3 central difference dominates their relative error;
+        # the models' 1e-4 step leaves roundoff only.
+        h = MODEL_FD_STEP if name.startswith("stem.") else FD_STEP
+        err = gradient_error(objective, params, rng, h=h, samples_per_tensor=samples_per_tensor)
         report.results.append(CheckResult(
             name=f"op.{name}", passed=err < GRADIENT_TOLERANCE, value=err,
             detail=f"max rel err {err:.3e}"))

@@ -7,16 +7,13 @@ default width, scaled with every channel count by ``width_multiplier``.  One
 :class:`ResidualBlock`, basic or bottleneck, serves both residual networks.
 
 Inputs smaller than ``min_input`` on either spatial axis are zero-padded up
-to it (centered) when ``pad_to_min`` is set, otherwise rejected.  Odd
-intermediate extents are zero-padded to even before each pooling stage, so
-any padded input size is safe.
+to it (centered) when ``pad_to_min`` is set, otherwise rejected.  Each
+``cnn5`` pool zero-pads an odd extent to even itself, so any padded input
+size is safe.
 
 Each encoder's stem, its first conv, batch norm, max pool and relu, whose
 input is the slices themselves, runs as one op,
-:func:`~sliceset.nn.conv_bn_pool_relu`: one volume at a time in slice-set
-training, where batch norm takes one volume's moments, and on the whole
-batch otherwise.  It keeps the slices and the pool's tap index, not the
-conv output, and recomputes that in backward.
+:func:`~sliceset.nn.conv_bn_pool_relu`, which states what it keeps.
 
 Residual-network parameter names mirror the usual torchvision layout
 (``conv1.weight``, ``layer1.0.bn2.running_mean``, ``layer2.0.downsample.0.weight``)
@@ -71,13 +68,6 @@ class EncoderConfig:
         return max(1, int(round(base * self.width_multiplier)))
 
 
-def _pad_to_even(x: Tensor) -> Tensor:
-    h, w = x.shape[2], x.shape[3]
-    if h % 2 or w % 2:
-        return pad2d(x, (0, h % 2, 0, w % 2))
-    return x
-
-
 def prepare_slices(x: Tensor, min_input: int, pad_to_min: bool) -> Tensor:
     """Bring slices up to the encoder's minimum spatial extent, or reject."""
     h, w = x.shape[2], x.shape[3]
@@ -127,12 +117,15 @@ class CNN5Encoder(Module):
         x = prepare_slices(x, self.config.min_input, self.config.pad_to_min)
         # relu after the pool: relu and max commute, and the zero padding is
         # relu's fixed point, so values match relu-then-pool exactly while
-        # relu works on a quarter of the map.  The stem's 3x3 conv keeps the
-        # slices' extent, which its pool pads to even.
-        h, w = x.shape[2], x.shape[3]
-        x = conv_bn_pool_relu(x, self.block1.conv, self.block1.bn, 2, 2, (0, h % 2, 0, w % 2))
-        for i in range(2, 6):
-            x = relu(max_pool2d(_pad_to_even(self._children[f"block{i}"](x)), 2, 2))
+        # relu works on a quarter of the map.  Each 3x3 conv keeps its
+        # input's extent, which the pool pads to even.
+        for i in range(1, 6):
+            block, h, w = self._children[f"block{i}"], x.shape[2], x.shape[3]
+            to_even = (0, h % 2, 0, w % 2)
+            if i == 1:
+                x = conv_bn_pool_relu(x, block.conv, block.bn, 2, 2, to_even)
+            else:
+                x = relu(max_pool2d(block(x), 2, 2, to_even))
         return global_avg_pool2d(x)
 
 

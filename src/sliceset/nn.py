@@ -42,10 +42,10 @@ views.  When the input needs a gradient it also keeps, per output, the
 index of the window's first maximal tap in row-major order: one byte while
 a window has at most 255 taps (a wider unsigned integer beyond).  The
 backward pass compares that index with each tap in turn and adds the
-output gradient where they agree into a zeroed input-sized buffer.  Its
-output, padding and input gradient keep the input's memory layout, as
-numpy's element-wise ops do; backward lays out the gradient from the
-input's recorded axis order, not from the input, which it does not keep.
+output gradient where they agree into a zeroed input-sized buffer, laid
+out batch-innermost as every conv and batch-norm output is.  A pool pads
+its input itself, in a buffer laid out as the input is, with the helper
+that :func:`pad2d` and the stem op use; its output keeps that layout too.
 
 Batch norm in training mode works on the (C, H·W, N) view of the conv
 output's batch-innermost memory.  It takes the mean with one float64 sum
@@ -72,20 +72,10 @@ the norm layers and losses accumulate in 64-bit and store results in
 32-bit.
 
 An encoder's stem, conv -> batch norm -> max pool -> relu over the slices
-themselves, is one op, :func:`conv_bn_pool_relu`, that runs both passes
-one batch-norm group at a time: one volume's slices in slice-set training,
-the whole batch in 2D pretraining, with frozen statistics and in eval.
-Forward normalizes each group's conv output in its own buffer, pools it
-into the batch's output and drops it; the rule keeps the slices, each
-group's moments and the pool's tap index.  Backward routes a group's
-output gradient through relu and the pool into a group-sized buffer, runs
-the group's conv again (the forward's bits), applies batch norm's backward
-in the recomputed buffer and adds the group's kernel gradient with conv's
-own tile loop.  So no array of the stem's conv-output size outlives one
-volume in training; the kernel gradient is then a float32 sum of
-per-volume products, and everything else keeps the separate ops' bits.
-Batch norm's and max pool's arithmetic lives in helpers that the generic
-ops and the stem share, and the stem's conv goes through :func:`conv2d`.
+themselves, is one op, :func:`conv_bn_pool_relu`, which keeps the slices
+instead of its conv output and recomputes that output one batch-norm group
+at a time in backward.  It shares conv's, batch norm's, max pool's and the
+padding's helpers with the generic ops, so it keeps their bits.
 
 What a training step holds until backward reaches it, per conv-output
 element of a ``cnn5`` block: the conv output, centred in place, which batch
@@ -98,11 +88,10 @@ bytes per element over all five ``cnn5`` blocks at 32x32.  The stem's
 backward rule peaks 4.9 MB above its 4.2 MB output gradient at the
 ``transfer-cnn5`` step, a volume's padded gradient and recomputed conv
 output, the same for 2 or 8 volumes (0.54x the 16.8 MB conv output with
-the output gradient; 1.17x when batch norm recomputed one volume at a time
-beside a conv-output-sized gradient, 2.16x with a whole-batch recompute).
-The batch-norm output and the pooled map are freed once the next op has
-run, since no backward rule reads them (see :mod:`sliceset.tensor`); in
-the resnets so are the batch-norm outputs and the residual sums.
+the output gradient).  The batch-norm output and the pooled map are freed
+once the next op has run, since no backward rule reads them (see
+:mod:`sliceset.tensor`); in the resnets so are the batch-norm outputs and
+the residual sums.
 ``CHANGES.md`` and README "Memory" have the ``perfbench`` peak RSS.
 """
 
@@ -111,7 +100,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .tensor import Tensor, grad_enabled, memory_order, no_grad, zeros_in
+from .tensor import Tensor, grad_enabled
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
@@ -159,7 +148,7 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return x._make(s, (x,), backward_fn)
 
 
-def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
+def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """Affine map ``x @ weight.T + bias`` for ``x`` of shape (..., N, din): one
     GEMM per (N, din) matrix forward, one over all rows for the weight gradient."""
     if x.ndim < 2 or weight.ndim != 2:
@@ -168,12 +157,10 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
         raise ValueError(
             f"linear dimension mismatch: input has {x.shape[-1]} features, weight expects {weight.shape[1]}"
         )
-    data = x.data @ weight.data.T
-    if bias is not None:
-        if bias.shape != (weight.shape[0],):
-            raise ValueError(f"linear bias shape {bias.shape} does not match output dim {weight.shape[0]}")
-        data = data + bias.data
-    xn, wn, bn = x.node, weight.node, bias.node if bias is not None else None
+    if bias.shape != (weight.shape[0],):
+        raise ValueError(f"linear bias shape {bias.shape} does not match output dim {weight.shape[0]}")
+    data = x.data @ weight.data.T + bias.data
+    xn, wn, bn = x.node, weight.node, bias.node
     xd = x.data if wn is not None else None          # each side reads the other's data
     wd = weight.data if xn is not None else None
 
@@ -186,8 +173,28 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
         if bn is not None:
             bn.accumulate_grad(g.sum(axis=0, dtype=np.float64).astype(bn.dtype))
 
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    return x._make(data, parents, backward_fn)
+    return x._make(data, (x, weight, bias), backward_fn)
+
+
+def _pads(pad: int | tuple[int, int, int, int]) -> tuple[int, int, int, int]:
+    """(top, bottom, left, right) of ``pad``: one amount for every side, or
+    the four."""
+    pads = (pad,) * 4 if isinstance(pad, int) else tuple(pad)
+    if min(pads) < 0:
+        raise ValueError("pad amounts must be non-negative")
+    return pads
+
+
+def _pad(a: np.ndarray, pads: tuple[int, int, int, int]) -> np.ndarray:
+    """The (N, C, H, W) maps ``a`` zero-padded by (top, bottom, left, right)
+    in a new buffer laid out as ``a`` is; ``a`` itself when nothing is padded."""
+    if not any(pads):
+        return a
+    top, bottom, left, right = pads
+    n, c, h, w = a.shape
+    ap = np.zeros_like(a, shape=(n, c, top + h + bottom, left + w + right))
+    ap[:, :, top:top + h, left:left + w] = a
+    return ap
 
 
 def pad2d(x: Tensor, pad: int | tuple[int, int, int, int]) -> Tensor:
@@ -195,22 +202,16 @@ def pad2d(x: Tensor, pad: int | tuple[int, int, int, int]) -> Tensor:
 
     ``pad`` is either a single symmetric amount or (top, bottom, left, right).
     """
-    if isinstance(pad, int):
-        top = bottom = left = right = pad
-    else:
-        top, bottom, left, right = pad
-    if min(top, bottom, left, right) < 0:
-        raise ValueError("pad amounts must be non-negative")
-    if top == bottom == left == right == 0:
+    top, _, left, _ = pads = _pads(pad)
+    if not any(pads):
         return x
-    data = np.pad(x.data, ((0, 0), (0, 0), (top, bottom), (left, right)))
-    H, W = x.shape[2], x.shape[3]
+    h, w = x.shape[2], x.shape[3]
     a = x.node
 
     def backward_fn(out):
-        a.accumulate_grad(out.grad[:, :, top:top + H, left:left + W])
+        a.accumulate_grad(out.grad[:, :, top:top + h, left:left + w])
 
-    return x._make(data, (x,), backward_fn)
+    return x._make(_pad(x.data, pads), (x,), backward_fn)
 
 
 def _taps(kh: int, kw: int, stride: int, oh: int, ow: int, first_row: int = 0):
@@ -278,8 +279,7 @@ def _conv_backward(xt: np.ndarray, wmat: np.ndarray, dout: np.ndarray, kh: int, 
     return dw_t, dxp
 
 
-def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
-           stride: int = 1, padding: int = 0) -> Tensor:
+def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """2-D cross-correlation of (N, C, H, W) input with an (F, C, kh, kw) kernel.
 
     Output spatial extent is ``floor((H + 2*padding - kh)/stride) + 1`` (same
@@ -294,11 +294,11 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
         raise ValueError(f"conv2d channel mismatch: input has {c} channels, kernel expects {ck}")
     if stride < 1:
         raise ValueError("conv2d stride must be >= 1")
+    if padding < 0:
+        raise ValueError("conv2d padding must be >= 0")
     hp, wp = h + 2 * padding, w + 2 * padding
     if kh > hp or kw > wp:
         raise ValueError(f"conv2d kernel {kh}x{kw} exceeds padded input {hp}x{wp}")
-    if bias is not None and bias.shape != (f,):
-        raise ValueError(f"conv2d bias shape {bias.shape} does not match {f} filters")
     oh = (hp - kh) // stride + 1
     ow = (wp - kw) // stride + 1
 
@@ -315,15 +315,11 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
             t = min(tile_rows, oh - r)
             np.matmul(wmat, _im2col(xp[:, stride * r:], kh, kw, stride, t, ow),
                       out=out[:, r * row_len:(r + t) * row_len])
-    if bias is not None:
-        out += bias.data[:, None]
     out = out.reshape(f, oh, ow, n).transpose(3, 0, 1, 2)
-    xn, kn, bn = x.node, kernel.node, bias.node if bias is not None else None
+    xn, kn = x.node, kernel.node
 
     def backward_fn(o):
         dout = o.grad.transpose(1, 2, 3, 0).reshape(f, oh * ow * n)
-        if bn is not None:
-            bn.accumulate_grad(dout.sum(axis=1, dtype=np.float64).astype(bn.dtype))
         dw_t, dxp = _conv_backward(xt, wmat, dout, kh, kw, stride, padding,
                                    kn is not None, xn is not None)
         if dw_t is not None:
@@ -332,8 +328,7 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
             xn.accumulate_grad(dxp[:, padding:padding + h, padding:padding + w].transpose(3, 0, 1, 2),
                                owned=True)
 
-    parents = (x, kernel) if bias is None else (x, kernel, bias)
-    return x._make(out, parents, backward_fn)
+    return x._make(out, (x, kernel), backward_fn)
 
 
 def _max_pool(xp: np.ndarray, kernel: int, stride: int, out: np.ndarray,
@@ -358,36 +353,47 @@ def _max_pool(xp: np.ndarray, kernel: int, stride: int, out: np.ndarray,
 
 
 def _max_pool_backward(g: np.ndarray, first: np.ndarray, kernel: int, stride: int,
-                       dxp: np.ndarray):
-    """Adds the output gradient ``g`` into ``dxp``, the padded input's
-    gradient, at each window's first maximal tap, one tap at a time."""
+                       hp: int, wp: int) -> np.ndarray:
+    """The gradient of the padded (N, C, hp, wp) input, laid out
+    batch-innermost: the output gradient ``g`` added at each window's first
+    maximal tap, one tap at a time."""
+    n, c = g.shape[:2]
+    dxp = np.zeros((c, hp, wp, n), dtype=g.dtype).transpose(3, 0, 1, 2)
     for m, (rows, cols) in enumerate(_taps(kernel, kernel, stride, g.shape[2], g.shape[3])):
         dxp[:, :, rows, cols] += g * (first == m)
+    return dxp
 
 
-def max_pool2d(x: Tensor, kernel: int = 2, stride: int | None = None, padding: int = 0) -> Tensor:
+def _pool_extents(h: int, w: int, kernel: int, stride: int,
+                  pads: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
+    """The padded and the pooled extents, (hp, wp, oh, ow), of a max pool
+    over h x w maps padded by (top, bottom, left, right)."""
+    if kernel < 1 or stride < 1:
+        raise ValueError(f"max_pool2d kernel and stride must be >= 1, got {kernel} and {stride}")
+    hp, wp = h + pads[0] + pads[1], w + pads[2] + pads[3]
+    if kernel > hp or kernel > wp:
+        raise ValueError(f"max_pool2d window {kernel} exceeds padded input {hp}x{wp}")
+    return hp, wp, (hp - kernel) // stride + 1, (wp - kernel) // stride + 1
+
+
+def max_pool2d(x: Tensor, kernel: int = 2, stride: int | None = None,
+               padding: int | tuple[int, int, int, int] = 0) -> Tensor:
     """Max over kernel x kernel windows; zero padding (post-relu maps, or maps
-    whose relu follows the pool, since zero is relu's fixed point).
+    whose relu follows the pool, since zero is relu's fixed point), one
+    amount for every side or (top, bottom, left, right), as :func:`pad2d`
+    takes it.
 
     Ties within a window route the gradient to the first maximal element in
     row-major window order.  A NaN in a window gives a NaN output and routes
     no gradient.  For backward the op keeps one index per output, that
-    first maximal tap (``uint8`` up to 255 taps), and its input's axis
-    order, not the input.
+    first maximal tap (``uint8`` up to 255 taps), not the input.
     """
     if stride is None:
         stride = kernel
+    pads = _pads(padding)
     n, c, h, w = x.shape
-    hp, wp = h + 2 * padding, w + 2 * padding
-    if kernel > hp or kernel > wp:
-        raise ValueError(f"max_pool2d window {kernel} exceeds padded input {hp}x{wp}")
-    if padding:
-        xp = np.zeros_like(x.data, shape=(n, c, hp, wp))    # same memory layout as the input
-        xp[:, :, padding:padding + h, padding:padding + w] = x.data
-    else:
-        xp = x.data
-    oh = (hp - kernel) // stride + 1
-    ow = (wp - kernel) // stride + 1
+    hp, wp, oh, ow = _pool_extents(h, w, kernel, stride, pads)
+    xp = _pad(x.data, pads)
     out = np.empty_like(xp[:, :, :oh, :ow])                 # keeps the input's memory layout
     a = x.node
     if not (grad_enabled() and a is not None):
@@ -396,12 +402,11 @@ def max_pool2d(x: Tensor, kernel: int = 2, stride: int | None = None, padding: i
 
     first = np.empty_like(out, dtype=np.min_scalar_type(kernel * kernel))
     _max_pool(xp, kernel, stride, out, first)
-    order = memory_order(x.data)     # the gradient's layout; the input itself is not kept
+    top, _, left, _ = pads
 
     def backward_fn(o):
-        dxp = zeros_in(order, (n, c, hp, wp), a.dtype)        # keeps no padded copy alive
-        _max_pool_backward(o.grad, first, kernel, stride, dxp)
-        a.accumulate_grad(dxp[:, :, padding:padding + h, padding:padding + w], owned=True)
+        dxp = _max_pool_backward(o.grad, first, kernel, stride, hp, wp)
+        a.accumulate_grad(dxp[:, :, top:top + h, left:left + w], owned=True)
 
     return x._make(out, (x,), backward_fn)
 
@@ -441,31 +446,35 @@ def _spatial_sums(a: np.ndarray) -> np.ndarray:
     return np.einsum("cpn->cn", a, dtype=np.float64)
 
 
-def _bn_moments(xt: np.ndarray, k: int, out: np.ndarray | None = None):
-    """Per-group mean and (biased) variance, each (C, N/k) in float64, of the
-    (C, H*W, N) maps ``xt`` in groups of ``k`` consecutive samples, and the
-    maps centred by their group's mean, written to ``out`` when given.
-    Each sum runs over the spatial axis first, then over the group's
-    samples; reducing the (C, H*W, G, K) view in one call measured 2.5x
-    slower (C=32, 32x32, N=128)."""
+def _bn_train(xt: np.ndarray, k: int, gamma: np.ndarray, beta: np.ndarray,
+              running_mean: np.ndarray, running_var: np.ndarray,
+              centred: np.ndarray | None = None, out: np.ndarray | None = None):
+    """Training-mode batch norm of the (C, H*W, N) maps ``xt`` in groups of
+    ``k`` consecutive samples.  Each group's mean and (biased) variance are
+    float64 sums over the spatial axis first, then over the group's samples
+    (reducing the (C, H*W, G, K) view in one call measured 2.5x slower, C=32,
+    32x32, N=128); the variance sums the squares of the maps centred by their
+    group's mean.  The running statistics take one update per group, in
+    order, with the unbiased variance.  The centred maps go to ``centred``
+    and the normalized ones, centred * γ/std + β, to ``out``, each a new
+    array unless given (either may be ``xt``).  Returns both and the
+    per-group (C, N/k) float64 mean, 1/std and scale γ/std."""
     count = k * xt.shape[1]
     mean = _per_group(_spatial_sums(xt), k) / count
-    centred = np.subtract(xt, _per_sample(mean, k, xt.dtype), out=out)
+    centred = np.subtract(xt, _per_sample(mean, k, xt.dtype), out=centred)
     var = _per_group(np.einsum("cpn,cpn->cn", centred, centred, dtype=np.float64), k) / count
-    return mean, var, centred
-
-
-def _bn_update_running(running_mean: np.ndarray, running_var: np.ndarray, mean: np.ndarray,
-                       var: np.ndarray, count: int, momentum: float):
-    """One running-statistics update per group (a column of ``mean`` and
-    ``var``), in order; the variance enters unbiased."""
     with np.errstate(invalid="ignore"):
         unbiased = var * count / max(count - 1, 1)
     for g in range(mean.shape[1]):
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * mean[:, g].astype(running_mean.dtype)
-        running_var *= 1.0 - momentum
-        running_var += momentum * unbiased[:, g].astype(running_var.dtype)
+        running_mean *= 1.0 - BN_MOMENTUM
+        running_mean += BN_MOMENTUM * mean[:, g].astype(running_mean.dtype)
+        running_var *= 1.0 - BN_MOMENTUM
+        running_var += BN_MOMENTUM * unbiased[:, g].astype(running_var.dtype)
+    inv_std = 1.0 / np.sqrt(var + BN_EPS)
+    scale = gamma.astype(np.float64)[:, None] * inv_std
+    out = np.multiply(centred, _per_sample(scale, k, xt.dtype), out=out)
+    out += beta[:, None, None]
+    return centred, out, mean, inv_std, scale
 
 
 def _bn_backward(dy: np.ndarray, centred: np.ndarray, k: int, inv_std: np.ndarray,
@@ -487,19 +496,24 @@ def _bn_backward(dy: np.ndarray, centred: np.ndarray, k: int, inv_std: np.ndarra
     return sum_dy, sum_dy_xhat
 
 
-def _bn_eval_affine(gamma: np.ndarray, beta: np.ndarray, running_mean: np.ndarray,
-                    running_var: np.ndarray, eps: float):
-    """Eval-mode batch norm's per-channel mean, 1/std, scale and shift, in
-    float64: the running statistics and the affine map folded together."""
-    mean = running_mean.astype(np.float64)
-    inv_std = 1.0 / np.sqrt(running_var.astype(np.float64) + eps)
-    scale = gamma.astype(np.float64) * inv_std
-    return mean, inv_std, scale, beta - mean * scale
-
-
 def _per_channel(a: np.ndarray, dtype) -> np.ndarray:
     """(C,) values -> (1, C, 1, 1), to scale (N, C, H, W) maps."""
     return a.astype(dtype)[None, :, None, None]
+
+
+def _bn_eval(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, running_mean: np.ndarray,
+             running_var: np.ndarray, out: np.ndarray | None = None):
+    """Eval-mode batch norm of the (N, C, H, W) maps ``x``: the running
+    statistics and the affine map folded into one per-channel float64 scale
+    and shift, applied in ``x``'s layout and written to ``out`` when given.
+    Returns the output and the per-channel mean, 1/std and scale that
+    :func:`_bn_eval_backward` reads."""
+    mean = running_mean.astype(np.float64)
+    inv_std = 1.0 / np.sqrt(running_var.astype(np.float64) + BN_EPS)
+    scale = gamma.astype(np.float64) * inv_std
+    out = np.multiply(x, _per_channel(scale, x.dtype), out=out)
+    out += _per_channel(beta - mean * scale, x.dtype)
+    return out, (mean, inv_std, scale)
 
 
 def _bn_eval_backward(dy: np.ndarray, x: np.ndarray | None, mean: np.ndarray,
@@ -519,8 +533,7 @@ def _bn_eval_backward(dy: np.ndarray, x: np.ndarray | None, mean: np.ndarray,
 
 def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor,
                  running_mean: np.ndarray, running_var: np.ndarray,
-                 training: bool, momentum: float = BN_MOMENTUM, eps: float = BN_EPS,
-                 groups: int = 1, overwrite_input: bool = False) -> Tensor:
+                 training: bool, groups: int = 1, overwrite_input: bool = False) -> Tensor:
     """Per-channel batch normalization with running statistics.
 
     In training mode normalizes by batch moments and updates the running
@@ -537,21 +550,25 @@ def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor,
     gradient.  Without it ``x`` is never written.
     """
     n, c, h, w = x.shape
+    xn, gn, bn = x.node, gamma.node, beta.node
     if not training:
-        return _batch_norm_eval(x, gamma, beta, running_mean, running_var, eps, overwrite_input)
+        out, stats = _bn_eval(x.data, gamma.data, beta.data, running_mean, running_var)
+        xd = x.data if gn is not None else None          # read by the gamma gradient only
+
+        def eval_backward_fn(o):
+            dx = _bn_eval_backward(o.grad, xd, *stats, gn, bn, overwrite_input)
+            if xn is not None:
+                xn.accumulate_grad(dx, owned=True)
+
+        return x._make(out, (x, gamma, beta), eval_backward_fn)
     if n % groups:
         raise ValueError(f"batch norm cannot split {n} samples into {groups} equal groups")
     k = n // groups
     # Every map is read and written as (C, H*W, N), a view of the conv
     # output's batch-innermost memory.
     xt = x.data.transpose(1, 2, 3, 0).reshape(c, h * w, n)
-    mean, var, centred = _bn_moments(xt, k, out=xt if overwrite_input else None)
-    _bn_update_running(running_mean, running_var, mean, var, k * h * w, momentum)
-    inv_std = 1.0 / np.sqrt(var + eps)
-    scale = gamma.data.astype(np.float64)[:, None] * inv_std
-    out = centred * _per_sample(scale, k, x.dtype)
-    out += beta.data[:, None, None]
-    xn, gn, bn = x.node, gamma.node, beta.node
+    centred, out, _, inv_std, scale = _bn_train(xt, k, gamma.data, beta.data, running_mean,
+                                                running_var, xt if overwrite_input else None)
 
     def backward_fn(o):
         dy = o.grad.transpose(1, 2, 3, 0).reshape(c, h * w, n)
@@ -567,34 +584,10 @@ def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor,
     return x._make(out.reshape(c, h, w, n).transpose(3, 0, 1, 2), (x, gamma, beta), backward_fn)
 
 
-def _batch_norm_eval(x: Tensor, gamma: Tensor, beta: Tensor,
-                     running_mean: np.ndarray, running_var: np.ndarray, eps: float,
-                     overwrite_input: bool = False) -> Tensor:
-    """Eval-mode batch norm: the running statistics and the affine map folded
-    into one per-channel scale and shift, applied in the input's layout.
-    ``overwrite_input``: see :func:`batch_norm2d`; backward centres the
-    input in its own buffer and writes dx over the output gradient."""
-    mean, inv_std, scale, shift = _bn_eval_affine(gamma.data, beta.data, running_mean,
-                                                  running_var, eps)
-    out = x.data * _per_channel(scale, x.dtype)
-    out += _per_channel(shift, x.dtype)
-    xn, gn, bn = x.node, gamma.node, beta.node
-    xd = x.data if gn is not None else None          # read by the gamma gradient only
-
-    def backward_fn(o):
-        dx = _bn_eval_backward(o.grad, xd, mean, inv_std, scale, gn, bn, overwrite_input)
-        if xn is not None:
-            xn.accumulate_grad(dx, owned=True)
-
-    return x._make(out, (x, gamma, beta), backward_fn)
-
-
 def conv_bn_pool_relu(x: Tensor, conv: "Conv2d", bn: "BatchNorm2d", pool: int, stride: int,
                       padding: int | tuple[int, int, int, int] = 0) -> Tensor:
-    """relu(max_pool2d(bn(conv(x)))) as one op: an encoder's stem, whose
-    input is the slices themselves.  ``padding`` is the pool's: an int pads
-    every side, as :func:`max_pool2d` does, and (top, bottom, left, right)
-    pads the batch-norm output first, as :func:`pad2d` does.  The modules'
+    """relu(max_pool2d(bn(conv(x)), pool, stride, padding)) as one op: an
+    encoder's stem, whose input is the slices themselves.  The modules'
     parameters, running statistics and modes are read as their own calls
     would read them.
 
@@ -604,7 +597,7 @@ def conv_bn_pool_relu(x: Tensor, conv: "Conv2d", bn: "BatchNorm2d", pool: int, s
     the group's conv through :func:`conv2d`, normalizes it in the conv
     output's buffer (training mode updates the running statistics once per
     group, in order), pools it and applies relu to the pooled map.  The rule
-    keeps the slices, each group's mean, 1/std and scale, and the pool's
+    keeps the slices, each group's batch-norm statistics, and the pool's
     one-byte tap index, with relu's mask folded in: a window whose maximum
     is not positive routes to no tap.  Backward routes each group's output
     gradient through relu and the pool, runs the group's conv again with
@@ -617,7 +610,7 @@ def conv_bn_pool_relu(x: Tensor, conv: "Conv2d", bn: "BatchNorm2d", pool: int, s
     kernel, gamma, beta = conv.weight, bn.weight, bn.bias
     running_mean, running_var = bn._buffers["running_mean"], bn._buffers["running_var"]
     training = bn.training and not bn.freeze_stats
-    top, bottom, left, right = (padding,) * 4 if isinstance(padding, int) else padding
+    top, _, left, _ = pads = _pads(padding)
     xd, kd, conv_stride, conv_padding = x.data, kernel.data, conv.stride, conv.padding
     n = x.shape[0]
     k = n // bn.groups(n)
@@ -633,38 +626,22 @@ def conv_bn_pool_relu(x: Tensor, conv: "Conv2d", bn: "BatchNorm2d", pool: int, s
         return y.transpose(1, 2, 3, 0).reshape(y.shape[1], -1, y.shape[0])
 
     record = grad_enabled() and any(t.node is not None for t in (x, kernel, gamma, beta))
-    mean, inv_std, scale, shift = (None,) * 4 if training else _bn_eval_affine(
-        gamma.data, beta.data, running_mean, running_var, BN_EPS)
-    stats, out, first = [], None, None
+    stats, out, first = [], None, None              # stats: per group, batch norm's for backward
     for samples in groups:
         y = conv_out(samples)
         _, f, oh, ow = y.shape
-        hp, wp = oh + top + bottom, ow + left + right
         if out is None:
-            if pool > hp or pool > wp:
-                raise ValueError(f"max_pool2d window {pool} exceeds padded input {hp}x{wp}")
-            ph, pw = (hp - pool) // stride + 1, (wp - pool) // stride + 1
+            hp, wp, ph, pw = _pool_extents(oh, ow, pool, stride, pads)
             out = np.empty((f, ph, pw, n), dtype=y.dtype).transpose(3, 0, 1, 2)
             if record:
                 first = np.empty_like(out, dtype=np.min_scalar_type(pool * pool))
         if training:
             yt = centred_maps(y)
-            group_mean, var, _ = _bn_moments(yt, k, out=yt)
-            _bn_update_running(running_mean, running_var, group_mean, var, yt.size // f,
-                               BN_MOMENTUM)
-            group_inv_std = 1.0 / np.sqrt(var + BN_EPS)
-            group_scale = gamma.data.astype(np.float64)[:, None] * group_inv_std
-            yt *= _per_sample(group_scale, k, y.dtype)
-            yt += beta.data[:, None, None]
-            stats.append((group_mean, group_inv_std, group_scale))
+            stats.append(_bn_train(yt, k, gamma.data, beta.data, running_mean, running_var,
+                                   yt, yt)[2:])
         else:
-            y *= _per_channel(scale, y.dtype)
-            y += _per_channel(shift, y.dtype)
-        if top or bottom or left or right:
-            yp = np.zeros((f, hp, wp, k), dtype=y.dtype).transpose(3, 0, 1, 2)
-            yp[:, :, top:top + oh, left:left + ow] = y
-        else:
-            yp = y
+            stats.append(_bn_eval(y, gamma.data, beta.data, running_mean, running_var, y)[1])
+        yp = _pad(y, pads)
         del y
         # Pooled into a group-sized buffer first: numpy's ops on the batch's
         # strided columns measured 1.6x slower than on it, plus the copy.
@@ -681,10 +658,6 @@ def conv_bn_pool_relu(x: Tensor, conv: "Conv2d", bn: "BatchNorm2d", pool: int, s
 
     xn, kn, gn, bn_node = x.node, kernel.node, gamma.node, beta.node
     c, h, w = x.shape[1:]
-    # Eval-mode batch norm's γ gradient sums in memory order, so the pool's
-    # input gradient keeps the layout the separate ops gave it: (N, C, H, W)
-    # memory behind pad2d, a conv output's (C, H, W, N) otherwise.
-    order = (0, 1, 2, 3) if not isinstance(padding, int) and any(padding) else (1, 2, 3, 0)
     wmat = kd.reshape(kd.shape[0], -1)
 
     sums = np.empty((2, f, len(groups)))            # training mode: per group Σdy, Σdy·xhat
@@ -697,7 +670,7 @@ def conv_bn_pool_relu(x: Tensor, conv: "Conv2d", bn: "BatchNorm2d", pool: int, s
         dy = dyp[:, :, top:top + oh, left:left + ow]
         y = conv_out(samples)
         if not training:
-            dy = _bn_eval_backward(dy, y, mean, inv_std, scale, gn, bn_node, True)
+            dy = _bn_eval_backward(dy, y, *stats[i], gn, bn_node, True)
             return dy.transpose(1, 2, 3, 0).reshape(f, -1)
         group_mean, group_inv_std, group_scale = stats[i]
         yt = centred_maps(y)
@@ -710,8 +683,7 @@ def conv_bn_pool_relu(x: Tensor, conv: "Conv2d", bn: "BatchNorm2d", pool: int, s
         nonlocal first
         dx = np.empty((c, h, w, n), dtype=xd.dtype) if xn is not None else None
         for i, samples in enumerate(groups):
-            dyp = zeros_in(order, (k, f, hp, wp), o.grad.dtype)
-            _max_pool_backward(o.grad[samples], first[samples], pool, stride, dyp)
+            dyp = _max_pool_backward(o.grad[samples], first[samples], pool, stride, hp, wp)
             if i == len(groups) - 1:
                 # Nothing reads them again: freed before the last (or only)
                 # group's recompute instead of once the rule has run.
@@ -740,7 +712,7 @@ def conv_bn_pool_relu(x: Tensor, conv: "Conv2d", bn: "BatchNorm2d", pool: int, s
     return x._make(out, (x, kernel, gamma, beta), backward_fn)
 
 
-def layer_norm(x: Tensor, gain: Tensor, offset: Tensor, eps: float = LN_EPS) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, offset: Tensor) -> Tensor:
     """Normalize over the last axis to zero mean/unit variance, then scale and shift."""
     d = x.shape[-1]
     if d == 0:
@@ -749,7 +721,7 @@ def layer_norm(x: Tensor, gain: Tensor, offset: Tensor, eps: float = LN_EPS) -> 
         raise ValueError(f"layer_norm gain/offset must have shape ({d},)")
     mean = x.data.mean(axis=-1, keepdims=True, dtype=np.float64)
     var = x.data.var(axis=-1, keepdims=True, dtype=np.float64)
-    inv_std = (1.0 / np.sqrt(var + eps)).astype(x.dtype)
+    inv_std = (1.0 / np.sqrt(var + LN_EPS)).astype(x.dtype)
     xhat = ((x.data - mean).astype(x.dtype)) * inv_std
     out = gain.data * xhat + offset.data
     xn, gn, on = x.node, gain.node, offset.node

@@ -10,8 +10,8 @@ What the graph holds.  A node keeps its gradient, its input nodes, the op's
 backward rule and the shape and dtype of the data, never the data itself;
 a rule captures input nodes and only the arrays it reads (relu its own
 output, max pool its tap indices, batch norm its centred input, conv its
-input; an encoder's stem op keeps the slices and recomputes its conv
-output instead).  So an activation's array is freed as soon as the caller
+input; the encoder stem op, :func:`~sliceset.nn.conv_bn_pool_relu`, the
+slices).  So an activation's array is freed as soon as the caller
 drops its tensor, unless a rule reads it.  No node is made under :func:`no_grad`, or
 for an op none of whose inputs needs a gradient.  The walk releases the
 graph as it goes: once an op's rule has run, its node drops its gradient,
@@ -359,22 +359,6 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     if squeeze:
         grad = grad.sum(axis=squeeze, keepdims=True)
     return grad
-
-
-def memory_order(a: np.ndarray) -> tuple[int, ...]:
-    """The axes of ``a`` from slowest- to fastest-varying, in the order that
-    ``np.zeros_like(a)`` lays out a new array, so that :func:`zeros_in` can
-    rebuild that layout once ``a`` itself is gone."""
-    if a.flags.c_contiguous:
-        return tuple(range(a.ndim))
-    if a.flags.f_contiguous:
-        return tuple(reversed(range(a.ndim)))
-    return tuple(sorted(range(a.ndim), key=lambda i: -abs(a.strides[i])))
-
-
-def zeros_in(order: tuple[int, ...], shape: tuple[int, ...], dtype) -> np.ndarray:
-    """Zeros of ``shape`` laid out in the axis ``order`` of :func:`memory_order`."""
-    return np.zeros([shape[i] for i in order], dtype=dtype).transpose(np.argsort(order))
 
 
 def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:

@@ -302,6 +302,33 @@ def test_cnn5_pooling_before_relu_matches_relu_before_pooling_bit_for_bit():
     assert step(enc) == step(relu_first)
 
 
+@pytest.mark.parametrize("frozen", [False, True], ids=["training", "frozen-stats"])
+def test_cnn5_pools_odd_maps_without_a_pad2d_node(monkeypatch, frozen):
+    """On 17x19 slices every cnn5 pool but the last meets an odd extent, and
+    each pool pads its input to even itself: no pad2d call, no pad2d node in
+    the training graph, four max-pool nodes and the stem op.  The bit-for-bit
+    references with pad2d are the pooling-order and stem tests."""
+    enc = build_encoder(EncoderConfig(kind="cnn5", width_multiplier=0.25, min_input=8))
+    he_init(enc, seed=1)
+    for _, mod in enc.named_modules():
+        if isinstance(mod, nn.BatchNorm2d):
+            mod.freeze_stats = frozen
+    pads = []
+    monkeypatch.setattr(encoders, "pad2d", lambda x, pad: pads.append(pad) or nn.pad2d(x, pad))
+    x = Tensor(np.random.default_rng(3).normal(0, 1, (4, 1, 17, 19)), requires_grad=True)
+    y = enc(x)
+    rules, stack, seen = [], [y.node], set()
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node.parents)
+            rules.append(node.rule.__qualname__.split(".")[0] if node.rule else None)
+    assert pads == [] and "pad2d" not in rules
+    assert rules.count("max_pool2d") == 4 and rules.count("conv_bn_pool_relu") == 1
+    assert y.shape == (4, enc.embedding_dim)
+
+
 def test_resnet_pooling_before_relu_matches_relu_before_pooling_bit_for_bit():
     """ResNetEncoder max-pools its stem's batch-norm output before the relu.
     Output, the input gradient, every parameter gradient and every buffer
@@ -368,10 +395,10 @@ def test_stem_recompute_matches_keeping_the_conv_output_bit_for_bit(monkeypatch,
     calls = []
     conv2d = nn.conv2d
 
-    def counting_conv2d(x, kernel, bias=None, stride=1, padding=0):
+    def counting_conv2d(x, kernel, stride=1, padding=0):
         if x.shape[1] == 1:                      # only the stem reads the slices
             calls.append(x.shape[0])
-        return conv2d(x, kernel, bias, stride, padding)
+        return conv2d(x, kernel, stride, padding)
 
     def step():
         state = snapshot_state(enc)

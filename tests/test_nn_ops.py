@@ -124,14 +124,20 @@ def max_pool_grad_loop_oracle(x, g, kernel, stride, padding):
     return dxp[:, :, padding:padding + h, padding:padding + w]
 
 
+def conv_then_bias(x, kernel, b, stride, padding):
+    """conv2d, which takes no bias, then a per-filter bias ``b`` (when not
+    None) added by broadcasting, as the loop oracles add it."""
+    y = nn.conv2d(x, kernel, stride=stride, padding=padding)
+    return y if b is None else y + b.reshape(-1, 1, 1)
+
+
 @pytest.mark.parametrize("stride,padding,bias", [(1, 0, True), (2, 1, True), (1, 1, False), (3, 2, True)])
 def test_conv2d_matches_loop_oracle(stride, padding, bias):
     rng = np.random.default_rng(42 + stride * 10 + padding)
     x = rng.standard_normal((2, 3, 7, 8))
     w = rng.standard_normal((4, 3, 3, 3))
     b = rng.standard_normal(4) if bias else None
-    got = nn.conv2d(t64(x), t64(w), None if b is None else t64(b),
-                    stride=stride, padding=padding)
+    got = conv_then_bias(t64(x), t64(w), None if b is None else t64(b), stride, padding)
     want = conv2d_loop_oracle(x, w, b, stride, padding)
     np.testing.assert_allclose(got.numpy(), want, rtol=1e-10, atol=1e-12)
 
@@ -165,7 +171,7 @@ def test_conv2d_gradients_match_loop_oracle(n, c, h, w, f, k, stride, padding, b
     x = t64(rng.standard_normal((n, c, h, w)), requires_grad=True)
     kernel = t64(rng.standard_normal((f, c, k, k)), requires_grad=True)
     b = t64(rng.standard_normal(f), requires_grad=True) if bias else None
-    y = nn.conv2d(x, kernel, b, stride=stride, padding=padding)
+    y = conv_then_bias(x, kernel, b, stride, padding)
     g = rng.standard_normal(y.shape)
     (y * t64(g)).sum().backward()
     dx, dw, db = conv2d_grad_loop_oracle(x.numpy(), kernel.numpy(), g, stride, padding)
@@ -179,7 +185,7 @@ def test_conv2d_gradients_match_loop_oracle(n, c, h, w, f, k, stride, padding, b
 # conv2d's forward builds and multiplies its columns in row tiles
 # ---------------------------------------------------------------------------
 
-def conv_gemms(monkeypatch, x, kernel, bias=None, stride=1, padding=0, tile_bytes=None):
+def conv_gemms(monkeypatch, x, kernel, stride=1, padding=0, tile_bytes=None):
     """conv2d's forward output and the column count of each GEMM it makes,
     under a column budget of ``tile_bytes`` (the default when None)."""
     widths = []
@@ -193,7 +199,7 @@ def conv_gemms(monkeypatch, x, kernel, bias=None, stride=1, padding=0, tile_byte
         if tile_bytes is not None:
             m.setattr(nn, "CONV_TILE_BYTES", tile_bytes)
         m.setattr(nn.np, "matmul", counted)
-        out = nn.conv2d(x, kernel, bias, stride=stride, padding=padding)
+        out = nn.conv2d(x, kernel, stride=stride, padding=padding)
     return out.numpy(), widths
 
 
@@ -218,8 +224,7 @@ def test_conv2d_row_tiles_match_one_tile_and_loop_oracle(monkeypatch, rows_per_t
     rng = np.random.default_rng(n + h * 10 + k * 100 + stride + padding)
     x = rng.standard_normal((n, c, h, w))
     kernel = rng.standard_normal((f, c, k, k))
-    b = rng.standard_normal(f)
-    args = (t64(x), t64(kernel), t64(b), stride, padding)
+    args = (t64(x), t64(kernel), stride, padding)
     oh = (h + 2 * padding - k) // stride + 1
     ow = (w + 2 * padding - k) // stride + 1
     row_bytes = c * k * k * ow * n * 8
@@ -231,7 +236,7 @@ def test_conv2d_row_tiles_match_one_tile_and_loop_oracle(monkeypatch, rows_per_t
     tiled, widths = conv_gemms(monkeypatch, *args, tile_bytes=budget)
     assert widths == [min(rows_per_tile, oh - r) * ow * n for r in range(0, oh, rows_per_tile)]
     assert len(widths) > 1
-    np.testing.assert_allclose(tiled[:2], conv2d_loop_oracle(x[:2], kernel, b, stride, padding),
+    np.testing.assert_allclose(tiled[:2], conv2d_loop_oracle(x[:2], kernel, None, stride, padding),
                                rtol=1e-10, atol=1e-12)
     if n % 8 == 0:
         # Every tile is then a multiple of 8 columns wide, and OpenBLAS rounds
@@ -251,7 +256,6 @@ def test_conv2d_backward_row_tiles_match_loop_oracle(monkeypatch, rows_per_tile,
     rng = np.random.default_rng(n + h * 10 + k * 100 + stride + padding)
     x = t64(rng.standard_normal((n, c, h, w)), requires_grad=True)
     kernel = t64(rng.standard_normal((f, c, k, k)), requires_grad=True)
-    b = t64(rng.standard_normal(f), requires_grad=True)
     oh = (h + 2 * padding - k) // stride + 1
     ow = (w + 2 * padding - k) // stride + 1
     row_bytes = c * k * k * ow * n * 8
@@ -266,7 +270,7 @@ def test_conv2d_backward_row_tiles_match_loop_oracle(monkeypatch, rows_per_tile,
     with monkeypatch.context() as m:
         m.setattr(nn, "CONV_TILE_BYTES", budget)
         m.setattr(nn.np, "matmul", counted)
-        y = nn.conv2d(x, kernel, b, stride=stride, padding=padding)
+        y = nn.conv2d(x, kernel, stride=stride, padding=padding)
         g = rng.standard_normal(y.shape)
         forward = len(gemms)
         (y * t64(g)).sum().backward()
@@ -275,10 +279,9 @@ def test_conv2d_backward_row_tiles_match_loop_oracle(monkeypatch, rows_per_tile,
     # Per tile: the dW GEMM (the tile's columns times its dout.T), then dX's W.T @ dout.
     assert gemms[forward:] == [shape for t in heights
                                for shape in ((c * k * k, t * ow * n), (c * k * k, f))]
-    dx, dw, db = conv2d_grad_loop_oracle(x.numpy(), kernel.numpy(), g, stride, padding)
+    dx, dw, _ = conv2d_grad_loop_oracle(x.numpy(), kernel.numpy(), g, stride, padding)
     np.testing.assert_allclose(x.grad, dx, rtol=1e-10, atol=1e-12)
     np.testing.assert_allclose(kernel.grad, dw, rtol=1e-10, atol=1e-12)
-    np.testing.assert_allclose(b.grad, db, rtol=1e-10, atol=1e-12)
 
 
 def test_conv2d_tiles_the_cnn5_per_volume_layers_whose_columns_exceed_the_budget(monkeypatch):
@@ -459,6 +462,75 @@ def test_pad2d_places_content_and_gradient_slices_back():
     np.testing.assert_allclose(x.grad, np.full((1, 1, 2, 2), 3.0))
 
 
+LAYOUTS = {
+    "c_contiguous": np.ascontiguousarray,
+    "batch_innermost": lambda a: np.ascontiguousarray(a.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2),
+}
+
+
+def is_batch_innermost(a):
+    """Whether the (N, C, H, W) array ``a`` is laid out as (C, H, W, N) memory."""
+    return a.strides[0] == a.itemsize and a.strides[1] > a.strides[2] > a.strides[3] > a.strides[0]
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+@pytest.mark.parametrize("kernel,stride,padding", [
+    (2, 2, (0, 1, 0, 1)),       # cnn5's pad to even
+    (2, 2, (1, 0, 2, 1)),
+    (3, 2, 1),                  # the resnet stem's pool
+    (3, 1, (2, 0, 0, 1)),
+    (2, 2, 0),
+])
+def test_max_pool2d_padding_matches_pad2d_then_max_pool2d_bit_for_bit(layout, kernel, stride,
+                                                                       padding):
+    """A pool's own padding gives pad2d followed by an unpadded pool: the
+    same values and the same input gradient, bit for bit, with windows tied
+    with each other and with the zero padding, and windows holding NaN.
+    The input gradient is laid out batch-innermost whatever the input's
+    layout."""
+    rng = np.random.default_rng(8)
+    x = rng.integers(-1, 2, (3, 2, 7, 9)).astype(np.float32)
+    x[0, 0, 0, 0] = x[2, 1, 3, 4] = np.nan
+    data = LAYOUTS[layout](x)
+    xt, ref = Tensor(data, requires_grad=True), Tensor(data, requires_grad=True)
+    y = nn.max_pool2d(xt, kernel, stride, padding)
+    want = nn.max_pool2d(nn.pad2d(ref, padding), kernel, stride)
+    g = Tensor(rng.standard_normal(y.shape).astype(np.float32))
+    (y * g).sum().backward()
+    (want * g).sum().backward()
+    assert np.isnan(y.numpy()).any()
+    assert y.numpy().tobytes() == want.numpy().tobytes()
+    assert xt.grad.tobytes() == ref.grad.tobytes()
+    assert is_batch_innermost(xt.grad)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda x, k: nn.max_pool2d(x, 0), "kernel and stride must be >= 1"),
+    (lambda x, k: nn.max_pool2d(x, 2, stride=0), "kernel and stride must be >= 1"),
+    (lambda x, k: nn.max_pool2d(x, 2, 2, padding=-1), "pad amounts must be non-negative"),
+    (lambda x, k: nn.max_pool2d(x, 2, 2, padding=(0, 1, -1, 0)), "pad amounts must be non-negative"),
+    (lambda x, k: nn.pad2d(x, (0, 0, 0, -2)), "pad amounts must be non-negative"),
+    (lambda x, k: nn.conv2d(x, k, padding=-1), "conv2d padding must be >= 0"),
+], ids=["pool-kernel-0", "pool-stride-0", "pool-padding-negative", "pool-pads-negative",
+        "pad2d-negative", "conv-padding-negative"])
+def test_bad_pool_and_conv_arguments_raise_value_errors(call, message):
+    x = t64(np.ones((1, 2, 6, 6)))
+    with pytest.raises(ValueError, match=message):
+        call(x, t64(np.ones((3, 2, 3, 3))))
+
+
+@pytest.mark.parametrize("pool,stride,padding,message", [
+    (0, 2, 0, "kernel and stride must be >= 1"),
+    (2, 0, 0, "kernel and stride must be >= 1"),
+    (2, 2, -1, "pad amounts must be non-negative"),
+    (2, 2, (0, -1, 0, 1), "pad amounts must be non-negative"),
+])
+def test_stem_op_rejects_bad_pool_arguments(pool, stride, padding, message):
+    conv, bn = nn.Conv2d(1, 2, 3, padding=1), nn.BatchNorm2d(2)
+    with pytest.raises(ValueError, match=message):
+        nn.conv_bn_pool_relu(Tensor(np.ones((2, 1, 6, 6))), conv, bn, pool, stride, padding)
+
+
 # ---------------------------------------------------------------------------
 # frozen hand values
 # ---------------------------------------------------------------------------
@@ -630,7 +702,7 @@ def test_batch_norm_running_stats_hand_oracle():
     x, gamma, beta = bn_case(seed=1)
     rm = np.zeros(3, dtype=np.float64)
     rv = np.ones(3, dtype=np.float64)
-    nn.batch_norm2d(t64(x), t64(gamma), t64(beta), rm, rv, training=True, momentum=0.1)
+    nn.batch_norm2d(t64(x), t64(gamma), t64(beta), rm, rv, training=True)
     mean = x.mean(axis=(0, 2, 3))
     count = x.shape[0] * x.shape[2] * x.shape[3]
     unbiased = x.var(axis=(0, 2, 3)) * count / (count - 1)
@@ -849,7 +921,7 @@ def test_composite_network_gradients_match_central_differences(seed):
     params = [w1, b1, w2, b2]
 
     def f():
-        h1 = nn.relu(nn.conv2d(x, w1, b1))
+        h1 = nn.relu(nn.conv2d(x, w1) + b1.reshape(4, 1, 1))
         h2 = nn.max_pool2d(h1, kernel=2)
         flat = h2.reshape(2, 4 * 3 * 3)
         logits = nn.linear(flat, w2, b2)

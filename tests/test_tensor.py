@@ -288,9 +288,12 @@ def test_a_dropped_op_output_is_freed_unless_a_rule_reads_it():
     assert x.grad.tobytes() == kept.grad.tobytes()
 
 
-def test_no_backward_rule_captures_a_tensor():
+def test_no_backward_rule_captures_a_tensor(monkeypatch):
     """Every rule a model's training graph holds reaches arrays and nodes
-    only, never a Tensor, which would pin that tensor's data."""
+    only, never a Tensor, which would pin that tensor's data.  The walk must
+    inspect every rule the forward made, and so every op kind the model
+    runs: the encoder's convs, batch norms, pools and relus, the stem op,
+    the aggregator's ops and the loss."""
     def captured(fn, seen):
         for cell in fn.__closure__ or ():
             value = cell.cell_contents
@@ -306,6 +309,24 @@ def test_no_backward_rule_captures_a_tensor():
                     if isinstance(item, types.FunctionType):
                         yield from captured(item, seen)
 
+    made = []
+    make = Tensor._make
+
+    def recording_make(data, parents, backward_fn):
+        out = make(data, parents, backward_fn)
+        if out.node is not None:
+            made.append(backward_fn.__qualname__)
+        return out
+
+    monkeypatch.setattr(Tensor, "_make", staticmethod(recording_make))
+
+    def rule(op):
+        return f"{op}.<locals>.backward_fn"
+
+    aggregator_ops = {"attention": {rule("linear"), rule("softmax"), rule("layer_norm")},
+                      "mean": {rule("aggregate_mean"), rule("linear")}}
+    loss_ops = {"mse": rule("Tensor.__mul__"), "l1": rule("Tensor.abs"),
+                "cross_entropy": rule("cross_entropy")}
     cases = [("cnn5", "attention", True, "regression", "mse", False),
              ("cnn5", "mean", False, "regression", "l1", True),
              ("resnet18", "mean", False, "classification", "cross_entropy", False),
@@ -322,8 +343,9 @@ def test_no_backward_rule_captures_a_tensor():
                 module.freeze_stats = frozen             # eval-mode batch norm in training
         volumes = generate_synthetic(SyntheticSpec(extents=(9, 10, 9), task=task, count=2,
                                                    seed=0, signal_axis="coronal"))
+        made.clear()
         loss = batch_loss(model, volumes, loss_kind)
-        stack_, seen, rules = [loss.node], set(), 0
+        stack_, seen, inspected = [loss.node], set(), []
         while stack_:
             node = stack_.pop()
             if id(node) in seen:
@@ -331,10 +353,16 @@ def test_no_backward_rule_captures_a_tensor():
             seen.add(id(node))
             stack_.extend(node.parents)
             if node.rule is not None:
-                rules += 1
+                inspected.append(node.rule.__qualname__)
                 leaked = [v for v in captured(node.rule, set()) if isinstance(v, Tensor)]
                 assert not leaked, (kind, node.rule.__qualname__, leaked)
-        assert rules >= 30, (kind, rules)
+        assert sorted(inspected) == sorted(made), kind
+        ops = {rule("conv2d"), rule("conv_bn_pool_relu"), rule("relu"), rule("global_avg_pool2d"),
+               "batch_norm2d.<locals>.eval_backward_fn" if frozen else rule("batch_norm2d"),
+               loss_ops[loss_kind], *aggregator_ops[aggregator]}
+        if kind == "cnn5":
+            ops.add(rule("max_pool2d"))
+        assert ops <= set(inspected), (kind, ops - set(inspected))
 
 
 def test_relu_gradient_from_output_sign_matches_input_sign():
