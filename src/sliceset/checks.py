@@ -46,7 +46,9 @@ FD_STEP = 1e-3
 MODEL_FD_STEP = 1e-4
 GRADIENT_TOLERANCE = 1e-3
 PERMUTATION_TOLERANCE = 1e-5
+PERMUTATION_TRIALS = 100      # random (volume, slice permutation) pairs per aggregator
 METRIC_TOLERANCE = 1e-9
+METRIC_INSTANCES = 100        # random metric instances
 
 
 @dataclass
@@ -243,7 +245,7 @@ _OP_CASES = [
     ("conv2d.stride2pad1", lambda rng: _signed_sum(
         rng, lambda x, k: nn.conv2d(x, k, stride=2, padding=1),
         _t(rng, 1, 2, 5, 5), _t(rng, 3, 2, 3, 3, scale=0.5))),
-    ("conv2d.nobias", lambda rng: _signed_sum(
+    ("conv2d.kernel2x2", lambda rng: _signed_sum(
         rng, nn.conv2d, _t(rng, 2, 3, 4, 4), _t(rng, 2, 3, 2, 2, scale=0.5))),
     ("max_pool2d.2x2", lambda rng: _signed_sum(
         rng, lambda x: nn.max_pool2d(x, 2), _t(rng, 2, 3, 6, 6))),
@@ -340,34 +342,29 @@ def _model_case(task, aggregator_kind, seed):
     return build
 
 
-def gradient_suite(seed: int = 0, samples_per_tensor: int = 6) -> SuiteReport:
+def gradient_suite(seed: int = 0) -> SuiteReport:
+    # (name, build, rng seed, difference step, samples per tensor)
+    cases = [(f"op.{name}", build, seed * 1000 + i,
+              # Batch norm makes the stem's loss invariant to its kernel's
+              # scale, so some kernel-gradient entries sit near zero, where the
+              # truncation error of a 1e-3 central difference dominates their
+              # relative error; the models' 1e-4 step leaves roundoff only.
+              MODEL_FD_STEP if name.startswith("stem.") else FD_STEP, 6)
+             for i, (name, build) in enumerate(_OP_CASES)]
+    # The composed models chain five conv blocks, so a 1e-3 step flips relu
+    # signs that a single-op probe never sees; a 1e-4 step keeps the quotient
+    # inside one linear region while float64 evaluation keeps roundoff far
+    # below tolerance.
+    cases += [(f"model.cnn5-{aggregator}.{task}", _model_case(task, aggregator, seed),
+               7000 + seed * 100 + i, MODEL_FD_STEP, 3)
+              for i, (aggregator, task) in enumerate((("mean", "regression"),
+                                                      ("attention", "regression"),
+                                                      ("mean", "classification")))]
     report = SuiteReport(suite="gradients")
-    for i, (name, build) in enumerate(_OP_CASES):
-        rng = np.random.default_rng(seed * 1000 + i)
+    for name, build, rng_seed, h, samples in cases:
+        rng = np.random.default_rng(rng_seed)
         objective, params = build(rng)
-        # Batch norm makes the stem's loss invariant to its kernel's scale, so
-        # some kernel-gradient entries sit near zero, where the truncation
-        # error of a 1e-3 central difference dominates their relative error;
-        # the models' 1e-4 step leaves roundoff only.
-        h = MODEL_FD_STEP if name.startswith("stem.") else FD_STEP
-        err = gradient_error(objective, params, rng, h=h, samples_per_tensor=samples_per_tensor)
-        report.results.append(CheckResult(
-            name=f"op.{name}", passed=err < GRADIENT_TOLERANCE, value=err,
-            detail=f"max rel err {err:.3e}"))
-    model_cases = [
-        ("model.cnn5-mean.regression", _model_case("regression", "mean", seed)),
-        ("model.cnn5-attention.regression", _model_case("regression", "attention", seed)),
-        ("model.cnn5-mean.classification", _model_case("classification", "mean", seed)),
-    ]
-    for i, (name, build) in enumerate(model_cases):
-        rng = np.random.default_rng(7000 + seed * 100 + i)
-        objective, params = build(rng)
-        # The composed models chain five conv blocks, so a 1e-3 step flips
-        # relu signs that a single-op probe never sees; a 1e-4 step keeps the
-        # quotient inside one linear region while float64 evaluation keeps
-        # roundoff far below tolerance.
-        err = gradient_error(objective, params, rng, h=MODEL_FD_STEP,
-                             samples_per_tensor=3)
+        err = gradient_error(objective, params, rng, h=h, samples_per_tensor=samples)
         report.results.append(CheckResult(
             name=name, passed=err < GRADIENT_TOLERANCE, value=err,
             detail=f"max rel err {err:.3e}"))
@@ -378,7 +375,7 @@ def gradient_suite(seed: int = 0, samples_per_tensor: int = 6) -> SuiteReport:
 # permutation invariance
 # ---------------------------------------------------------------------------
 
-def permutation_suite(trials: int = 100, seed: int = 0) -> SuiteReport:
+def permutation_suite(seed: int = 0) -> SuiteReport:
     """Slice-order invariance for both aggregators, plus zero-table identity."""
     report = SuiteReport(suite="permutation")
     extents = (6, 10, 8)
@@ -392,7 +389,7 @@ def permutation_suite(trials: int = 100, seed: int = 0) -> SuiteReport:
         model.eval()
         worst = 0.0
         with no_grad():
-            for _ in range(trials):
+            for _ in range(PERMUTATION_TRIALS):
                 volume = Volume(voxels=rng.normal(0, 1, extents).astype(np.float32))
                 perm = rng.permutation(k)
                 base = model.forward_volume(volume).item()
@@ -401,7 +398,7 @@ def permutation_suite(trials: int = 100, seed: int = 0) -> SuiteReport:
                 worst = max(worst, delta)
         report.results.append(CheckResult(
             name=f"invariance.{agg_kind}", passed=worst < PERMUTATION_TOLERANCE, value=worst,
-            detail=f"{trials} volume/permutation pairs, worst |Δ|/(1+|pred|) {worst:.3e}"))
+            detail=f"{PERMUTATION_TRIALS} volume/permutation pairs, worst |Δ|/(1+|pred|) {worst:.3e}"))
 
     # A zero-initialized positional table must change nothing at all.
     plain = _small_model("regression", "mean", positional=False, seed=seed, extents=extents,
@@ -476,12 +473,12 @@ def oracle_average_precision(scores, true_labels) -> float:
     return total / sum(1 for t in true_labels if t == 1)
 
 
-def metric_suite(instances: int = 100, seed: int = 0) -> SuiteReport:
+def metric_suite(seed: int = 0) -> SuiteReport:
     report = SuiteReport(suite="metrics")
     rng = np.random.default_rng(seed)
     worst = 0.0
     failures = []
-    for i in range(instances):
+    for i in range(METRIC_INSTANCES):
         n = int(rng.integers(2, 201))
         preds = rng.normal(0, 5, n)
         targets = rng.normal(0, 5, n)
@@ -521,7 +518,7 @@ def metric_suite(instances: int = 100, seed: int = 0) -> SuiteReport:
         and f1([0, 0, 0, 0], [1, 1, 0, 0]) == 0.0
     )
     passed = not failures and corner_ok
-    detail = f"{instances} random instances, worst |Δ| {worst:.2e}"
+    detail = f"{METRIC_INSTANCES} random instances, worst |Δ| {worst:.2e}"
     if failures:
         detail += "; first failures: " + "; ".join(failures[:3])
     if not corner_ok:

@@ -405,12 +405,12 @@ def _new_model(config: ModelConfig, slice_count: int) -> SliceSetModel:
 
 
 def _check_batch_fits(config: RunConfig, extents, volumes: int):
-    """Allocate one training batch of slices padded to the encoder's minimum,
-    so a size numpy cannot allocate is a config error before anything is written."""
+    """Allocate one training batch of slices at their extent in the encoder,
+    so slices the encoder refuses, or a size numpy cannot allocate, are a
+    config error before anything is written."""
     enc = config.encoder
     axis = axis_index(config.axis)
-    h, w = (max(e, enc.min_input) if enc.pad_to_min else e
-            for i, e in enumerate(extents) if i != axis)
+    h, w = enc.slice_extent(*(e for i, e in enumerate(extents) if i != axis))
     shape = (min(config.train.batch_size, volumes) * extents[axis], enc.input_channels, h, w)
     try:
         np.empty(shape, dtype=np.float32)

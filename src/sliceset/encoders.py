@@ -6,10 +6,11 @@ as ``embedding_dim``: 32 (cnn5), 512 (resnet18) and 2048 (resnet50) at
 default width, scaled with every channel count by ``width_multiplier``.  One
 :class:`ResidualBlock`, basic or bottleneck, serves both residual networks.
 
-Inputs smaller than ``min_input`` on either spatial axis are zero-padded up
-to it (centered) when ``pad_to_min`` is set, otherwise rejected.  Each
-``cnn5`` pool zero-pads an odd extent to even itself, so any padded input
-size is safe.
+Slices are zero-padded up to ``min_input`` first
+(:meth:`EncoderConfig.slice_extent`).  Each ``cnn5`` pool zero-pads an odd
+extent to even itself, so any padded input size is safe.  The resnets
+downsample 4x in the stem and 2x in each later stage, so stages 1 to 4
+output 1x1 maps from slices of at most 4, 8, 16 and 32 on a side.
 
 Each encoder's stem, its first conv, batch norm, max pool and relu, whose
 input is the slices themselves, runs as one op,
@@ -67,19 +68,22 @@ class EncoderConfig:
     def scaled(self, base: int) -> int:
         return max(1, int(round(base * self.width_multiplier)))
 
+    def slice_extent(self, h: int, w: int) -> tuple[int, int]:
+        """The extent an h x w slice has in the encoder: each side zero-padded
+        up to ``min_input``, or a refusal when that needs ``pad_to_min``."""
+        if min(h, w) < self.min_input and not self.pad_to_min:
+            raise ValueError(f"slice extent {h}x{w} is below the encoder minimum "
+                             f"{self.min_input}x{self.min_input} and pad_to_min is disabled")
+        return max(h, self.min_input), max(w, self.min_input)
 
-def prepare_slices(x: Tensor, min_input: int, pad_to_min: bool) -> Tensor:
-    """Bring slices up to the encoder's minimum spatial extent, or reject."""
+
+def prepare_slices(x: Tensor, config: EncoderConfig) -> Tensor:
+    """Zero-pad slices, centred, to their extent in the encoder
+    (:meth:`EncoderConfig.slice_extent`)."""
     h, w = x.shape[2], x.shape[3]
-    if h >= min_input and w >= min_input:
-        return x
-    if not pad_to_min:
-        raise ValueError(
-            f"slice extent {h}x{w} is below the encoder minimum {min_input}x{min_input} "
-            "and pad_to_min is disabled"
-        )
-    ph, pw = max(min_input - h, 0), max(min_input - w, 0)
-    return pad2d(x, (ph // 2, ph - ph // 2, pw // 2, pw - pw // 2))
+    eh, ew = config.slice_extent(h, w)
+    ph, pw = eh - h, ew - w
+    return pad2d(x, (ph // 2, ph - ph // 2, pw // 2, pw - pw // 2)) if ph or pw else x
 
 
 class _ConvBlock(Module):
@@ -114,7 +118,7 @@ class CNN5Encoder(Module):
         self.embedding_dim = chans[-1]
 
     def __call__(self, x: Tensor) -> Tensor:
-        x = prepare_slices(x, self.config.min_input, self.config.pad_to_min)
+        x = prepare_slices(x, self.config)
         # relu after the pool: relu and max commute, and the zero padding is
         # relu's fixed point, so values match relu-then-pool exactly while
         # relu works on a quarter of the map.  Each 3x3 conv keeps its
@@ -195,7 +199,7 @@ class ResNetEncoder(Module):
         self.embedding_dim = in_ch
 
     def __call__(self, x: Tensor) -> Tensor:
-        x = prepare_slices(x, self.config.min_input, self.config.pad_to_min)
+        x = prepare_slices(x, self.config)
         # relu after the pool, as in CNN5Encoder: the pool's zero padding is
         # relu's fixed point too.
         x = conv_bn_pool_relu(x, self.conv1, self.bn1, 3, 2, padding=1)

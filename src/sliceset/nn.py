@@ -1,98 +1,34 @@
 """Neural-network operations and a small layer/module system.
 
 Functional ops take and return :class:`~sliceset.tensor.Tensor` and register
-their own backward rules.  Layers own parameters (and, for batch norm,
-running-statistic buffers) and expose them through hierarchical dotted names
-such as ``conv1.weight`` or ``layer2.0.bn1.running_mean``; those names are
-the unit of checkpointing and cross-model weight transfer.
+their own backward rules; each op's docstring states what it computes, what
+its rule keeps for backward and how it rounds.  Layers own parameters (and,
+for batch norm, running-statistic buffers) and expose them through
+hierarchical dotted names such as ``conv1.weight`` or
+``layer2.0.bn1.running_mean``; those names are the unit of checkpointing and
+cross-model weight transfer.
 
-Convolution is explicit cross-correlation that stays within 1e-5 of a
-direct six-loop reference.  The kernel windows of the zero-padded,
-batch-innermost (C, Hp, Wp, N) input give a (C·kh·kw, oh·ow·N) column
-matrix.  Both passes walk that matrix in tiles of whole output rows, each
-at most ``CONV_TILE_BYTES`` (one row when a row alone is larger).  Forward
-copies the input once into a zero-padded buffer, which it drops on return,
-and each tile's GEMM writes its own columns of the (F, oh·ow·N) output;
-when one tile covers every row, one plain GEMM makes the output.  Backward
-pads again, each tile's input rows (the whole buffer for a single tile),
-rebuilds the tile's columns and multiplies them by the tile's output
-gradient, and the products are summed into dW; each tile's column gradient,
-``W.T @ dout``, is scattered back into the padded input gradient with one
-add per kernel tap, over rows of ow·N contiguous floats.  Each tile's
-padded rows, columns and partial dW are dropped before its column-gradient
-GEMM, and that product once it is scattered, so no two tiles' temporaries
-are alive at once.  A tile that fits in the L2 cache is still there when
-its GEMM reads it, and the transient columns, and backward's padded rows
-and column gradients, stay bounded however many slices one call carries;
-when the whole matrix fits in one tile each pass makes a single GEMM per
-product.  The output is handed back as an (N, F, oh, ow) view of the (F,
-oh, ow, N) result, so the batch stays innermost from layer to layer and the
-next convolution's copy reads contiguous memory.  The backward pass keeps
-only the input, which in the encoders is a relu map that relu's own
-backward reads anyway: no padded copy and no column matrix (kh·kw times
-larger).  The slices of one call share the GEMMs: ``train.batch_loss`` and
-``train.predict`` send the slices of several volumes through one encoder
-call.  Each output column is its own dot
-product, but OpenBLAS picks its kernels by matrix width, so a slice's output
-can differ by float32 roundoff with the batch it came in and with the tile
-widths.
+Layout: maps are (N, C, H, W) tensors whose memory is batch-innermost.
+:func:`conv2d` and :func:`conv_bn_pool_relu` return (N, F, oh, ow) views of
+(F, oh, ow, N) arrays; batch norm, pooling and padding keep that layout, and
+the gradients they build for a map take it too.  So every op reads the batch
+as contiguous runs, and each convolution's input copy reads contiguous
+memory.  Reductions inside the norm layers and losses accumulate in 64-bit
+and store 32-bit.
 
-Max pooling takes the elementwise maximum over the kernel² strided window
-views.  When the input needs a gradient it also keeps, per output, the
-index of the window's first maximal tap in row-major order: one byte while
-a window has at most 255 taps (a wider unsigned integer beyond).  The
-backward pass compares that index with each tap in turn and adds the
-output gradient where they agree into a zeroed input-sized buffer, laid
-out batch-innermost as every conv and batch-norm output is.  A pool pads
-its input itself, in a buffer laid out as the input is, with the helper
-that :func:`pad2d` and the stem op use; its output keeps that layout too.
+The ops:
 
-Batch norm in training mode works on the (C, H·W, N) view of the conv
-output's batch-innermost memory.  It takes the mean with one float64 sum
-and the variance with one float64 sum of squared deviations of the centred
-input, which the backward pass reuses; each sum runs over the spatial axis
-first and then over the samples of a group.  A :class:`BatchNorm2d` module
-centres its input, a conv output, in that output's own buffer
-(``overwrite_input``), since nothing else reads a conv output; that spares
-allocating a fresh conv-output-sized array per batch norm.  Backward
-computes the input gradient in the centred buffer, which nothing reads
-after the rule has run.  The functional op copies unless asked, for
-callers that pass an array something else reads.  By default the whole
-batch is one group.  A module with a ``group_size`` (a slice-set model's
-encoder sets it to the slices per volume) splits its training batch into
-``groups`` equal runs of consecutive samples, one volume's slices each, and
-every run is normalized by its own moments and updates the running
-statistics once, in order, exactly as if it had been a call of its own.
-1/std is folded into per-group factors.  The backward pass computes Σdy and
-Σdy·xhat once each and shares them between the γ, β and x gradients.  Eval
-mode folds the running statistics into one per-channel scale and shift;
-with ``overwrite_input`` its backward centres the conv output in place for
-γ's gradient, and it writes dx over the output gradient.  Reductions inside
-the norm layers and losses accumulate in 64-bit and store results in
-32-bit.
-
-An encoder's stem, conv -> batch norm -> max pool -> relu over the slices
-themselves, is one op, :func:`conv_bn_pool_relu`, which keeps the slices
-instead of its conv output and recomputes that output one batch-norm group
-at a time in backward.  It shares conv's, batch norm's, max pool's and the
-padding's helpers with the generic ops, so it keeps their bits.
-
-What a training step holds until backward reaches it, per conv-output
-element of a ``cnn5`` block: the conv output, centred in place, which batch
-norm's backward reads (4 bytes), the pool's tap index (one byte per pooled
-output, 0.25) and the quarter-size relu map (1: ``cnn5`` pools before its
-relu, as the resnets' stems do), which relu's backward and the next conv
-read: 5.25 bytes.  The stem holds the slices and its tap index instead of
-its conv output, and its quarter-size output is the next conv's input: 3.21
-bytes per element over all five ``cnn5`` blocks at 32x32.  The stem's
-backward rule peaks 4.9 MB above its 4.2 MB output gradient at the
-``transfer-cnn5`` step, a volume's padded gradient and recomputed conv
-output, the same for 2 or 8 volumes (0.54x the 16.8 MB conv output with
-the output gradient).  The batch-norm output and the pooled map are freed
-once the next op has run, since no backward rule reads them (see
-:mod:`sliceset.tensor`); in the resnets so are the batch-norm outputs and
-the residual sums.
-``CHANGES.md`` and README "Memory" have the ``perfbench`` peak RSS.
+* :func:`relu`, :func:`softmax`, :func:`linear`, :func:`layer_norm`: row and
+  elementwise maps;
+* :func:`pad2d`: zero padding;
+* :func:`conv2d`: bias-free cross-correlation, GEMMs over row tiles of at
+  most ``CONV_TILE_BYTES``;
+* :func:`max_pool2d`: windowed maximum keeping one tap index per output;
+* :func:`global_avg_pool2d`: spatial mean;
+* :func:`batch_norm2d`: batch norm in groups of consecutive samples;
+* :func:`conv_bn_pool_relu`: an encoder's stem as one op that recomputes its
+  conv in backward;
+* :func:`cross_entropy`, :func:`l1_loss`, :func:`mse_loss`: losses.
 """
 
 from __future__ import annotations
@@ -107,8 +43,7 @@ BN_MOMENTUM = 0.1
 LN_EPS = 1e-5
 
 # conv2d builds its column matrix, forward and backward, in tiles of whole
-# output rows of at most this many bytes, at least one row each; see the
-# module docstring.
+# output rows of at most this many bytes, at least one row each.
 CONV_TILE_BYTES = 2 * 1024 * 1024
 
 
@@ -250,7 +185,7 @@ def _conv_backward(xt: np.ndarray, wmat: np.ndarray, dout: np.ndarray, kh: int, 
                    stride: int, padding: int, kernel_grad: bool, input_grad: bool):
     """dW.T, (C*kh*kw, F), and the zero-padded (C, Hp, Wp, N) input gradient
     of the (F, oh*ow*N) output gradient ``dout``, each None unless asked;
-    both are built row tile by row tile, see the module docstring."""
+    both are built row tile by row tile, as :func:`conv2d` states."""
     c, h, w, n = xt.shape
     ow = (w + 2 * padding - kw) // stride + 1
     row_len = ow * n
@@ -280,11 +215,27 @@ def _conv_backward(xt: np.ndarray, wmat: np.ndarray, dout: np.ndarray, kh: int, 
 
 
 def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """2-D cross-correlation of (N, C, H, W) input with an (F, C, kh, kw) kernel.
+    """2-D cross-correlation of (N, C, H, W) input with an (F, C, kh, kw)
+    kernel, within 1e-5 of a direct six-loop reference.
 
     Output spatial extent is ``floor((H + 2*padding - kh)/stride) + 1`` (same
-    for W).  Internally GEMMs over row tiles of a batch-innermost column
-    matrix; see the module docstring.
+    for W), returned as an (N, F, oh, ow) view of (F, oh, ow, N) memory.  The
+    kernel windows of the zero-padded (C, Hp, Wp, N) input form a
+    (C·kh·kw, oh·ow·N) column matrix, which both passes walk in tiles of
+    whole output rows of at most ``CONV_TILE_BYTES`` (one row when a row
+    alone is larger), so the columns stay bounded, and in cache, however
+    many slices one call carries.  Forward pads the input once, in a buffer
+    it drops on return, and each tile's GEMM writes its own columns of the
+    output.  The rule keeps only the input: no padded copy and no column
+    matrix.  Backward pads each tile's input rows again, multiplies the
+    tile's columns by its output gradient into its share of dW, and
+    scatters the tile's column gradient ``W.T @ dout`` into the padded input
+    gradient with one add per kernel tap; one tile's temporaries are dropped
+    before the next tile's are built.
+
+    Each output column is its own dot product, but OpenBLAS picks its kernels
+    by matrix width, so a slice's output can differ by float32 roundoff with
+    the batch it came in and with the tile widths.
     """
     if x.ndim != 4 or kernel.ndim != 4:
         raise ValueError(f"conv2d expects 4-D input and kernel, got {x.shape} and {kernel.shape}")
@@ -307,14 +258,11 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
     row_len = ow * n                                     # output columns per output row
     tile_rows = max(1, CONV_TILE_BYTES // (c * kh * kw * row_len * xt.itemsize))
     xp = _padded_rows(xt, 0, hp, padding)                # not kept for backward
-    if tile_rows >= oh:
-        out = np.matmul(wmat, _im2col(xp, kh, kw, stride, oh, ow))   # (F, oh*ow*N)
-    else:
-        out = np.empty((f, oh * row_len), dtype=np.result_type(wmat, xt))
-        for r in range(0, oh, tile_rows):
-            t = min(tile_rows, oh - r)
-            np.matmul(wmat, _im2col(xp[:, stride * r:], kh, kw, stride, t, ow),
-                      out=out[:, r * row_len:(r + t) * row_len])
+    out = np.empty((f, oh * row_len), dtype=np.result_type(wmat, xt))
+    for r in range(0, oh, tile_rows):
+        t = min(tile_rows, oh - r)
+        np.matmul(wmat, _im2col(xp[:, stride * r:], kh, kw, stride, t, ow),
+                  out=out[:, r * row_len:(r + t) * row_len])
     out = out.reshape(f, oh, ow, n).transpose(3, 0, 1, 2)
     xn, kn = x.node, kernel.node
 
@@ -690,8 +638,6 @@ def conv_bn_pool_relu(x: Tensor, conv: "Conv2d", bn: "BatchNorm2d", pool: int, s
                 o.grad = first = None
             dout = conv_output_grad(dyp, i, samples)
             del dyp
-            if kn is None and xn is None:
-                continue
             dw_t, dxp = _conv_backward(xd[samples].transpose(1, 2, 3, 0), wmat, dout,
                                        *kd.shape[2:], conv_stride, conv_padding,
                                        kn is not None, xn is not None)

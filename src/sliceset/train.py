@@ -1,13 +1,8 @@
 """Initialization, optimizers, the epoch loop with best-model selection, and 2D
 pretraining on that loop; archives and imports live in :mod:`sliceset.weights`.
 
-Each training batch goes through :meth:`SliceSetModel.forward_volumes`,
-which returns the batch's (R,) or (R, 2) output from one encoder call per
-run of same-shape volumes and one tail call; the encoder's batch norms,
-whose group size is the model's slice count, normalize each volume's slices
-by that volume's own moments and update their running statistics once per
-volume, in batch order, so a batch trains as per-volume forward passes
-would.  The loop
+Each training batch is one :meth:`SliceSetModel.forward_volumes` call,
+whose docstring says how it trains as per-volume passes would.  The loop
 validates after every epoch and keeps the checkpoint that optimizes the
 task's selection metric (lowest mean absolute error for regression,
 highest balanced accuracy for classification), breaking ties toward the
@@ -309,13 +304,11 @@ def predict(model: SliceSetModel, volumes: list[Volume]):
     (class-1 probabilities, predicted labels, true labels).
 
     The volumes go to :meth:`SliceSetModel.forward_volumes` in consecutive
-    chunks of ``max(1, PREDICT_MAX_SLICES // model.slice_count)``: one encoder
-    call per run of same-shape volumes and one tail call per chunk, whose
+    chunks of ``max(1, PREDICT_MAX_SLICES // model.slice_count)``, whose
     logits give class-1 probabilities by a float64 softmax.  In eval mode
-    batch norm normalizes by its running statistics, a fixed per-channel map,
-    and every other encoder op acts on each slice alone, so a slice's
-    embedding does not depend on the other slices of its call; only the GEMM
-    roundoff may move with the batch width (see :mod:`sliceset.nn`).
+    every encoder op acts on each slice alone, so a slice's embedding does
+    not depend on the other slices of its call, up to GEMM roundoff
+    (:func:`~sliceset.nn.conv2d`).
     """
     regression = model.config.task == "regression"
     outputs = [np.zeros((0,) if regression else (0, model.config.output_dim), np.float32)]

@@ -65,9 +65,6 @@ class WeightArchive:
     def names(self) -> list[str]:
         return sorted(self.entries)
 
-    def __contains__(self, name) -> bool:
-        return name in self.entries
-
     def __getitem__(self, name) -> np.ndarray:
         return self.entries[name]
 

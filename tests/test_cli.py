@@ -26,7 +26,7 @@ import pytest
 
 import sliceset
 from sliceset import train as train_mod
-from sliceset.cli import LOCK_NAME, _cap_threads, main, output_lock
+from sliceset.cli import LOCK_NAME, _cap_threads, _model_from_checkpoint, main, output_lock
 from sliceset.data import generate_synthetic_images, read_manifest, write_manifest
 from sliceset.encoders import EncoderConfig
 from sliceset.train import pretrain_2d
@@ -661,6 +661,53 @@ def test_train_rejects_unallocatable_padded_batch_before_writing(tmp_path, data)
     assert "encoder.min_input 1000000" in err
 
 
+def assert_one_error_line(code, err, message):
+    assert code == 2
+    assert err == f"error: {message}\n"
+
+
+def test_train_refuses_slices_below_min_input_without_padding_before_writing(tmp_path, data):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"encoder": {"pad_to_min": False}}))
+    out = tmp_path / "run"
+    code, _, err = train_into(out, data, "--config", str(config), "--min-input", "16")
+    assert_one_error_line(code, err, "slice extent 8x8 is below the encoder minimum 16x16 "
+                                     "and pad_to_min is disabled")
+    assert not out.exists()
+
+
+def test_train_refuses_splits_whose_volumes_disagree_on_extents(tmp_path, data):
+    code, _, err = run_cli(
+        "synth", "--out", str(tmp_path / "wide"), "--count", "4", "--seed", "2",
+        "--extents", "8,12,8", "--blob-radius", "2", "--signal-axis", "coronal")
+    assert code == 0, err
+    out = tmp_path / "run"
+    code, _, err = train_into(out, {**data, "test": str(tmp_path / "wide" / "manifest.json")})
+    assert_one_error_line(code, err, "dataset: volumes disagree on extents: "
+                                     "[(8, 10, 8), (8, 12, 8)]")
+    assert not out.exists()
+
+
+def test_train_refuses_an_empty_split_manifest(tmp_path, data):
+    empty = tmp_path / "empty.json"
+    write_manifest(empty, [])
+    out = tmp_path / "run"
+    code, _, err = train_into(out, {**data, "val": str(empty)})
+    assert_one_error_line(code, err, f"val manifest {empty} is empty")
+    assert not out.exists()
+
+
+def test_train_refuses_a_config_that_is_not_json(tmp_path, data):
+    config = tmp_path / "config.json"
+    config.write_text("{epochs: 3}")
+    out = tmp_path / "run"
+    code, _, err = train_into(out, data, "--config", str(config))
+    assert code == 2
+    assert err.startswith(f"error: config {config} is not valid JSON: ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_train_divergence_is_an_error_not_a_traceback(tmp_path, data):
     code, _, err = run_cli(
         "train", "--train-manifest", data["train"], "--val-manifest", data["val"],
@@ -1019,6 +1066,16 @@ def test_export_weights_full_copy_keeps_every_tensor(tmp_path, train_run):
     assert set(WeightArchive.load(target).entries) == set(source.entries)
 
 
+def test_export_weights_encoder_only_refuses_an_archive_without_encoder_entries(tmp_path):
+    source = tmp_path / "head.ssnw"
+    WeightArchive(entries={"head.weight": np.zeros((1, 2))}).save(source)
+    target = tmp_path / "encoder.ssnw"
+    code, _, err = run_cli("export-weights", "--checkpoint", str(source),
+                           "--out", str(target), "--encoder-only")
+    assert_one_error_line(code, err, f"{source} holds no encoder.* entries")
+    assert not target.exists()
+
+
 def test_import_weights_builds_evaluable_checkpoint(tmp_path, pretrain_archive,
                                                     data):
     target = tmp_path / "init.ssnw"
@@ -1058,6 +1115,24 @@ def test_import_weights_strict_needs_full_coverage(tmp_path, pretrain_archive):
         "--out", str(tmp_path / "x.ssnw"), "--strict")
     assert code == 2
     assert err.startswith("error:")
+
+
+def test_import_weights_strict_loads_a_covering_archive(tmp_path, train_run):
+    _, _, out = train_run
+    source = WeightArchive.load(out / "checkpoint_seed0.ssnw")
+    target = tmp_path / "strict.ssnw"
+    code, stdout, err = run_cli(
+        "import-weights", "--task", "regression", "--axis", "coronal",
+        "--encoder", "cnn5", "--width-multiplier", "0.25", "--min-input", "8",
+        "--extents", EXTENTS, "--archive", str(out / "checkpoint_seed0.ssnw"),
+        "--out", str(target), "--strict")
+    assert code == 0, err
+    assert f"strict import: loaded all {len(source.entries)} tensors" in stdout
+    model, _ = _model_from_checkpoint(WeightArchive.load(target))
+    state = {name: array for name, array, _ in model.named_state()}
+    assert state.keys() == source.entries.keys()
+    for name, array in state.items():
+        np.testing.assert_array_equal(array, source.entries[name])
 
 
 def test_import_weights_requires_explicit_task(tmp_path, pretrain_archive):

@@ -344,6 +344,28 @@ def test_vox_offset_348_to_351_loads_the_same_voxels(tmp_path, offset, name):
     np.testing.assert_array_equal(load_nifti(tmp_path / name).voxels, vox.astype(np.float32))
 
 
+@pytest.mark.parametrize("offset", [0.0, 100.0, 347.0])
+def test_vox_offset_below_the_header_reads_the_voxels_at_352(tmp_path, offset):
+    vox = np.arange(2 * 3 * 4, dtype=np.float32).reshape(2, 3, 4)
+    raw = bytearray(craft_nifti_bytes(vox, 16, np.float32))
+    struct.pack_into("<f", raw, 108, offset)
+    (tmp_path / "v.nii").write_bytes(bytes(raw))
+    np.testing.assert_array_equal(load_nifti(tmp_path / "v.nii").voxels, vox)
+
+
+@pytest.mark.parametrize("axis, extent", [(0, 0), (1, -2), (2, 0)])
+def test_non_positive_extent_is_a_format_error(tmp_path, axis, extent):
+    raw = bytearray(craft_nifti_bytes(np.zeros((2, 3, 4), dtype=np.float32), 16, np.float32))
+    struct.pack_into("<h", raw, 42 + 2 * axis, extent)       # dim[1 + axis]
+    extents = [2, 3, 4]
+    extents[axis] = extent
+    path = tmp_path / "v.nii"
+    path.write_bytes(bytes(raw))
+    with pytest.raises(NiftiFormatError) as excinfo:
+        load_nifti(path)
+    assert str(excinfo.value) == f"{path}: non-positive extents {tuple(extents)}"
+
+
 def test_corrupt_gzip_is_reported_before_a_bad_header(tmp_path):
     raw = craft_nifti_bytes(np.zeros((2, 2, 2), dtype=np.float32), 16, np.float32,
                             magic=b"ni1\x00")

@@ -322,6 +322,23 @@ def test_three_channel_stem_adapts_to_single_channel_input():
     assert np.abs(adapted_emb - original_emb).max() < 1e-5
 
 
+@pytest.mark.parametrize("name, shape", [
+    ("encoder.block1.bn.weight", (9,)),
+    ("encoder.block1.conv.weight", (9, 3, 3, 3)),
+    ("encoder.block2.conv.weight", (16, 4, 3, 3)),
+], ids=["not-a-4d-kernel", "other-filter-count", "several-target-channels"])
+def test_import_encoder_keeps_the_fresh_init_of_an_entry_it_cannot_adapt(name, shape):
+    entries = dict(export_weights(make_model(seed=20)).entries)
+    entries[name] = np.ones(shape, dtype=np.float32)
+    model = make_model(seed=21)
+    fresh = {n: a.copy() for n, a, _ in model.named_state()}
+    model, report = import_encoder(model, WeightArchive(entries=entries))
+    assert name in report.reinitialized and name in report.skipped
+    assert name not in report.matched and name not in report.adapted
+    state = {n: a for n, a, _ in model.named_state()}
+    np.testing.assert_array_equal(state[name], fresh[name])
+
+
 def test_import_encoder_rejects_incompatible_archive():
     other = Classifier2D(EncoderConfig(kind="resnet18", width_multiplier=0.125,
                                        min_input=8))
