@@ -6,9 +6,11 @@ the wrong JSON type are rejected by key (``model.build_dataclass``).  Each
 config flag's dest is its config path (``--epochs`` sets ``train.epochs``),
 so flags fold over config-file values generically, and the fully resolved
 config is echoed into the output directory for provenance.  Every split's
-manifest is checked against the run's task, and training's three splits
-against each other, before any volume loads.  Training writes nothing
-outside its output directory and guards it with a lock file.
+manifest is read once and checked against the run's task, and training's
+three splits against each other, before any volume loads.  Training writes
+nothing outside its output directory, and holds an exclusive ``flock`` on
+the directory's ``.sliceset.lock`` for the whole run.  The file stays in the
+directory after the run; the pid in it is for people only.
 
 Set ``SLICESET_THREADS`` to a positive integer to cap the numeric
 libraries' worker threads; it is applied before numpy loads.  Any other
@@ -157,59 +159,27 @@ def _apply_overrides(config: RunConfig, args) -> RunConfig:
     return replace(config, **top)
 
 
-def _lock_owner(lock: Path) -> int | None:
-    """The pid a lock file records, None without a lock file; ValueError when
-    the file records no pid."""
-    try:
-        pid = int(lock.read_text())
-    except FileNotFoundError:
-        return None
-    except (OSError, ValueError):            # a UnicodeDecodeError is a ValueError
-        pid = 0
-    if pid < 1:
-        raise ValueError(f"output directory {lock.parent} has an unreadable lock file {lock} "
-                         f"(delete it if no run is using the directory)")
-    return pid
-
-
-def _pid_alive(pid: int) -> bool:
-    try:
-        os.kill(pid, 0)
-    except (ProcessLookupError, OverflowError):   # no such process, or no such pid
-        return False
-    except PermissionError:   # alive, but another user's
-        return True
-    return True
-
-
 @contextlib.contextmanager
 def output_lock(directory: Path):
-    """Exclusive claim on an output directory via an O_EXCL lock file that
-    records the owner's pid.
-
-    A lock whose pid is no longer running was left by a killed run; it is
-    stale and is taken over.  A claim holds an exclusive ``flock`` on the
-    directory while it checks, removes and creates the lock file, so of two
-    runs that race for a stale lock only one wins.
-    """
-    lock = directory / LOCK_NAME
-    guard = os.open(directory, os.O_RDONLY)
+    """Exclusive claim on an output directory: a non-blocking ``flock`` on
+    its lock file, held until the run ends and released by the kernel when
+    the holder exits, however it exits.  The pid written into the file only
+    names the holder to a refused run.  The file is never unlinked: a
+    claimant that opened it before an unlink could lock the orphaned file
+    while a third run locks a new one."""
+    fd = os.open(directory / LOCK_NAME, os.O_CREAT | os.O_RDWR, 0o666)
     try:
-        fcntl.flock(guard, fcntl.LOCK_EX)
-        owner = _lock_owner(lock)
-        if owner is not None and _pid_alive(owner):
-            raise ValueError(f"output directory {directory} is locked by another run (pid {owner})")
-        lock.unlink(missing_ok=True)         # a stale lock, if any
-        fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            pid = os.read(fd, 32).strip()
+            raise ValueError(f"output directory {directory} is locked by another run"
+                             + (f" (pid {int(pid)})" if pid.isdigit() else "")) from None
+        os.ftruncate(fd, 0)
         os.write(fd, f"{os.getpid()}\n".encode())
-        os.close(fd)
-    finally:
-        os.close(guard)                      # releases the flock
-    try:
         yield
     finally:
-        with contextlib.suppress(FileNotFoundError):
-            lock.unlink()
+        os.close(fd)
 
 
 def _parse_extents(text: str) -> tuple[int, int, int]:
@@ -267,19 +237,23 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _check_split(path, context, task) -> list[dict]:
+def _split_entries(path, context) -> list[dict]:
     """The entries of a split's manifest; rejects a manifest that is missing
-    or empty or holds other than ``task``'s targets."""
+    or empty."""
     if path is None:
         raise ValueError(f"no {context} manifest configured (flag --{context}-manifest "
                          f"or config key {context}_manifest)")
     entries = read_manifest(path)
     if not entries:
         raise ValueError(f"{context} manifest {path} is empty")
+    return entries
+
+
+def _check_task(entries, path, context, task):
+    """Reject a split whose manifest holds other than ``task``'s targets."""
     if manifest_task(entries) != task:
         raise ValueError(f"{context} manifest {path} holds {manifest_task(entries)} targets, "
                          f"but the model is a {task} model")
-    return entries
 
 
 def _check_disjoint_splits(manifests: dict, entries: dict):
@@ -307,11 +281,14 @@ def cmd_train(args) -> int:
     archive = WeightArchive.load(args.pretrained) if args.pretrained else None
     config = load_run_config(args.config) if args.config else RunConfig()
     config = _apply_overrides(config, args)
-    if config.task == "auto" and config.train_manifest is not None:
-        config = replace(config, task=manifest_task(read_manifest(config.train_manifest)))
 
     manifests = {split: getattr(config, f"{split}_manifest") for split in ("train", "val", "test")}
-    entries = {split: _check_split(path, split, config.task) for split, path in manifests.items()}
+    entries = {}
+    for split, path in manifests.items():
+        entries[split] = _split_entries(path, split)
+        if config.task == "auto":   # inferred from the training split, which comes first
+            config = replace(config, task=manifest_task(entries[split]))
+        _check_task(entries[split], path, split, config.task)
     _check_disjoint_splits(manifests, entries)
     train_vols, val_vols, test_vols = (load_manifest_volumes(path, config.normalize, entries[split])
                                        for split, path in manifests.items())
@@ -425,8 +402,16 @@ def _model_from_checkpoint(archive: WeightArchive) -> tuple[SliceSetModel, dict]
     if meta.get("kind") != CHECKPOINT_METADATA_KIND:
         raise ValueError("archive is not a training checkpoint "
                          f"(metadata kind {meta.get('kind')!r})")
-    model_config = build_dataclass(ModelConfig, json.loads(meta["model_config"]), "model config")
-    slice_count = int(meta["slice_count"])
+    try:
+        raw_config = json.loads(meta["model_config"])
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"checkpoint metadata model_config is not valid JSON: {exc}") from exc
+    model_config = build_dataclass(ModelConfig, raw_config, "model config")
+    try:
+        slice_count = int(meta["slice_count"])
+    except ValueError:
+        raise ValueError("checkpoint metadata slice_count must be an integer, "
+                         f"got {meta['slice_count']!r}") from None
     if slice_count < 1:
         raise ValueError(f"checkpoint metadata slice_count must be at least 1, got {slice_count}")
     if meta["normalize"] not in ("true", "false"):
@@ -439,11 +424,14 @@ def _model_from_checkpoint(archive: WeightArchive) -> tuple[SliceSetModel, dict]
 
 def cmd_eval(args) -> int:
     reports = []
-    volumes = {}   # by normalize setting: the manifest decodes once per setting
+    entries = None   # read at the first checkpoint, checked against each one's task
+    volumes = {}     # by normalize setting: the manifest decodes once per setting
     for ckpt in args.checkpoint:
         model, meta = _model_from_checkpoint(WeightArchive.load(ckpt))
         normalize = meta["normalize"] == "true"
-        entries = _check_split(args.manifest, f"checkpoint {ckpt}: eval", model.config.task)
+        context = f"checkpoint {ckpt}: eval"
+        entries = entries or _split_entries(args.manifest, context)
+        _check_task(entries, args.manifest, context, model.config.task)
         if normalize not in volumes:
             volumes[normalize] = load_manifest_volumes(args.manifest, normalize, entries)
         report = evaluate(model, volumes[normalize])

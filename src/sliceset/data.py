@@ -290,7 +290,10 @@ def write_manifest(path, entries: list[dict]):
 
 
 def read_manifest(path) -> list[dict]:
-    entries = json.loads(Path(path).read_text())
+    try:
+        entries = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"manifest {path} is not valid JSON: {exc}") from exc
     if not isinstance(entries, list):
         raise ValueError(f"manifest {path} must be a JSON array")
     _check_manifest_entries(entries, path)

@@ -1,19 +1,27 @@
 """End-to-end exercises of the command-line interface.
 
-Every test but the lock race, which needs two processes, drives
-``sliceset.cli.main`` in process with an argv list — the same entry point
-the console script uses — and asserts on exit codes, printed output, and
-the files each command leaves behind.  Training tests
-share one completed run over a tiny synthetic dataset (8x10x8 volumes,
-quarter-width encoder) so the module stays quick.
+The tests drive ``sliceset.cli.main`` in process with an argv list — the
+same entry point the console script uses — and assert on exit codes,
+printed output, and the files each command leaves behind.  These also
+start a subprocess: ``test_train_refuses_locked_output_dir`` (the lock's
+holder), ``test_train_takes_over_the_lock_of_a_run_that_has_exited`` and
+``test_two_runs_racing_for_a_stale_lock_cannot_both_win`` (an exited
+process's pid; the racers), ``test_a_killed_run_releases_its_output_dir``
+(the run it kills) and ``test_train_divergence_prints_no_numpy_warnings``
+(a run whose stderr is what a user sees).  Training tests share one
+completed run over a tiny synthetic dataset (8x10x8 volumes, quarter-width
+encoder) so the module stays quick.
 """
 
 from __future__ import annotations
 
 import contextlib
+import errno
+import fcntl
 import io
 import json
 import os
+import signal
 import struct
 import subprocess
 import sys
@@ -33,6 +41,9 @@ from sliceset.train import pretrain_2d
 from sliceset.weights import MAGIC, WeightArchive
 
 EXTENTS = "8,10,8"
+
+# The package source directory, for the tests that start an interpreter.
+SRC = str(Path(sliceset.__file__).resolve().parents[1])
 
 TRAIN_FLAGS = (
     "--axis", "coronal", "--encoder", "cnn5",
@@ -292,7 +303,10 @@ def test_train_writes_test_report(train_run):
 
 def test_train_releases_output_lock(train_run):
     _, _, out = train_run
-    assert not (out / LOCK_NAME).exists()
+    assert (out / LOCK_NAME).read_text() == f"{os.getpid()}\n"   # the file stays
+    assert not (out / LOCK_NAME).stat().st_mode & 0o111   # as a plain, non-executable file
+    with output_lock(out):
+        pass
 
 
 def train_into(out, data, *flags):
@@ -318,14 +332,31 @@ def test_train_rejects_momentum_with_adam_before_writing(tmp_path, data):
     assert not out.exists()
 
 
+HOLDER = """
+import sys
+from pathlib import Path
+sys.path.insert(0, sys.argv[2])
+from sliceset.cli import output_lock
+with output_lock(Path(sys.argv[1])):
+    print("held", flush=True)
+    sys.stdin.read()
+"""
+
+
 def test_train_refuses_locked_output_dir(tmp_path, data):
     out = tmp_path / "locked"
     out.mkdir()
-    (out / LOCK_NAME).write_text(f"{os.getpid()}\n")   # a live run's lock
-    code, _, err = train_into(out, data)
-    assert code == 2
-    assert f"locked by another run (pid {os.getpid()})" in err
-    assert (out / LOCK_NAME).exists()  # the foreign lock is left alone
+    with subprocess.Popen([sys.executable, "-c", HOLDER, str(out), SRC], stdin=subprocess.PIPE,
+                          stdout=subprocess.PIPE, text=True) as holder:
+        try:
+            assert holder.stdout.readline() == "held\n"
+            code, _, err = train_into(out, data)
+        finally:
+            holder.stdin.close()   # the holder exits
+    assert holder.returncode == 0
+    assert_one_error_line(code, err, f"output directory {out} is locked by another run "
+                                     f"(pid {holder.pid})")
+    assert [p.name for p in out.iterdir()] == [LOCK_NAME]
 
 
 def test_train_takes_over_the_lock_of_a_run_that_has_exited(tmp_path, data):
@@ -337,19 +368,53 @@ def test_train_takes_over_the_lock_of_a_run_that_has_exited(tmp_path, data):
     code, _, err = train_into(out, data)
     assert code == 0, err
     assert (out / "checkpoint_seed0.ssnw").exists()
-    assert not (out / LOCK_NAME).exists()
+    assert (out / LOCK_NAME).read_text() == f"{os.getpid()}\n"
 
 
-@pytest.mark.parametrize("content", [b"", b"not a pid\n", b"-3\n", b"0\n", b"\xff\xfe"])
-def test_train_refuses_an_unreadable_lock(tmp_path, data, content):
-    out = tmp_path / "garbled"
+@pytest.mark.parametrize("content", [f"{os.getpid()}\n".encode(), b"", b"not a pid\n",
+                                     b"\xff\xfe", b"-3\n", b"0\n"],
+                         ids=["own-pid", "empty", "not-a-pid", "not-utf8", "negative", "zero"])
+def test_train_is_not_blocked_by_a_leftover_lock_file(tmp_path, data, content):
+    out = tmp_path / "leftover"
     out.mkdir()
     (out / LOCK_NAME).write_bytes(content)
     code, _, err = train_into(out, data)
-    assert code == 2
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert "unreadable lock file" in err
-    assert (out / LOCK_NAME).read_bytes() == content
+    assert code == 0, err
+    assert (out / "checkpoint_seed0.ssnw").exists()
+    assert (out / LOCK_NAME).read_text() == f"{os.getpid()}\n"
+
+
+def test_a_killed_run_releases_its_output_dir(tmp_path, data):
+    out = tmp_path / "killed"
+    with subprocess.Popen(
+            [sys.executable, "-m", "sliceset.cli", "train", "--train-manifest", data["train"],
+             "--val-manifest", data["val"], "--test-manifest", data["test"],
+             "--output-dir", str(out), "--epochs", "100000", *TRAIN_FLAGS],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": SRC, "SLICESET_THREADS": "1"}) as run:
+        try:
+            if not any(line.startswith("epoch 1/") for line in run.stdout):
+                pytest.fail(f"the run ended before its first epoch: {run.stderr.read()}")
+            code, _, err = train_into(out, data)   # the lock is held ...
+            assert_one_error_line(code, err, f"output directory {out} is locked by another run "
+                                             f"(pid {run.pid})")
+        finally:
+            run.kill()
+    assert run.returncode == -signal.SIGKILL
+    code, _, err = train_into(out, data)   # ... and the kill released it
+    assert code == 0, err
+    assert (out / "checkpoint_seed0.ssnw").exists()
+
+
+def test_train_reports_a_failed_lock_call_before_writing(tmp_path, data, monkeypatch):
+    def no_locks(fd, operation):
+        raise OSError(errno.ENOLCK, "No locks available")
+
+    monkeypatch.setattr(fcntl, "flock", no_locks)
+    out = tmp_path / "run"
+    code, _, err = train_into(out, data)
+    assert_one_error_line(code, err, f"[Errno {errno.ENOLCK}] No locks available")
+    assert [p.name for p in out.iterdir()] == [LOCK_NAME]
 
 
 RACER = """
@@ -371,23 +436,38 @@ def test_two_runs_racing_for_a_stale_lock_cannot_both_win(tmp_path):
     exited = subprocess.Popen([sys.executable, "-c", "pass"])
     exited.wait()
     (tmp_path / LOCK_NAME).write_text(f"{exited.pid}\n")
-    src = str(Path(sliceset.__file__).resolve().parents[1])
     start = str(time.time() + 1.0)
-    racers = [subprocess.Popen([sys.executable, "-c", RACER, str(tmp_path), start, src],
+    racers = [subprocess.Popen([sys.executable, "-c", RACER, str(tmp_path), start, SRC],
                                stdout=subprocess.PIPE, text=True) for _ in range(2)]
-    results = sorted(r.communicate(timeout=60)[0].strip() for r in racers)
-    assert results == ["lost", "won"]
-    assert not (tmp_path / LOCK_NAME).exists()
+    results = [r.communicate(timeout=60)[0].strip() for r in racers]
+    assert sorted(results) == ["lost", "won"]
+    winner = racers[results.index("won")]
+    assert (tmp_path / LOCK_NAME).read_text() == f"{winner.pid}\n"
 
 
 def test_output_lock_refuses_a_second_claim_while_held(tmp_path):
     with output_lock(tmp_path):
         assert (tmp_path / LOCK_NAME).read_text() == f"{os.getpid()}\n"
-        with pytest.raises(ValueError, match="locked by another run"):
+        with pytest.raises(ValueError) as refused:
             with output_lock(tmp_path):
                 pass
-        assert (tmp_path / LOCK_NAME).exists()
-    assert not (tmp_path / LOCK_NAME).exists()
+        assert str(refused.value) == (f"output directory {tmp_path} is locked by another run "
+                                      f"(pid {os.getpid()})")
+        assert (tmp_path / LOCK_NAME).read_text() == f"{os.getpid()}\n"
+    with output_lock(tmp_path):   # released when the claim ends
+        pass
+
+
+def test_output_lock_refusal_names_no_pid_when_the_file_holds_none(tmp_path):
+    fd = os.open(tmp_path / LOCK_NAME, os.O_CREAT | os.O_RDWR)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX)
+        with pytest.raises(ValueError) as refused:
+            with output_lock(tmp_path):
+                pass
+    finally:
+        os.close(fd)
+    assert str(refused.value) == f"output directory {tmp_path} is locked by another run"
 
 
 def test_train_rejects_task_mismatch(tmp_path, data):
@@ -708,6 +788,32 @@ def test_train_refuses_a_config_that_is_not_json(tmp_path, data):
     assert not out.exists()
 
 
+def test_train_names_a_manifest_that_is_not_json(tmp_path, data):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"not json')
+    out = tmp_path / "run"
+    code, _, err = train_into(out, {**data, "train": str(bad)})
+    assert_one_error_line(code, err, f"manifest {bad} is not valid JSON: "
+                                     "Unterminated string starting at: line 1 column 2 (char 1)")
+    assert not out.exists()
+
+
+def test_each_command_reads_each_manifest_once(tmp_path, data, multi_seed_run, monkeypatch):
+    reads = []
+    read_text = Path.read_text
+    monkeypatch.setattr(Path, "read_text", lambda self, *a, **k: (
+        self.name == "manifest.json" and reads.append(str(self))) or read_text(self, *a, **k))
+    code, _, err = train_into(tmp_path / "run", data)   # the task is inferred
+    assert code == 0, err
+    assert sorted(reads) == sorted(data.values())
+    reads.clear()
+    _, out = multi_seed_run
+    code, _, err = run_cli("eval", "--checkpoint", str(out / "checkpoint_seed0.ssnw"),
+                           str(out / "checkpoint_seed1.ssnw"), "--manifest", data["test"])
+    assert code == 0, err
+    assert reads == [data["test"]]
+
+
 def test_train_divergence_is_an_error_not_a_traceback(tmp_path, data):
     code, _, err = run_cli(
         "train", "--train-manifest", data["train"], "--val-manifest", data["val"],
@@ -724,14 +830,13 @@ def test_train_divergence_prints_no_numpy_warnings(tmp_path, data, learning_rate
     # pytest captures warnings in-process, so only a separate interpreter shows
     # what a user sees on stderr: the overflows inside the conv GEMMs and the
     # batch-norm moments must not print before the error line.
-    src = str(Path(sliceset.__file__).resolve().parents[1])
     result = subprocess.run(
         [sys.executable, "-m", "sliceset.cli", "train", "--train-manifest", data["train"],
          "--val-manifest", data["val"], "--test-manifest", data["test"],
          "--output-dir", str(tmp_path / "run"), "--epochs", "2", *TRAIN_FLAGS,
          "--optimizer", "sgd", "--learning-rate", learning_rate],
         capture_output=True, text=True, timeout=300,
-        env={**os.environ, "PYTHONPATH": src})
+        env={**os.environ, "PYTHONPATH": SRC})
     assert result.returncode == 2
     assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1, result.stderr
 
@@ -1002,6 +1107,30 @@ def test_eval_rejects_malformed_manifest_values(tmp_path, train_run, data, value
     assert code == 2
     assert err.startswith(f"error: bad manifest entry 0 in {bad}") and err.count("\n") == 1
     assert not report.exists()
+
+
+def test_eval_names_a_manifest_that_is_not_json(tmp_path, train_run):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"not json')
+    code, _, err = run_cli("eval", "--checkpoint", str(train_run[2] / "checkpoint_seed0.ssnw"),
+                           "--manifest", str(bad))
+    assert_one_error_line(code, err, f"manifest {bad} is not valid JSON: "
+                                     "Unterminated string starting at: line 1 column 2 (char 1)")
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("slice_count", "abc", "checkpoint metadata slice_count must be an integer, got 'abc'"),
+    ("model_config", "{not json", "checkpoint metadata model_config is not valid JSON: Expecting "
+                                  "property name enclosed in double quotes: line 1 column 2 (char 1)"),
+], ids=["slice-count-abc", "model-config-not-json"])
+def test_eval_names_checkpoint_metadata_that_does_not_parse(tmp_path, train_run, data,
+                                                            key, value, message):
+    archive = WeightArchive.load(train_run[2] / "checkpoint_seed0.ssnw")
+    path = tmp_path / "bad.ssnw"
+    WeightArchive(entries=archive.entries, metadata={**archive.metadata, key: value}).save(path)
+    code, out, err = run_cli("eval", "--checkpoint", str(path), "--manifest", data["test"])
+    assert out == ""
+    assert_one_error_line(code, err, message)
 
 
 @pytest.mark.parametrize("slice_count", ["0", "-1"])
